@@ -2,13 +2,12 @@
 
 from .augmentation import (
     AugmentationConfig,
-    ControlLawState,
     DisturbanceEstimate,
+    LoopModel,
     PiecewiseConstantLaw,
     adaptation_gain,
-    adaptation_update,
     build_control_law,
-    build_unmatched_path,
+    compile_loop,
     control_update,
     low_pass_model,
     matched_transmission_zeros,
@@ -42,7 +41,6 @@ from .scenario import (
     scenario_fingerprint,
 )
 from .statespace import (
-    DiscreteFilterState,
     StateSpaceModel,
     dc_gain,
     dc_gain_discrete,

@@ -14,15 +14,14 @@ import numpy as np
 
 from .augmentation import (
     AugmentationConfig,
-    ControlLawState,
-    PiecewiseConstantLaw,
-    build_control_law,
+    LoopModel,
+    compile_loop,
     control_update,
     predictor_deriv,
-    resolve_predictor_gain,
 )
 from .errors import ConfigError, SimulationDiverged
 from .plant import ReferenceSignal, UncertainPlant, plant_deriv, reference_model_deriv, reference_value
+from .statespace import as_scalar
 
 
 @dataclass(frozen=True)
@@ -37,12 +36,18 @@ class EngineConfig:
     substeps_per_sample: int = 1
 
     def __post_init__(self):
-        if not (self.t_end > 0.0):
-            raise ConfigError(f"engine.t_end must be > 0, got {self.t_end}")
-        if int(self.substeps_per_sample) != self.substeps_per_sample or self.substeps_per_sample < 1:
-            raise ConfigError(
-                f"engine.substeps_per_sample must be an integer >= 1, got {self.substeps_per_sample}"
-            )
+        t_end = as_scalar(self.t_end, "engine.t_end")
+        if not t_end > 0.0:
+            raise ConfigError(f"engine.t_end must be > 0, got {t_end}")
+        object.__setattr__(self, "t_end", t_end)
+        subs = self.substeps_per_sample
+        try:
+            whole = not isinstance(subs, bool) and int(subs) == subs >= 1
+        except (TypeError, ValueError, OverflowError):
+            whole = False
+        if not whole:
+            raise ConfigError(f"engine.substeps_per_sample must be an integer >= 1, got {subs!r}")
+        object.__setattr__(self, "substeps_per_sample", int(subs))
 
     def integrator_step(self, sample_period: float) -> float:
         return sample_period / self.substeps_per_sample
@@ -96,16 +101,21 @@ def run_closed_loop(
     sig: ReferenceSignal,
     eng: EngineConfig,
     label: str = "",
+    model: LoopModel | None = None,
 ) -> SimTrace:
-    """Simulate the closed loop and record every signal at each sample boundary."""
+    """Simulate the closed loop and record every signal at each sample boundary.
+
+    ``model`` is ``compile_loop(plant, cfg)`` when the caller has already
+    compiled it (``Scenario.loop``); otherwise it is compiled here.
+    """
+    if model is None:
+        model = compile_loop(plant, cfg)
+    elif model.plant is not plant or model.config is not cfg:
+        raise ValueError("model was compiled from a different plant or configuration")
     T = cfg.sample_period
     n_steps = _sample_count(eng.t_end, T)
     h = eng.integrator_step(T)
     n, m, k = plant.n, plant.m, plant.n_unmatched
-
-    adapter = PiecewiseConstantLaw(plant, cfg)
-    law_state: ControlLawState = build_control_law(plant, cfg)
-    l_gain = resolve_predictor_gain(plant, cfg)
 
     rows = n_steps + 1
     out = SimTrace(
@@ -123,34 +133,32 @@ def run_closed_loop(
     )
 
     z = np.concatenate([plant.x0, plant.x0, plant.x0])  # [x, x_m, x_hat]
-    held = {"u_a": np.zeros(m), "est": None, "r": 0.0}
+    xf_m, xf_u = (None if f is None else np.zeros(f.order) for f in (model.matched, model.unmatched))
+    # u_a, est and r are held over each integrator step; deriv reads them
+    u_a, est, r = np.zeros(m), None, 0.0
 
     def deriv(t: float, state: np.ndarray) -> np.ndarray:
         x = state[:n]
         x_m = state[n : 2 * n]
         x_hat = state[2 * n :]
-        est = held["est"]
-        dx = plant_deriv(plant, x, held["u_a"], held["r"], t)
-        dx_m = reference_model_deriv(plant, x_m, held["r"])
-        dx_hat = predictor_deriv(plant, l_gain, x_hat, held["u_a"], held["r"], est, x_hat - x)
+        dx = plant_deriv(plant, x, u_a, r, t)
+        dx_m = reference_model_deriv(plant, x_m, r)
+        dx_hat = predictor_deriv(model, x_hat, u_a, r, est, x_hat - x)
         return np.concatenate([dx, dx_m, dx_hat])
 
     for i in range(rows):
         t_i = i * T
-        # LTV extension point: matrices are re-read every sample but constant
-        # for every supported scenario; the estimator gain assumes they are.
-        _A, _B1, _B2, C_t = plant.matrices_at(t_i)
         x = z[:n]
         x_m = z[n : 2 * n]
         x_hat = z[2 * n :]
         x_tilde = x_hat - x
 
-        est = adapter.update(x_tilde, i)
-        u_a = control_update(law_state, est)
+        est = model.update(x_tilde)
+        u_a, xf_m, xf_u = control_update(model, est, xf_m, xf_u)
 
         out.r[i] = reference_value(sig, t_i)
-        out.y[i] = (C_t @ x).item()
-        out.y_m[i] = (C_t @ x_m).item()
+        out.y[i] = plant.output(x)
+        out.y_m[i] = plant.output(x_m)
         out.u_a[i] = u_a
         out.sigma1[i] = est.matched
         out.sigma2[i] = est.unmatched
@@ -161,13 +169,11 @@ def run_closed_loop(
         if i == n_steps:
             break
 
-        held["u_a"] = u_a
-        held["est"] = est
         # overflow is detected via the finite check, not numpy warnings
         with np.errstate(over="ignore", invalid="ignore"):
             for j in range(eng.substeps_per_sample):
                 t_sub = t_i + j * h
-                held["r"] = reference_value(sig, t_sub)
+                r = reference_value(sig, t_sub)
                 z = rk4_step(deriv, t_sub, z, h)
                 if not np.all(np.isfinite(z)):
                     raise SimulationDiverged(t_sub + h, "closed-loop state is non-finite")

@@ -12,6 +12,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .engine import SimTrace
+from .errors import ConfigError
 from .plant import ReferenceSignal
 
 STEADY_WINDOW_FRACTION = 0.1
@@ -36,7 +37,8 @@ class Metrics:
     tracking_lag: float | None = None
 
 
-def _steady_mask(t: np.ndarray) -> np.ndarray:
+def steady_mask(t: np.ndarray) -> np.ndarray:
+    """Samples in the steady-state window: the final 10% of the time span."""
     return t >= t[-1] - STEADY_WINDOW_FRACTION * (t[-1] - t[0])
 
 
@@ -52,9 +54,9 @@ def _first_crossing(t: np.ndarray, y: np.ndarray, level: float, rising: bool) ->
 def compute_metrics(trace: SimTrace, sig: ReferenceSignal) -> Metrics:
     """Summarize a trace against the command that produced it."""
     if trace.n_samples < 2:
-        raise ValueError("trace must contain at least two samples")
+        raise ConfigError("trace must contain at least two samples")
     t, y, r = trace.t, trace.y, trace.r
-    mask = _steady_mask(t)
+    mask = steady_mask(t)
     err = y - r
     steady_state_error = float(np.mean(np.abs(err[mask])))
     dt = np.diff(t)
@@ -73,7 +75,7 @@ def compute_metrics(trace: SimTrace, sig: ReferenceSignal) -> Metrics:
 
     after = t >= sig.onset
     if not np.any(after):
-        raise ValueError("step metrics require samples at or after the command onset")
+        raise ConfigError("reference.onset must not be after engine.t_end for step metrics")
     t_a, y_a = t[after], y[after]
     y_final = float(np.mean(y[mask]))
     y_start = float(y_a[0])

@@ -13,7 +13,8 @@ from typing import Callable
 
 import numpy as np
 
-from .statespace import as_matrix, feedforward_gain, null_complement
+from .errors import ConfigError
+from .statespace import as_matrix, as_scalar, as_vector, feedforward_gain, null_complement
 
 DisturbanceFn = Callable[[np.ndarray, float], np.ndarray]
 
@@ -29,13 +30,18 @@ class ReferenceSignal:
 
     def __post_init__(self):
         if self.kind not in ("step", "ramp"):
-            raise ValueError(f"reference kind must be 'step' or 'ramp', got {self.kind!r}")
-        if self.onset < 0.0:
-            raise ValueError(f"reference onset must be >= 0, got {self.onset}")
-        if self.kind == "step" and self.amplitude is None:
-            raise ValueError("step reference requires an amplitude")
-        if self.kind == "ramp" and self.gradient is None:
-            raise ValueError("ramp reference requires a gradient")
+            raise ConfigError(f"reference.kind must be 'step' or 'ramp', got {self.kind!r}")
+        onset = as_scalar(self.onset, "reference.onset")
+        if onset < 0.0:
+            raise ConfigError(f"reference.onset must be >= 0, got {onset}")
+        object.__setattr__(self, "onset", onset)
+        needed = "amplitude" if self.kind == "step" else "gradient"
+        for key in ("amplitude", "gradient"):
+            value = getattr(self, key)
+            if value is None and key == needed:
+                raise ConfigError(f"{self.kind} reference requires reference.{key}")
+            if value is not None:
+                object.__setattr__(self, key, as_scalar(value, f"reference.{key}"))
 
 
 def reference_value(sig: ReferenceSignal, t: float) -> float:
@@ -49,23 +55,30 @@ def reference_value(sig: ReferenceSignal, t: float) -> float:
 
 @dataclass(frozen=True)
 class UncertaintySpec:
-    """Constant matched/unmatched disturbances, switched on at an onset time."""
+    """Constant matched/unmatched disturbances, switched on at an onset time.
 
-    matched: np.ndarray
-    unmatched: np.ndarray
+    ``None`` leaves that channel undisturbed; its disturbance function is then
+    ``None`` too, which ``UncertainPlant`` reads as zero.
+    """
+
+    matched: np.ndarray | None = None
+    unmatched: np.ndarray | None = None
     onset: float = 0.0
 
     def __post_init__(self):
-        object.__setattr__(self, "matched", np.atleast_1d(np.asarray(self.matched, float)))
-        object.__setattr__(self, "unmatched", np.atleast_1d(np.asarray(self.unmatched, float)))
-        if self.onset < 0.0:
-            raise ValueError(f"uncertainty onset must be >= 0, got {self.onset}")
+        for key in ("matched", "unmatched"):
+            if getattr(self, key) is not None:
+                object.__setattr__(self, key, as_vector(getattr(self, key), f"uncertainty.{key}"))
+        onset = as_scalar(self.onset, "uncertainty.onset")
+        if onset < 0.0:
+            raise ConfigError(f"uncertainty.onset must be >= 0, got {onset}")
+        object.__setattr__(self, "onset", onset)
 
-    def matched_fn(self) -> DisturbanceFn:
-        return constant_disturbance(self.matched, self.onset)
+    def matched_fn(self) -> DisturbanceFn | None:
+        return None if self.matched is None else constant_disturbance(self.matched, self.onset)
 
-    def unmatched_fn(self) -> DisturbanceFn:
-        return constant_disturbance(self.unmatched, self.onset)
+    def unmatched_fn(self) -> DisturbanceFn | None:
+        return None if self.unmatched is None else constant_disturbance(self.unmatched, self.onset)
 
 
 def constant_disturbance(value, onset: float = 0.0) -> DisturbanceFn:
@@ -95,54 +108,63 @@ class UncertainPlant:
     A is the desired closed-loop system matrix, B1 the control input matrix,
     B2 the orthonormal complement of B1, C the (single row) output map and
     k_ff the feedforward gain that gives the reference model unit DC gain.
-    f1 and f2 are callables (x, t) -> vector.
+    f1 and f2 are callables (x, t) -> vector.  ``None`` for B2, k_ff, x0, f1
+    or f2 derives the complement, the feedforward gain, a zero initial state
+    and zero disturbances.  A flat B1 is read as one column.
     """
 
     A: np.ndarray
     B1: np.ndarray
-    B2: np.ndarray
+    B2: np.ndarray | None
     C: np.ndarray
-    k_ff: float
-    x0: np.ndarray
-    f1: DisturbanceFn
-    f2: DisturbanceFn
+    k_ff: float | None
+    x0: np.ndarray | None
+    f1: DisturbanceFn | None
+    f2: DisturbanceFn | None
 
     def __post_init__(self):
         A = as_matrix(self.A, "plant.A")
         if A.shape[0] != A.shape[1]:
-            raise ValueError(f"plant.A must be square, got {A.shape}")
+            raise ConfigError(f"plant.A must be square, got {A.shape}")
         n = A.shape[0]
         B1 = as_matrix(self.B1, "plant.B1")
-        try:
-            B2 = np.asarray(self.B2, dtype=float).reshape(n, -1)
-        except ValueError as exc:
-            raise ValueError(f"plant.B2 must be a matrix with {n} rows: {exc}") from exc
-        C = as_matrix(self.C, "plant.C")
+        if np.ndim(self.B1) == 1:
+            B1 = B1.T
         if B1.shape[0] != n:
-            raise ValueError(f"plant.B1 must have {n} rows, got {B1.shape}")
-        if B1.shape[1] + B2.shape[1] != n:
-            raise ValueError(
-                f"plant.B2 must have {n - B1.shape[1]} columns to complete B1, got {B2.shape}"
+            raise ConfigError(f"plant.B1 must have {n} rows, got {B1.shape}")
+        m = B1.shape[1]
+        if self.B2 is None:
+            B2 = null_complement(B1) if m < n else np.zeros((n, 0))
+        else:
+            try:
+                B2 = np.asarray(self.B2, dtype=float).reshape(n, -1)
+            except (TypeError, ValueError) as exc:
+                raise ConfigError(f"plant.B2 must be a matrix with {n} rows: {exc}") from None
+            if not np.all(np.isfinite(B2)):
+                raise ConfigError("plant.B2 has non-finite entries")
+        C = as_matrix(self.C, "plant.C")
+        if m + B2.shape[1] != n:
+            raise ConfigError(
+                f"plant.B2 must have {n - m} columns to complete B1, got {B2.shape}"
             )
         if C.shape != (1, n):
-            raise ValueError(f"plant.C must map the state to one output (1x{n}), got {C.shape}")
-        x0 = np.asarray(self.x0, dtype=float)
+            raise ConfigError(f"plant.C must map the state to one output (1x{n}), got {C.shape}")
+        x0 = np.zeros(n) if self.x0 is None else as_vector(self.x0, "plant.x0")
         if x0.shape != (n,):
-            raise ValueError(f"plant.x0 must have length {n}, got {x0.shape}")
+            raise ConfigError(f"plant.x0 must have length {n}, got {x0.shape}")
         if B2.shape[1] > 0:
             cross = np.abs(B1.T @ B2).max()
             scale = max(1.0, np.abs(B1).max())
             if cross > 1e-9 * scale:
-                raise ValueError(
+                raise ConfigError(
                     "plant.B2 is not orthogonal to plant.B1 (B1^T B2 != 0); "
                     "drop B2 to derive it automatically"
                 )
-        b_full = np.hstack([B1, B2])
-        if np.linalg.matrix_rank(b_full) < n:
-            raise ValueError("plant input directions [B1 B2] do not span the state space")
+        if np.linalg.matrix_rank(np.hstack([B1, B2])) < n:
+            raise ConfigError("plant input directions [B1 B2] do not span the state space")
         expected = feedforward_gain(A, B1, C)
-        if not np.isclose(self.k_ff, expected, rtol=1e-9, atol=1e-12):
-            raise ValueError(
+        if self.k_ff is not None and not np.isclose(self.k_ff, expected, rtol=1e-9, atol=1e-12):
+            raise ConfigError(
                 f"plant.k_ff = {self.k_ff} does not match the feedforward gain "
                 f"{expected} computed from (A, B1, C)"
             )
@@ -150,7 +172,10 @@ class UncertainPlant:
         object.__setattr__(self, "B1", B1)
         object.__setattr__(self, "B2", B2)
         object.__setattr__(self, "C", C)
+        object.__setattr__(self, "k_ff", expected if self.k_ff is None else self.k_ff)
         object.__setattr__(self, "x0", x0)
+        object.__setattr__(self, "f1", self.f1 or _zero_disturbance(m))
+        object.__setattr__(self, "f2", self.f2 or _zero_disturbance(B2.shape[1]))
 
     @classmethod
     def from_matrices(
@@ -163,29 +188,8 @@ class UncertainPlant:
         f1: DisturbanceFn | None = None,
         f2: DisturbanceFn | None = None,
     ) -> "UncertainPlant":
-        """Build a plant, deriving B2 (orthogonal complement) and k_ff when omitted."""
-        A = as_matrix(A, "plant.A")
-        B1 = as_matrix(B1, "plant.B1")
-        n, m = A.shape[0], B1.shape[1]
-        if B2 is None:
-            B2 = null_complement(B1) if m < n else np.zeros((n, 0))
-        try:
-            B2 = np.asarray(B2, dtype=float).reshape(n, -1)
-        except ValueError as exc:
-            raise ValueError(f"plant.B2 must be a matrix with {n} rows: {exc}") from exc
-        if x0 is None:
-            x0 = np.zeros(n)
-        k_ff = feedforward_gain(A, B1, C)
-        return cls(
-            A=A,
-            B1=B1,
-            B2=B2,
-            C=as_matrix(C, "plant.C"),
-            k_ff=k_ff,
-            x0=np.asarray(x0, dtype=float),
-            f1=f1 if f1 is not None else _zero_disturbance(m),
-            f2=f2 if f2 is not None else _zero_disturbance(B2.shape[1]),
-        )
+        """Build a plant, deriving B2 (orthogonal complement) and k_ff."""
+        return cls(A=A, B1=B1, B2=B2, C=C, k_ff=None, x0=x0, f1=f1, f2=f2)
 
     @property
     def n(self) -> int:
@@ -198,10 +202,6 @@ class UncertainPlant:
     @property
     def n_unmatched(self) -> int:
         return self.B2.shape[1]
-
-    def matrices_at(self, _t: float):
-        """Per-sample matrix accessor; constant by default, hook for LTV use."""
-        return self.A, self.B1, self.B2, self.C
 
     def output(self, x: np.ndarray) -> float:
         return (self.C @ x).item()

@@ -23,12 +23,12 @@ from .augmentation import (
     DEFAULT_BANDWIDTH,
     DEFAULT_SAMPLE_PERIOD,
     AugmentationConfig,
-    PiecewiseConstantLaw,
-    build_control_law,
+    LoopModel,
+    compile_loop,
 )
 from .engine import EngineConfig, SimTrace, run_closed_loop
 from .errors import ConfigError
-from .metrics import Metrics, compute_metrics
+from .metrics import Metrics, compute_metrics, steady_mask
 from .plant import ReferenceSignal, UncertainPlant, UncertaintySpec
 
 PLANT_PRESETS: dict[str, dict] = {
@@ -59,6 +59,7 @@ _OUTPUT_KEYS = ("csv", "plots")
 class Scenario:
     """A fully validated experiment: plant, command, tuning and horizon.
 
+    ``loop`` is the tuning compiled against the plant, ready to simulate.
     ``write_csv`` / ``write_plots`` are the file's output defaults; the CLI
     flags add to them.
     """
@@ -68,6 +69,7 @@ class Scenario:
     uncertainty: UncertaintySpec
     signal: ReferenceSignal
     augmentation: AugmentationConfig
+    loop: LoopModel
     engine: EngineConfig
     write_csv: bool = False
     write_plots: bool = False
@@ -93,49 +95,27 @@ def _require_keys(section: dict, allowed: tuple, where: str) -> None:
             raise ConfigError(f"unknown key {where}.{key}; expected one of {sorted(allowed)}")
 
 
-def _matrix(section: dict, key: str, where: str) -> np.ndarray | None:
-    if key not in section or section[key] is None:
-        return None
-    try:
-        m = np.asarray(section[key], dtype=float)
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(f"{where}.{key} is not a numeric matrix: {exc}") from exc
-    if not np.all(np.isfinite(m)):
-        raise ConfigError(f"{where}.{key} has non-finite entries")
-    return m
+def _get(section: dict, key: str, default=None):
+    """Value of a key, with a missing key and an explicit null both giving the default."""
+    value = section.get(key)
+    return default if value is None else value
 
 
-def _vector(section: dict, key: str, where: str) -> np.ndarray | None:
-    if key not in section or section[key] is None:
-        return None
-    raw = section[key]
-    if np.isscalar(raw):
-        raw = [raw]
-    try:
-        v = np.asarray(raw, dtype=float).reshape(-1)
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(f"{where}.{key} is not a numeric vector: {exc}") from exc
-    if not np.all(np.isfinite(v)):
-        raise ConfigError(f"{where}.{key} has non-finite entries")
-    return v
-
-
-def _scalar(section: dict, key: str, where: str, default=None) -> float | None:
-    if key not in section or section[key] is None:
-        return default
-    try:
-        return float(section[key])
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(f"{where}.{key} must be a number, got {section[key]!r}") from exc
+def _flag(section: dict, key: str, where: str) -> bool:
+    value = _get(section, key, False)
+    if not isinstance(value, bool):
+        raise ConfigError(f"{where}.{key} must be true or false, got {value!r}")
+    return value
 
 
 def build_scenario(cfg: dict, name: str | None = None, law_override: str | None = None) -> Scenario:
     """Validate a scenario document and construct every runtime object.
 
-    Every validation failure names the offending key.  The control law is
-    constructed once here so configuration errors (unstable predictor
-    dynamics, non-minimum-phase plant under the dynamics-inverting law, ...)
-    surface at load time rather than mid-run.
+    Every validation failure is a ``ConfigError`` naming the offending key,
+    raised by the object that owns the fact.  The loop is compiled here, once,
+    so tuning errors (unstable predictor dynamics, non-minimum-phase plant
+    under the dynamics-inverting law, ...) surface at load time rather than
+    mid-run.
     """
     if not isinstance(cfg, dict):
         raise ConfigError(f"scenario document must be a mapping, got {type(cfg).__name__}")
@@ -155,7 +135,7 @@ def build_scenario(cfg: dict, name: str | None = None, law_override: str | None 
         base.update({k: v for k, v in plant_cfg.items() if k != "preset" and v is not None})
         plant_cfg = base
     for req in ("A", "B1", "C"):
-        if req not in plant_cfg:
+        if plant_cfg.get(req) is None:
             raise ConfigError(f"plant.{req} is required (or use plant.preset)")
 
     unc_cfg = cfg.get("uncertainty") or {}
@@ -183,92 +163,48 @@ def build_scenario(cfg: dict, name: str | None = None, law_override: str | None 
         raise ConfigError("output section must be a mapping")
     _require_keys(out_cfg, _OUTPUT_KEYS, "output")
 
-    a = _matrix(plant_cfg, "A", "plant")
-    b1 = _matrix(plant_cfg, "B1", "plant")
-    b2 = _matrix(plant_cfg, "B2", "plant")
-    c = _matrix(plant_cfg, "C", "plant")
-    x0 = _vector(plant_cfg, "x0", "plant")
-    if a is None or a.ndim != 2 or a.shape[0] != a.shape[1]:
-        raise ConfigError(f"plant.A must be a square matrix, got {None if a is None else a.shape}")
-    n = a.shape[0]
-    if b1 is None:
-        raise ConfigError("plant.B1 is required")
-    b1 = b1.reshape(n, -1) if b1.ndim == 1 else b1
-    m = b1.shape[1]
+    uncertainty = UncertaintySpec(
+        matched=unc_cfg.get("matched"),
+        unmatched=unc_cfg.get("unmatched"),
+        onset=_get(unc_cfg, "onset", 0.0),
+    )
+    plant = UncertainPlant.from_matrices(
+        **{key: plant_cfg.get(key) for key in ("A", "B1", "C", "B2", "x0")},
+        f1=uncertainty.matched_fn(),
+        f2=uncertainty.unmatched_fn(),
+    )
+    for key, size in (("matched", plant.m), ("unmatched", plant.n_unmatched)):
+        given = getattr(uncertainty, key)
+        if given is not None and given.shape != (size,):
+            raise ConfigError(f"uncertainty.{key} must have {size} entries, got {given.shape}")
 
-    matched = _vector(unc_cfg, "matched", "uncertainty")
-    unmatched = _vector(unc_cfg, "unmatched", "uncertainty")
-    onset = _scalar(unc_cfg, "onset", "uncertainty", default=0.0)
-    if matched is None:
-        matched = np.zeros(m)
-    if unmatched is None:
-        unmatched = np.zeros(n - m)
-    if matched.shape != (m,):
-        raise ConfigError(f"uncertainty.matched must have {m} entries, got {matched.shape}")
-    if unmatched.shape != (n - m,):
-        raise ConfigError(f"uncertainty.unmatched must have {n - m} entries, got {unmatched.shape}")
-    if onset < 0.0:
-        raise ConfigError(f"uncertainty.onset must be >= 0, got {onset}")
-    uncertainty = UncertaintySpec(matched=matched, unmatched=unmatched, onset=onset)
-
-    try:
-        plant = UncertainPlant.from_matrices(
-            A=a,
-            B1=b1,
-            C=c,
-            B2=b2,
-            x0=x0,
-            f1=uncertainty.matched_fn(),
-            f2=uncertainty.unmatched_fn(),
-        )
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from exc
-
-    kind = ref_cfg.get("kind")
-    if kind not in ("step", "ramp"):
-        raise ConfigError(f"reference.kind must be 'step' or 'ramp', got {kind!r}")
-    try:
-        signal = ReferenceSignal(
-            kind=kind,
-            onset=_scalar(ref_cfg, "onset", "reference", default=0.0),
-            amplitude=_scalar(ref_cfg, "amplitude", "reference"),
-            gradient=_scalar(ref_cfg, "gradient", "reference"),
-        )
-    except ValueError as exc:
-        raise ConfigError(f"reference: {exc}") from exc
-
-    law = law_override if law_override is not None else ctl_cfg.get("law")
-    if law is None:
-        raise ConfigError("controller.law is required")
+    signal = ReferenceSignal(
+        kind=ref_cfg.get("kind"),
+        onset=_get(ref_cfg, "onset", 0.0),
+        amplitude=ref_cfg.get("amplitude"),
+        gradient=ref_cfg.get("gradient"),
+    )
     augmentation = AugmentationConfig(
-        law=str(law),
-        sample_period=_scalar(ctl_cfg, "sample_period", "controller", default=DEFAULT_SAMPLE_PERIOD),
-        bandwidth_matched=_scalar(ctl_cfg, "bandwidth_matched", "controller", default=DEFAULT_BANDWIDTH),
-        bandwidth_unmatched=_scalar(
-            ctl_cfg, "bandwidth_unmatched", "controller", default=DEFAULT_BANDWIDTH
-        ),
-        predictor_gain=_matrix(ctl_cfg, "L_p", "controller"),
+        law=law_override if law_override is not None else ctl_cfg.get("law"),
+        sample_period=_get(ctl_cfg, "sample_period", DEFAULT_SAMPLE_PERIOD),
+        bandwidth_matched=_get(ctl_cfg, "bandwidth_matched", DEFAULT_BANDWIDTH),
+        bandwidth_unmatched=_get(ctl_cfg, "bandwidth_unmatched", DEFAULT_BANDWIDTH),
+        predictor_gain=ctl_cfg.get("L_p"),
     )
-
     engine = EngineConfig(
-        t_end=_scalar(eng_cfg, "t_end", "engine", default=10.0),
-        substeps_per_sample=int(eng_cfg.get("substeps_per_sample", 1)),
+        t_end=_get(eng_cfg, "t_end", 10.0),
+        substeps_per_sample=_get(eng_cfg, "substeps_per_sample", 1),
     )
-
-    # surface construction-time errors (Hurwitz check, singular update gain,
-    # transmission-zero gate, improper realizations) at load time
-    PiecewiseConstantLaw(plant, augmentation)
-    build_control_law(plant, augmentation)
-
     return Scenario(
         name=str(cfg.get("name") or name or "scenario"),
         plant=plant,
         uncertainty=uncertainty,
         signal=signal,
         augmentation=augmentation,
+        loop=compile_loop(plant, augmentation),
         engine=engine,
-        write_csv=bool(out_cfg.get("csv", False)),
-        write_plots=bool(out_cfg.get("plots", False)),
+        write_csv=_flag(out_cfg, "csv", "output"),
+        write_plots=_flag(out_cfg, "plots", "output"),
     )
 
 
@@ -284,6 +220,10 @@ def load_scenario(path, law_override: str | None = None) -> Scenario:
     return build_scenario(doc, name=path.stem, law_override=law_override)
 
 
+def _listed(a: np.ndarray | None) -> list | None:
+    return None if a is None else a.tolist()
+
+
 def scenario_fingerprint(scenario: Scenario) -> str:
     """Hash of everything two compared runs must share (all but the law)."""
     payload = {
@@ -292,17 +232,15 @@ def scenario_fingerprint(scenario: Scenario) -> str:
         "B2": scenario.plant.B2.tolist(),
         "C": scenario.plant.C.tolist(),
         "x0": scenario.plant.x0.tolist(),
-        "matched": scenario.uncertainty.matched.tolist(),
-        "unmatched": scenario.uncertainty.unmatched.tolist(),
+        "matched": _listed(scenario.uncertainty.matched),
+        "unmatched": _listed(scenario.uncertainty.unmatched),
         "uncertainty_onset": scenario.uncertainty.onset,
         "signal": [scenario.signal.kind, scenario.signal.onset, scenario.signal.amplitude,
                    scenario.signal.gradient],
         "sample_period": scenario.augmentation.sample_period,
         "bandwidth_matched": scenario.augmentation.bandwidth_matched,
         "bandwidth_unmatched": scenario.augmentation.bandwidth_unmatched,
-        "predictor_gain": None
-        if scenario.augmentation.predictor_gain is None
-        else scenario.augmentation.predictor_gain.tolist(),
+        "predictor_gain": _listed(scenario.augmentation.predictor_gain),
         "t_end": scenario.engine.t_end,
         "substeps": scenario.engine.substeps_per_sample,
     }
@@ -368,7 +306,12 @@ def run_scenario(scenario: Scenario, label: str | None = None) -> RunResult:
     """Simulate one scenario and summarize the trace."""
     name = label if label is not None else scenario.augmentation.law
     trace = run_closed_loop(
-        scenario.plant, scenario.augmentation, scenario.signal, scenario.engine, label=name
+        scenario.plant,
+        scenario.augmentation,
+        scenario.signal,
+        scenario.engine,
+        label=name,
+        model=scenario.loop,
     )
     return RunResult(label=name, trace=trace, metrics=compute_metrics(trace, scenario.signal))
 
@@ -415,9 +358,7 @@ def format_report(result: PresetResult) -> str:
         lines.append("  ".join(parts))
     if len(result.runs) == 2:
         a, b = result.runs
-        mask_len = max(2, int(0.1 * a.trace.n_samples))
-        yss_a = float(np.mean(a.trace.y[-mask_len:]))
-        yss_b = float(np.mean(b.trace.y[-mask_len:]))
+        yss_a, yss_b = (float(np.mean(run.trace.y[steady_mask(run.trace.t)])) for run in (a, b))
         lines.append(
             f"compare: |y_ss({a.label}) - y_ss({b.label})| = {abs(yss_a - yss_b):.3e}"
         )

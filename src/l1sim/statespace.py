@@ -2,31 +2,60 @@
 
 Matrix exponentials and their integrals, orthogonal complements, DC gains,
 zero-order-hold discretization and discrete filter stepping.  Everything is
-double precision and sized for systems of order ~10 or less.
+double precision and sized for systems of order ~10 or less.  Invalid
+arguments raise ``ConfigError`` naming the quantity.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+import math
+from dataclasses import dataclass
 
 import numpy as np
 import scipy.linalg
 
+from .errors import ConfigError
+
+
+def as_scalar(value, name: str) -> float:
+    """Coerce to a finite float."""
+    try:
+        out = float(value)
+    except (TypeError, ValueError):
+        raise ConfigError(f"{name} must be a number, got {value!r}") from None
+    if not math.isfinite(out):
+        raise ConfigError(f"{name} must be finite, got {value!r}")
+    return out
+
+
+def as_vector(v, name: str) -> np.ndarray:
+    """Coerce a scalar or (nested) list to a flat float array and require finite entries."""
+    try:
+        out = np.asarray(v, dtype=float).reshape(-1)
+    except (TypeError, ValueError) as exc:
+        raise ConfigError(f"{name} is not a numeric vector: {exc}") from None
+    if not np.all(np.isfinite(out)):
+        raise ConfigError(f"{name} has non-finite entries")
+    return out
+
 
 def as_matrix(a, name: str = "matrix") -> np.ndarray:
     """Coerce to a 2-D float array and require finite entries."""
-    m = np.atleast_2d(np.asarray(a, dtype=float))
+    try:
+        m = np.atleast_2d(np.asarray(a, dtype=float))
+    except (TypeError, ValueError) as exc:
+        raise ConfigError(f"{name} is not a numeric matrix: {exc}") from None
     if m.ndim != 2 or m.shape[0] < 1 or m.shape[1] < 1:
-        raise ValueError(f"{name} must be a non-empty 2-D matrix, got shape {m.shape}")
+        raise ConfigError(f"{name} must be a non-empty 2-D matrix, got shape {m.shape}")
     if not np.all(np.isfinite(m)):
-        raise ValueError(f"{name} has non-finite entries")
+        raise ConfigError(f"{name} has non-finite entries")
     return m
 
 
 def _square(a, name: str = "matrix") -> np.ndarray:
     m = as_matrix(a, name)
     if m.shape[0] != m.shape[1]:
-        raise ValueError(f"{name} must be square, got shape {m.shape}")
+        raise ConfigError(f"{name} must be square, got shape {m.shape}")
     return m
 
 
@@ -48,15 +77,15 @@ class StateSpaceModel:
         C = as_matrix(self.C, "C")
         n = A.shape[0]
         if B.shape[0] != n:
-            raise ValueError(f"B must have {n} rows to match A, got {B.shape}")
+            raise ConfigError(f"B must have {n} rows to match A, got {B.shape}")
         if C.shape[1] != n:
-            raise ValueError(f"C must have {n} columns to match A, got {C.shape}")
+            raise ConfigError(f"C must have {n} columns to match A, got {C.shape}")
         D = self.D
         if D is None:
             D = np.zeros((C.shape[0], B.shape[1]))
         D = as_matrix(D, "D")
         if D.shape != (C.shape[0], B.shape[1]):
-            raise ValueError(f"D must be {C.shape[0]}x{B.shape[1]}, got {D.shape}")
+            raise ConfigError(f"D must be {C.shape[0]}x{B.shape[1]}, got {D.shape}")
         object.__setattr__(self, "A", A)
         object.__setattr__(self, "B", B)
         object.__setattr__(self, "C", C)
@@ -75,33 +104,6 @@ class StateSpaceModel:
         return self.C.shape[0]
 
 
-@dataclass
-class DiscreteFilterState:
-    """A discretized LTI filter plus its internal state, advanced sample by sample.
-
-    Not safe to step from two threads at once; one instance belongs to one run.
-    """
-
-    model: StateSpaceModel
-    step: float
-    state: np.ndarray = field(default=None)  # type: ignore[assignment]
-
-    def __post_init__(self):
-        if not (self.step > 0.0):
-            raise ValueError(f"filter step must be > 0, got {self.step}")
-        if self.state is None:
-            self.state = np.zeros(self.model.order)
-        else:
-            self.state = np.asarray(self.state, dtype=float)
-            if self.state.shape != (self.model.order,):
-                raise ValueError(
-                    f"filter state must have length {self.model.order}, got {self.state.shape}"
-                )
-
-    def reset(self) -> None:
-        self.state = np.zeros(self.model.order)
-
-
 def mat_exp(a, t: float) -> np.ndarray:
     """Matrix exponential e^(A t).
 
@@ -110,13 +112,13 @@ def mat_exp(a, t: float) -> np.ndarray:
     """
     a = _square(a, "A")
     if not np.isfinite(t):
-        raise ValueError(f"t must be finite, got {t}")
+        raise ConfigError(f"t must be finite, got {t}")
     n = a.shape[0]
     if t == 0.0:
         return np.eye(n)
     out = scipy.linalg.expm(a * t)
     if not np.all(np.isfinite(out)):
-        raise ValueError("matrix exponential overflowed; A*t is too large")
+        raise ConfigError("matrix exponential overflowed; A*t is too large")
     return out
 
 
@@ -128,14 +130,14 @@ def mat_exp_integral(a, t: float) -> np.ndarray:
     """
     a = _square(a, "A")
     if not (t > 0.0):
-        raise ValueError(f"t must be > 0, got {t}")
+        raise ConfigError(f"t must be > 0, got {t}")
     n = a.shape[0]
     aug = np.zeros((2 * n, 2 * n))
     aug[:n, :n] = a
     aug[:n, n:] = np.eye(n)
     out = scipy.linalg.expm(aug * t)[:n, n:]
     if not np.all(np.isfinite(out)):
-        raise ValueError("exponential integral overflowed; A*t is ill-conditioned")
+        raise ConfigError("exponential integral overflowed; A*t is ill-conditioned")
     return out
 
 
@@ -150,12 +152,12 @@ def null_complement(b1) -> np.ndarray:
     b1 = as_matrix(b1, "B1")
     n, m = b1.shape
     if m >= n:
-        raise ValueError(f"B1 must be a tall matrix (m < n), got {n}x{m}")
+        raise ConfigError(f"B1 must be a tall matrix (m < n), got {n}x{m}")
     if np.linalg.matrix_rank(b1) < m:
-        raise ValueError("B1 is rank deficient; its complement is not well defined")
+        raise ConfigError("B1 is rank deficient; its complement is not well defined")
     b2 = scipy.linalg.null_space(b1.T)
     if b2.shape != (n, n - m):
-        raise ValueError("unexpected null-space dimension; B1 is numerically rank deficient")
+        raise ConfigError("unexpected null-space dimension; B1 is numerically rank deficient")
     for j in range(b2.shape[1]):
         col = b2[:, j]
         lead = col[np.abs(col) > 1e-12]
@@ -171,7 +173,7 @@ def dc_gain(sys: StateSpaceModel) -> np.ndarray:
     """
     n = sys.order
     if np.linalg.matrix_rank(sys.A) < n:
-        raise ValueError("A is singular: pole at the origin, DC gain undefined")
+        raise ConfigError("A is singular: pole at the origin, DC gain undefined")
     return sys.C @ np.linalg.solve(-sys.A, sys.B) + sys.D
 
 
@@ -180,7 +182,7 @@ def dc_gain_discrete(sys: StateSpaceModel) -> np.ndarray:
     n = sys.order
     eye_minus = np.eye(n) - sys.A
     if np.linalg.matrix_rank(eye_minus) < n:
-        raise ValueError("discrete system has a pole at z = 1, DC gain undefined")
+        raise ConfigError("discrete system has a pole at z = 1, DC gain undefined")
     return sys.C @ np.linalg.solve(eye_minus, sys.B) + sys.D
 
 
@@ -194,15 +196,15 @@ def feedforward_gain(a, b1, c) -> float:
     c = as_matrix(c, "c")
     n = a.shape[0]
     if np.linalg.matrix_rank(a) < n:
-        raise ValueError("A is singular; feedforward gain undefined")
+        raise ConfigError("A is singular; feedforward gain undefined")
     g = c @ np.linalg.solve(a, b1)
     if g.shape != (1, 1):
-        raise ValueError(
+        raise ConfigError(
             f"feedforward gain is defined per single input/output channel, got {g.shape}"
         )
     val = float(g[0, 0])
     if abs(val) < 1e-14:
-        raise ValueError("zero DC path from input to output; feedforward gain undefined")
+        raise ConfigError("zero DC path from input to output; feedforward gain undefined")
     return -1.0 / val
 
 
@@ -213,23 +215,24 @@ def discretize_zoh(sys: StateSpaceModel, step: float) -> StateSpaceModel:
     augmented exponential.  C and D carry over unchanged.
     """
     if not (step > 0.0):
-        raise ValueError(f"step must be > 0, got {step}")
+        raise ConfigError(f"step must be > 0, got {step}")
     n, m = sys.order, sys.n_inputs
     aug = np.zeros((n + m, n + m))
     aug[:n, :n] = sys.A
     aug[:n, n:] = sys.B
     big = scipy.linalg.expm(aug * step)
     if not np.all(np.isfinite(big)):
-        raise ValueError("discretization overflowed; A*step is too large")
+        raise ConfigError("discretization overflowed; A*step is too large")
     return StateSpaceModel(A=big[:n, :n], B=big[:n, n:], C=sys.C, D=sys.D)
 
 
-def filter_step(f: DiscreteFilterState, u) -> np.ndarray:
-    """Advance a discrete filter one sample with held input u; return the output."""
+def filter_step(sys: StateSpaceModel, state: np.ndarray, u) -> tuple[np.ndarray, np.ndarray]:
+    """Advance a discrete filter one sample with held input u.
+
+    Returns the next state and the output computed from it.
+    """
     u = np.atleast_1d(np.asarray(u, dtype=float))
-    if u.shape != (f.model.n_inputs,):
-        raise ValueError(
-            f"filter input must have length {f.model.n_inputs}, got {u.shape}"
-        )
-    f.state = f.model.A @ f.state + f.model.B @ u
-    return f.model.C @ f.state + f.model.D @ u
+    if u.shape != (sys.n_inputs,):
+        raise ConfigError(f"filter input must have length {sys.n_inputs}, got {u.shape}")
+    state = sys.A @ state + sys.B @ u
+    return state, sys.C @ state + sys.D @ u

@@ -9,12 +9,11 @@ from l1sim import (
     ConfigError,
     DisturbanceEstimate,
     EngineConfig,
-    PiecewiseConstantLaw,
     ReferenceSignal,
     UncertainPlant,
     adaptation_gain,
     build_control_law,
-    build_unmatched_path,
+    compile_loop,
     control_update,
     dc_gain_discrete,
     filter_step,
@@ -24,7 +23,7 @@ from l1sim import (
     run_closed_loop,
     unmatched_path_model,
 )
-from l1sim.augmentation import error_dynamics_matrix, resolve_predictor_gain
+from l1sim.augmentation import error_dynamics_matrix
 from conftest import make_nmp_plant
 
 
@@ -51,17 +50,15 @@ class TestAdaptationGain:
     def test_scalar_estimate_value(self):
         p = UncertainPlant.from_matrices([[-1.0]], [[1.0]], [[1.0]])
         cfg = AugmentationConfig(law="off", sample_period=0.1, predictor_gain=np.zeros((1, 1)))
-        law = PiecewiseConstantLaw(p, cfg)
-        est = law.update(np.array([0.01]), 0)
+        est = compile_loop(p, cfg).update(np.array([0.01]))
         assert est.matched[0] == pytest.approx(-0.0950833, abs=1e-7)
         assert est.unmatched.shape == (0,)
 
     def test_zero_error_zero_estimate(self, bench_plant):
-        law = PiecewiseConstantLaw(bench_plant, AugmentationConfig(law="modified"))
-        est = law.update(np.zeros(2), 3)
+        model = compile_loop(bench_plant, AugmentationConfig(law="modified"))
+        est = model.update(np.zeros(2))
         np.testing.assert_array_equal(est.matched, [0.0])
         np.testing.assert_array_equal(est.unmatched, [0.0])
-        assert est.sample_index == 3
 
     def test_rejects_singular_input_matrix(self):
         with pytest.raises(ConfigError, match="singular"):
@@ -146,31 +143,33 @@ class TestEstimatorFixedPoint:
 
 class TestPredictorDeriv:
     def test_all_zero(self, bench_plant):
-        est = DisturbanceEstimate(np.zeros(1), np.zeros(1), 0)
-        lp = resolve_predictor_gain(bench_plant, AugmentationConfig(law="off"))
-        d = predictor_deriv(bench_plant, lp, np.zeros(2), np.zeros(1), 0.0, est, np.zeros(2))
+        est = DisturbanceEstimate(np.zeros(1), np.zeros(1))
+        model = compile_loop(bench_plant, AugmentationConfig(law="off"))
+        d = predictor_deriv(model, np.zeros(2), np.zeros(1), 0.0, est, np.zeros(2))
         np.testing.assert_array_equal(d, np.zeros(2))
 
     def test_matches_plant_when_estimates_exact(self, bench_uncertain_plant):
         # x_hat = x and sigma = (f1, f2) makes predictor and plant derivatives equal
         p = bench_uncertain_plant
-        lp = resolve_predictor_gain(p, AugmentationConfig(law="modified"))
+        model = compile_loop(p, AugmentationConfig(law="modified"))
         rng = np.random.default_rng(41)
         for _ in range(10):
             x = rng.standard_normal(2)
             u_a = rng.standard_normal(1)
             r = float(rng.standard_normal())
-            est = DisturbanceEstimate(p.f1(x, 5.0), p.f2(x, 5.0), 0)
-            d_pred = predictor_deriv(p, lp, x, u_a, r, est, np.zeros(2))
+            est = DisturbanceEstimate(p.f1(x, 5.0), p.f2(x, 5.0))
+            d_pred = predictor_deriv(model, x, u_a, r, est, np.zeros(2))
             d_plant = plant_deriv(p, x, u_a, r, 5.0)
             np.testing.assert_allclose(d_pred, d_plant, atol=1e-12)
 
     def test_error_feedback_term_isolated(self, bench_plant):
-        lp = resolve_predictor_gain(bench_plant, AugmentationConfig(law="off"))
-        est = DisturbanceEstimate(np.zeros(1), np.zeros(1), 0)
+        model = compile_loop(bench_plant, AugmentationConfig(law="off"))
+        est = DisturbanceEstimate(np.zeros(1), np.zeros(1))
         e = np.array([0.3, -0.7])
-        d = predictor_deriv(bench_plant, lp, np.zeros(2), np.zeros(1), 0.0, est, e)
-        np.testing.assert_allclose(d, lp @ e, atol=1e-14)
+        d = predictor_deriv(model, np.zeros(2), np.zeros(1), 0.0, est, e)
+        np.testing.assert_allclose(d, model.predictor_gain @ e, atol=1e-14)
+        # the applied error feedback places the error poles at the default
+        np.testing.assert_allclose(model.predictor_gain + bench_plant.A, -0.01 * np.eye(2))
 
 
 class TestUnmatchedPath:
@@ -197,26 +196,27 @@ class TestUnmatchedPath:
             assert model_response(model, s) == pytest.approx(expect, rel=1e-9)
 
     def test_dc_equivalence_of_both_laws(self, bench_plant):
-        orig = build_unmatched_path(bench_plant, AugmentationConfig(law="original"))
-        mod = build_unmatched_path(bench_plant, AugmentationConfig(law="modified"))
-        g_orig = dc_gain_discrete(orig.model)
-        g_mod = dc_gain_discrete(mod.model)
+        orig = compile_loop(bench_plant, AugmentationConfig(law="original")).unmatched
+        mod = compile_loop(bench_plant, AugmentationConfig(law="modified")).unmatched
+        g_orig = dc_gain_discrete(orig)
+        g_mod = dc_gain_discrete(mod)
         np.testing.assert_allclose(g_orig, g_mod, atol=1e-12)
         # value: H1(0)^-1 H2(0) = 0.2 / 40
         assert g_orig[0, 0] == pytest.approx(0.005, rel=1e-9)
 
     def test_constant_input_responses_agree_at_dc(self, bench_plant):
-        orig = build_unmatched_path(bench_plant, AugmentationConfig(law="original"))
-        mod = build_unmatched_path(bench_plant, AugmentationConfig(law="modified"))
+        orig = compile_loop(bench_plant, AugmentationConfig(law="original")).unmatched
+        mod = compile_loop(bench_plant, AugmentationConfig(law="modified")).unmatched
+        s_o, s_m = np.zeros(orig.order), np.zeros(mod.order)
         u = np.array([0.001])
         for _ in range(20000):
-            y_o = filter_step(orig, u)
-            y_m = filter_step(mod, u)
+            s_o, y_o = filter_step(orig, s_o, u)
+            s_m, y_m = filter_step(mod, s_m, u)
         np.testing.assert_allclose(y_o, y_m, atol=1e-12)
 
     def test_no_unmatched_directions_gives_none(self):
         p = UncertainPlant.from_matrices([[-1.0]], [[1.0]], [[1.0]])
-        assert build_unmatched_path(p, AugmentationConfig(law="modified")) is None
+        assert compile_loop(p, AugmentationConfig(law="modified")).unmatched is None
 
 
 class TestNonMinimumPhaseGate:
@@ -230,49 +230,58 @@ class TestNonMinimumPhaseGate:
     def test_original_law_rejected(self):
         p = make_nmp_plant()
         with pytest.raises(ConfigError, match="open left half plane"):
-            build_control_law(p, AugmentationConfig(law="original"))
+            compile_loop(p, AugmentationConfig(law="original"))
 
     def test_modified_law_accepted(self):
         p = make_nmp_plant()
-        law = build_control_law(p, AugmentationConfig(law="modified"))
-        assert law.unmatched is not None
-        eigs = np.linalg.eigvals(law.unmatched.model.A)
+        _matched, unmatched = build_control_law(p, AugmentationConfig(law="modified"))
+        assert unmatched is not None
+        eigs = np.linalg.eigvals(unmatched.A)
         assert np.all(np.abs(eigs) < 1.0)  # stable discrete realization
 
     def test_benchmark_plant_accepted_by_original(self, bench_plant):
-        law = build_control_law(bench_plant, AugmentationConfig(law="original"))
-        assert law.unmatched is not None
+        _matched, unmatched = build_control_law(bench_plant, AugmentationConfig(law="original"))
+        assert unmatched is not None
+
+
+def run_law(model, est, samples):
+    """Hold est for a number of samples from zero filter states; return the last input."""
+    xf_m, xf_u = (None if f is None else np.zeros(f.order) for f in (model.matched, model.unmatched))
+    u = np.zeros(model.plant.m)
+    for _ in range(samples):
+        u, xf_m, xf_u = control_update(model, est, xf_m, xf_u)
+    return u
 
 
 class TestControlUpdate:
     def test_off_law_zero(self, bench_plant):
-        law = build_control_law(bench_plant, AugmentationConfig(law="off"))
-        est = DisturbanceEstimate(np.array([123.0]), np.array([9.0]), 0)
-        np.testing.assert_array_equal(control_update(law, est), [0.0])
+        law = compile_loop(bench_plant, AugmentationConfig(law="off"))
+        est = DisturbanceEstimate(np.array([123.0]), np.array([9.0]))
+        assert build_control_law(bench_plant, AugmentationConfig(law="off")) == (None, None)
+        assert law.matched is None and law.unmatched is None
+        np.testing.assert_array_equal(run_law(law, est, 1), [0.0])
 
     def test_matched_dc_cancellation(self, bench_plant):
-        law = build_control_law(bench_plant, AugmentationConfig(law="matched_only"))
-        est = DisturbanceEstimate(np.array([0.05]), np.array([0.0]), 0)
-        u = np.zeros(1)
-        for _ in range(20000):
-            u = control_update(law, est)
-        assert u[0] == pytest.approx(-0.05, abs=1e-9)
+        law = compile_loop(bench_plant, AugmentationConfig(law="matched_only"))
+        est = DisturbanceEstimate(np.array([0.05]), np.array([0.0]))
+        assert law.unmatched is None
+        assert run_law(law, est, 20000)[0] == pytest.approx(-0.05, abs=1e-9)
 
     def test_modified_dc_composition(self, bench_plant):
-        law = build_control_law(bench_plant, AugmentationConfig(law="modified"))
-        est = DisturbanceEstimate(np.array([0.05]), np.array([0.001]), 0)
-        u = np.zeros(1)
-        for _ in range(20000):
-            u = control_update(law, est)
+        law = compile_loop(bench_plant, AugmentationConfig(law="modified"))
+        est = DisturbanceEstimate(np.array([0.05]), np.array([0.001]))
         # -0.05 - (1/40) * 0.2 * 0.001
-        assert u[0] == pytest.approx(-0.050005, abs=1e-9)
+        assert run_law(law, est, 20000)[0] == pytest.approx(-0.050005, abs=1e-9)
 
     def test_filters_advance_once_per_call(self, bench_plant):
-        law = build_control_law(bench_plant, AugmentationConfig(law="matched_only"))
-        est = DisturbanceEstimate(np.array([1.0]), np.array([0.0]), 0)
-        u1 = control_update(law, est)
-        u2 = control_update(law, est)
+        law = compile_loop(bench_plant, AugmentationConfig(law="matched_only"))
+        est = DisturbanceEstimate(np.array([1.0]), np.array([0.0]))
+        xf = np.zeros(law.matched.order)
+        u1, xf1, _ = control_update(law, est, xf, None)
+        u2, xf2, _ = control_update(law, est, xf1, None)
+        np.testing.assert_array_equal(xf, np.zeros(law.matched.order))  # inputs not mutated
         assert abs(u2[0]) > abs(u1[0])  # filter state moved exactly one step
+        np.testing.assert_array_equal(u2, control_update(law, est, xf1, None)[0])
 
 
 class TestConfigValidation:

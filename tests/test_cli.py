@@ -88,3 +88,17 @@ class TestRunCommand:
         path = write_scenario(tmp_path, "runaway.yaml", runaway)
         assert main(["run", str(path)]) == 1
         assert "diverged" in capsys.readouterr().err
+
+    def test_bad_substeps_exit_code(self, tmp_path, capsys):
+        body = dict(SCENARIO, engine={"t_end": 2.0, "substeps_per_sample": "abc"})
+        path = write_scenario(tmp_path, "substeps.yaml", body)
+        assert main(["run", str(path)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: engine.substeps_per_sample must be an integer")
+        assert "Traceback" not in err
+
+    def test_step_onset_after_horizon_exit_code(self, tmp_path, capsys):
+        body = dict(SCENARIO, reference={"kind": "step", "onset": 5.0, "amplitude": 1.0})
+        path = write_scenario(tmp_path, "late.yaml", body)
+        assert main(["run", str(path)]) == 1
+        assert capsys.readouterr().err.startswith("error: reference.onset")

@@ -10,6 +10,7 @@ from l1sim import (
     ReferenceSignal,
     SimulationDiverged,
     UncertainPlant,
+    compile_loop,
     discretize_zoh,
     mat_exp,
     rk4_step,
@@ -50,6 +51,12 @@ class TestEngineConfig:
             EngineConfig(t_end=0.0)
         with pytest.raises(ConfigError, match="substeps"):
             EngineConfig(substeps_per_sample=0)
+
+    def test_substeps_must_be_whole(self):
+        for bad in (1.5, "abc", float("nan"), True):
+            with pytest.raises(ConfigError, match="engine.substeps_per_sample"):
+                EngineConfig(substeps_per_sample=bad)
+        assert EngineConfig(substeps_per_sample=3.0).substeps_per_sample == 3
 
     def test_integrator_step_divides_sample(self):
         eng = EngineConfig(t_end=1.0, substeps_per_sample=4)
@@ -105,6 +112,13 @@ class TestClosedLoop:
         for i in range(trace.n_samples):
             np.testing.assert_allclose(trace.x[i], x, atol=1e-8)
             x = d.A @ x + d.B @ w
+    def test_rejects_model_compiled_for_other_configuration(self, bench_plant):
+        sig = ReferenceSignal(kind="step", onset=0.0, amplitude=1.0)
+        cfg = AugmentationConfig(law="modified")
+        model = compile_loop(bench_plant, AugmentationConfig(law="modified"))
+        with pytest.raises(ValueError, match="different plant or configuration"):
+            run_closed_loop(bench_plant, cfg, sig, EngineConfig(t_end=0.01), model=model)
+
     def test_step_refinement_converged(self, bench_uncertain_plant):
         sig = ReferenceSignal(kind="step", onset=0.5, amplitude=1.0)
         cfg = AugmentationConfig(law="modified")

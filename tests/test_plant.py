@@ -3,6 +3,7 @@ import pytest
 
 from l1sim import (
     AugmentationConfig,
+    ConfigError,
     EngineConfig,
     ReferenceSignal,
     UncertainPlant,
@@ -30,14 +31,19 @@ class TestReferenceSignal:
         assert reference_value(sig, 1.0) == 0.0
 
     def test_validation(self):
-        with pytest.raises(ValueError, match="kind"):
+        with pytest.raises(ConfigError, match="reference.kind"):
             ReferenceSignal(kind="impulse", onset=0.0, amplitude=1.0)
-        with pytest.raises(ValueError, match="onset"):
+        with pytest.raises(ConfigError, match="reference.onset must be >= 0"):
             ReferenceSignal(kind="step", onset=-1.0, amplitude=1.0)
-        with pytest.raises(ValueError, match="amplitude"):
+        with pytest.raises(ConfigError, match="reference.onset must be a number"):
+            ReferenceSignal(kind="step", onset="soon", amplitude=1.0)
+        with pytest.raises(ConfigError, match="reference.amplitude"):
             ReferenceSignal(kind="step", onset=0.0)
-        with pytest.raises(ValueError, match="gradient"):
+        with pytest.raises(ConfigError, match="reference.gradient"):
             ReferenceSignal(kind="ramp", onset=0.0)
+        with pytest.raises(ConfigError, match="reference.amplitude must be a number"):
+            ReferenceSignal(kind="step", onset=0.0, amplitude="big")
+        assert ReferenceSignal(kind="step", onset="2", amplitude=1).onset == 2.0
 
 
 class TestUncertaintySpec:
@@ -52,6 +58,16 @@ class TestUncertaintySpec:
     def test_scalar_coercion(self):
         spec = UncertaintySpec(matched=0.05, unmatched=0.001)
         assert spec.matched.shape == (1,)
+
+    def test_validation_names_key(self):
+        with pytest.raises(ConfigError, match="uncertainty.onset must be >= 0"):
+            UncertaintySpec(matched=[0.05], unmatched=[0.001], onset=-1.0)
+        with pytest.raises(ConfigError, match="uncertainty.unmatched has non-finite"):
+            UncertaintySpec(matched=[0.05], unmatched=[float("inf")])
+
+    def test_absent_channel_has_no_function(self):
+        spec = UncertaintySpec(matched=[0.05])
+        assert spec.unmatched is None and spec.unmatched_fn() is None
 
 
 class TestPlantConstruction:
@@ -80,10 +96,16 @@ class TestPlantConstruction:
             )
 
     def test_rejects_bad_dimensions(self):
-        with pytest.raises(ValueError, match="square"):
+        with pytest.raises(ConfigError, match="plant.A must be square"):
             UncertainPlant.from_matrices(np.ones((2, 3)), BENCH_B1, BENCH_C)
-        with pytest.raises(ValueError, match="x0"):
+        with pytest.raises(ConfigError, match="plant.x0"):
             UncertainPlant.from_matrices(BENCH_A, BENCH_B1, BENCH_C, x0=[0.0, 0.0, 0.0])
+        with pytest.raises(ConfigError, match="plant.B2 has non-finite"):
+            UncertainPlant.from_matrices(BENCH_A, BENCH_B1, BENCH_C, B2=[[0.0], [float("nan")]])
+
+    def test_flat_b1_is_one_column(self):
+        p = UncertainPlant.from_matrices(BENCH_A, [2000.0, 0.0], BENCH_C)
+        np.testing.assert_array_equal(p.B1, BENCH_B1)
 
     def test_single_state_plant_has_empty_complement(self):
         p = UncertainPlant.from_matrices([[-1.0]], [[1.0]], [[1.0]])

@@ -2,17 +2,25 @@ import copy
 
 import numpy as np
 import pytest
+import scipy.linalg
 
 from l1sim import (
     ConfigError,
     PRESETS,
+    PresetResult,
+    ReferenceSignal,
+    RunResult,
+    SimTrace,
     build_scenario,
+    compute_metrics,
     format_report,
     load_scenario,
     preset_names,
     run_preset,
+    run_scenario,
     scenario_fingerprint,
 )
+from l1sim.metrics import steady_mask
 
 BASE_DOC = {
     "name": "case",
@@ -109,6 +117,56 @@ class TestBuildScenario:
         unnamed = {k: v for k, v in doc().items() if k != "name"}
         assert build_scenario(unnamed, name="fallback").name == "fallback"
 
+    def test_substeps_per_sample_not_coerced(self):
+        for bad in (1.5, "abc", "2", True):
+            with pytest.raises(ConfigError, match="engine.substeps_per_sample"):
+                build_scenario(doc(engine={"substeps_per_sample": bad}))
+        assert build_scenario(doc(engine={"substeps_per_sample": 2.0})).engine.substeps_per_sample == 2
+
+    def test_output_flags_require_booleans(self):
+        for key in ("csv", "plots"):
+            with pytest.raises(ConfigError, match=f"output.{key} must be true or false"):
+                build_scenario({**doc(), "output": {key: "no"}})
+
+    def test_rejections_name_the_key_once(self):
+        cases = [
+            (doc(reference={"onset": "abc"}), "^reference.onset must be a number"),
+            (doc(reference={"kind": "impulse"}), "^reference.kind"),
+            (doc(uncertainty={"onset": -1.0}), "^uncertainty.onset must be >= 0"),
+            (doc(uncertainty={"matched": ["x"]}), "^uncertainty.matched is not a numeric"),
+            (doc(plant={"preset": "paper-siso", "A": [[1.0, 2.0, 3.0]]}), "^plant.A must be square"),
+            (doc(plant={"preset": "paper-siso", "C": [[0.0, float("nan")]]}), "^plant.C has non-finite"),
+            (doc(controller={"law": "modified", "L_p": [["a"]]}), "^controller.L_p is not a numeric"),
+            (doc(controller={"law": "modified", "sample_period": "fast"}),
+             "^controller.sample_period must be a number"),
+            (doc(engine={"t_end": float("inf")}), "^engine.t_end must be finite"),
+        ]
+        for bad, pattern in cases:
+            with pytest.raises(ConfigError, match=pattern):
+                build_scenario(bad)
+
+    def test_omitted_uncertainty_is_zero(self):
+        sc = build_scenario({**doc(), "uncertainty": {}})
+        assert sc.uncertainty.matched is None and sc.uncertainty.unmatched is None
+        np.testing.assert_array_equal(sc.plant.f1(np.zeros(2), 5.0), [0.0])
+        np.testing.assert_array_equal(sc.plant.f2(np.zeros(2), 5.0), [0.0])
+
+    def test_loop_compiled_once_at_build(self, monkeypatch):
+        sc = build_scenario(doc(controller={"law": "original"}, reference={"onset": 0.5}))
+        assert sc.loop.plant is sc.plant and sc.loop.config is sc.augmentation
+        calls = []
+        expm = scipy.linalg.expm
+
+        def counting_expm(*args, **kwargs):
+            calls.append(1)
+            return expm(*args, **kwargs)
+
+        monkeypatch.setattr(scipy.linalg, "expm", counting_expm)
+        run_scenario(sc)
+        assert calls == []
+        build_scenario(doc(controller={"law": "original"}))
+        assert calls  # the counter sees the exponentials of a build
+
     def test_engine_alignment_checked_at_run(self):
         sc = build_scenario(doc(engine={"t_end": 0.0105}))
         from l1sim import run_scenario
@@ -185,3 +243,21 @@ class TestPresets:
         assert "nominal-step" in text
         assert "law=off" in text
         assert "ss_err=" in text
+
+    def test_report_compare_uses_metrics_window(self):
+        n = 10001
+        t = np.arange(n) * 1e-3
+        first = int(np.argmax(steady_mask(t)))
+        runs = []
+        for label, spike in (("a", 0.0), ("b", 1.0e3)):
+            y = np.zeros(n)
+            y[first] = spike  # inside the metrics window, outside the last 10% of samples
+            zeros = np.zeros((n, 1))
+            trace = SimTrace(t=t, r=np.zeros(n), y=y, y_m=np.zeros(n), u_a=zeros, sigma1=zeros,
+                             sigma2=zeros, x=zeros, x_hat=zeros, x_tilde=zeros, label=label)
+            sig = ReferenceSignal(kind="step", onset=0.0, amplitude=1.0)
+            runs.append(RunResult(label=label, trace=trace, metrics=compute_metrics(trace, sig)))
+        text = format_report(PresetResult(name="window", runs=runs, shared_fingerprint=""))
+        expect = abs(float(np.mean(runs[1].trace.y[steady_mask(t)])))
+        assert n - first == 1001
+        assert f"|y_ss(a) - y_ss(b)| = {expect:.3e}" in text

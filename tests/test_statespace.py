@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 
 from l1sim import (
-    DiscreteFilterState,
     StateSpaceModel,
     dc_gain,
     dc_gain_discrete,
@@ -286,33 +285,35 @@ class TestDiscretizeZoh:
 
 
 class TestFilterStep:
-    def _first_order(self, w: float, h: float) -> DiscreteFilterState:
-        model = StateSpaceModel(A=[[-w]], B=[[w]], C=[[1.0]])
-        return DiscreteFilterState(model=discretize_zoh(model, h), step=h)
+    def _first_order(self, w: float, h: float) -> StateSpaceModel:
+        return discretize_zoh(StateSpaceModel(A=[[-w]], B=[[w]], C=[[1.0]]), h)
+
+    def _run(self, f: StateSpaceModel, u, samples: int) -> float:
+        state, out = np.zeros(f.order), None
+        for _ in range(samples):
+            state, out = filter_step(f, state, u)
+        return out[0]
 
     def test_unit_dc_convergence(self):
         f = self._first_order(5.0, 0.01)
-        out = 0.0
-        for _ in range(600):  # 6 s >> 1/w
-            out = filter_step(f, [1.0])[0]
-        assert out == pytest.approx(1.0, abs=1e-6)
+        assert self._run(f, [1.0], 600) == pytest.approx(1.0, abs=1e-6)  # 6 s >> 1/w
 
     def test_zero_in_zero_out(self):
         f = self._first_order(5.0, 0.01)
+        state = np.zeros(1)
         for _ in range(100):
-            assert filter_step(f, [0.0])[0] == 0.0
+            state, out = filter_step(f, state, [0.0])
+            assert out[0] == 0.0
 
     def test_step_response_closed_form(self):
         f = self._first_order(10.0, 0.001)
-        out = 0.0
-        for _ in range(100):  # t = 0.1 s
-            out = filter_step(f, [1.0])[0]
-        assert out == pytest.approx(1.0 - math.exp(-1.0), rel=1e-9)
+        # t = 0.1 s
+        assert self._run(f, [1.0], 100) == pytest.approx(1.0 - math.exp(-1.0), rel=1e-9)
 
     def test_dimension_mismatch(self):
         f = self._first_order(5.0, 0.01)
         with pytest.raises(ValueError, match="length"):
-            filter_step(f, [1.0, 2.0])
+            filter_step(f, np.zeros(1), [1.0, 2.0])
 
 
 class TestStateSpaceModel:
