@@ -4,6 +4,12 @@ At every sample boundary the engine computes the prediction error, updates
 the disturbance estimate, updates the adaptive input (held over the interval)
 and then integrates plant, reference model and predictor together with
 classical RK4.  Identical inputs give bit-identical traces.
+
+Exogenous inputs are held over each integrator step at their value at the
+step's start: the command r and the time argument of the disturbances f1/f2
+(their state argument still follows each RK4 stage).  So a command or
+disturbance onset takes effect from the first integrator step that starts at
+or after it, and no sample at or before the onset sees it.
 """
 
 from __future__ import annotations
@@ -134,14 +140,14 @@ def run_closed_loop(
 
     z = np.concatenate([plant.x0, plant.x0, plant.x0])  # [x, x_m, x_hat]
     xf_m, xf_u = (None if f is None else np.zeros(f.order) for f in (model.matched, model.unmatched))
-    # u_a, est and r are held over each integrator step; deriv reads them
-    u_a, est, r = np.zeros(m), None, 0.0
+    # u_a, est, r and t_sub are held over each integrator step; deriv reads them
+    u_a, est, r, t_sub = np.zeros(m), None, 0.0, 0.0
 
-    def deriv(t: float, state: np.ndarray) -> np.ndarray:
+    def deriv(_t: float, state: np.ndarray) -> np.ndarray:
         x = state[:n]
         x_m = state[n : 2 * n]
         x_hat = state[2 * n :]
-        dx = plant_deriv(plant, x, u_a, r, t)
+        dx = plant_deriv(plant, x, u_a, r, t_sub)
         dx_m = reference_model_deriv(plant, x_m, r)
         dx_hat = predictor_deriv(model, x_hat, u_a, r, est, x_hat - x)
         return np.concatenate([dx, dx_m, dx_hat])

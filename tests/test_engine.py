@@ -11,13 +11,14 @@ from l1sim import (
     SimulationDiverged,
     UncertainPlant,
     compile_loop,
+    constant_disturbance,
     discretize_zoh,
     mat_exp,
     rk4_step,
     run_closed_loop,
 )
 from l1sim.statespace import StateSpaceModel
-from conftest import BENCH_A
+from conftest import BENCH_A, BENCH_B1, BENCH_C
 
 
 class TestRk4Step:
@@ -144,3 +145,35 @@ class TestClosedLoop:
         )
         assert np.all(trace.u_a == 0.0)
         assert trace.sigma1[-1, 0] == pytest.approx(0.05, abs=1e-4)
+
+
+TRACE_FIELDS = ("r", "y", "y_m", "u_a", "sigma1", "sigma2", "x", "x_hat", "x_tilde")
+
+
+class TestOnsetTiming:
+    """A disturbance onset takes effect from the first integrator step that
+    starts at or after it, so no sample at or before the onset sees it."""
+
+    @pytest.mark.parametrize("substeps", [1, 4])
+    @pytest.mark.parametrize("period, onset", [(2.0**-10, 32 * 2.0**-10), (1e-3, 0.05)])
+    def test_no_disturbance_effect_up_to_onset(self, substeps, period, onset):
+        sig = ReferenceSignal(kind="step", onset=0.0, amplitude=1.0)
+        cfg = AugmentationConfig(law="modified", sample_period=period)
+        eng = EngineConfig(t_end=96 * period, substeps_per_sample=substeps)
+        quiet = UncertainPlant.from_matrices(BENCH_A, BENCH_B1, BENCH_C)
+        disturbed = UncertainPlant.from_matrices(
+            BENCH_A,
+            BENCH_B1,
+            BENCH_C,
+            f1=constant_disturbance([0.05], onset),
+            f2=constant_disturbance([0.001], onset),
+        )
+        a = run_closed_loop(quiet, cfg, sig, eng)
+        b = run_closed_loop(disturbed, cfg, sig, eng)
+        upto = a.t <= onset
+        assert a.t[upto][-1] == pytest.approx(onset, abs=1e-12)
+        for name in TRACE_FIELDS:
+            assert np.array_equal(getattr(a, name)[upto], getattr(b, name)[upto]), name
+        # it acts from the step that starts at the onset
+        first_after = int(np.argmin(upto))
+        assert not np.array_equal(a.x[first_after], b.x[first_after])
