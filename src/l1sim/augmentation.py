@@ -275,9 +275,8 @@ class LoopModel:
         return DisturbanceEstimate(matched=sig[:m].copy(), unmatched=sig[m:].copy())
 
 
-# Earlier name of the estimator now folded into LoopModel.  The benchmark
-# (perfbench/) still counts gain builds per run as constructions under this
-# name, and its self-test reads the ``update`` method through it.
+# Alias read by the benchmark (perfbench/): it counts gain builds per run as
+# constructions under this name, and its self-test reads ``update`` through it.
 PiecewiseConstantLaw = LoopModel
 
 

@@ -54,7 +54,7 @@ def _first_crossing(t: np.ndarray, y: np.ndarray, level: float, rising: bool) ->
 def compute_metrics(trace: SimTrace, sig: ReferenceSignal) -> Metrics:
     """Summarize a trace against the command that produced it."""
     if trace.n_samples < 2:
-        raise ConfigError("trace must contain at least two samples")
+        raise ValueError("trace must contain at least two samples")
     t, y, r = trace.t, trace.y, trace.r
     mask = steady_mask(t)
     err = y - r

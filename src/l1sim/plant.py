@@ -174,8 +174,10 @@ class UncertainPlant:
         object.__setattr__(self, "C", C)
         object.__setattr__(self, "k_ff", expected if self.k_ff is None else self.k_ff)
         object.__setattr__(self, "x0", x0)
-        object.__setattr__(self, "f1", self.f1 or _zero_disturbance(m))
-        object.__setattr__(self, "f2", self.f2 or _zero_disturbance(B2.shape[1]))
+        if self.f1 is None:
+            object.__setattr__(self, "f1", _zero_disturbance(m))
+        if self.f2 is None:
+            object.__setattr__(self, "f2", _zero_disturbance(B2.shape[1]))
 
     @classmethod
     def from_matrices(

@@ -95,6 +95,19 @@ def _require_keys(section: dict, allowed: tuple, where: str) -> None:
             raise ConfigError(f"unknown key {where}.{key}; expected one of {sorted(allowed)}")
 
 
+def _section(cfg: dict, name: str, allowed: tuple, required: bool) -> dict:
+    """A section of the document, checked to be a mapping of known keys."""
+    section = cfg.get(name)
+    if section is None and not required:
+        return {}
+    if section is None:
+        raise ConfigError(f"scenario is missing the {name} section")
+    if not isinstance(section, dict):
+        raise ConfigError(f"{name} section must be a mapping")
+    _require_keys(section, allowed, name)
+    return section
+
+
 def _get(section: dict, key: str, default=None):
     """Value of a key, with a missing key and an explicit null both giving the default."""
     value = section.get(key)
@@ -121,10 +134,7 @@ def build_scenario(cfg: dict, name: str | None = None, law_override: str | None 
         raise ConfigError(f"scenario document must be a mapping, got {type(cfg).__name__}")
     _require_keys(cfg, _SECTIONS, "scenario")
 
-    plant_cfg = cfg.get("plant")
-    if not isinstance(plant_cfg, dict):
-        raise ConfigError("scenario is missing the plant section")
-    _require_keys(plant_cfg, _PLANT_KEYS, "plant")
+    plant_cfg = _section(cfg, "plant", _PLANT_KEYS, required=True)
     preset = plant_cfg.get("preset")
     if preset is not None:
         if preset not in PLANT_PRESETS:
@@ -137,31 +147,11 @@ def build_scenario(cfg: dict, name: str | None = None, law_override: str | None 
     for req in ("A", "B1", "C"):
         if plant_cfg.get(req) is None:
             raise ConfigError(f"plant.{req} is required (or use plant.preset)")
-
-    unc_cfg = cfg.get("uncertainty") or {}
-    if not isinstance(unc_cfg, dict):
-        raise ConfigError("uncertainty section must be a mapping")
-    _require_keys(unc_cfg, _UNCERTAINTY_KEYS, "uncertainty")
-
-    ref_cfg = cfg.get("reference")
-    if not isinstance(ref_cfg, dict):
-        raise ConfigError("scenario is missing the reference section")
-    _require_keys(ref_cfg, _REFERENCE_KEYS, "reference")
-
-    ctl_cfg = cfg.get("controller")
-    if not isinstance(ctl_cfg, dict):
-        raise ConfigError("scenario is missing the controller section")
-    _require_keys(ctl_cfg, _CONTROLLER_KEYS, "controller")
-
-    eng_cfg = cfg.get("engine") or {}
-    if not isinstance(eng_cfg, dict):
-        raise ConfigError("engine section must be a mapping")
-    _require_keys(eng_cfg, _ENGINE_KEYS, "engine")
-
-    out_cfg = cfg.get("output") or {}
-    if not isinstance(out_cfg, dict):
-        raise ConfigError("output section must be a mapping")
-    _require_keys(out_cfg, _OUTPUT_KEYS, "output")
+    unc_cfg = _section(cfg, "uncertainty", _UNCERTAINTY_KEYS, required=False)
+    ref_cfg = _section(cfg, "reference", _REFERENCE_KEYS, required=True)
+    ctl_cfg = _section(cfg, "controller", _CONTROLLER_KEYS, required=True)
+    eng_cfg = _section(cfg, "engine", _ENGINE_KEYS, required=False)
+    out_cfg = _section(cfg, "output", _OUTPUT_KEYS, required=False)
 
     uncertainty = UncertaintySpec(
         matched=unc_cfg.get("matched"),
