@@ -48,7 +48,7 @@ class EngineConfig:
         object.__setattr__(self, "t_end", t_end)
         subs = self.substeps_per_sample
         try:
-            whole = not isinstance(subs, bool) and int(subs) == subs >= 1
+            whole = not isinstance(subs, bool) and int(subs) == subs and subs >= 1
         except (TypeError, ValueError, OverflowError):
             whole = False
         if not whole:

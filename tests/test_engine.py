@@ -50,11 +50,7 @@ class TestEngineConfig:
     def test_validation(self):
         with pytest.raises(ConfigError, match="t_end"):
             EngineConfig(t_end=0.0)
-        with pytest.raises(ConfigError, match="substeps"):
-            EngineConfig(substeps_per_sample=0)
-
-    def test_substeps_must_be_whole(self):
-        for bad in (1.5, "abc", float("nan"), True):
+        for bad in (0, 1.5, "abc", float("nan"), True):
             with pytest.raises(ConfigError, match="engine.substeps_per_sample"):
                 EngineConfig(substeps_per_sample=bad)
         assert EngineConfig(substeps_per_sample=3.0).substeps_per_sample == 3

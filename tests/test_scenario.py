@@ -110,6 +110,9 @@ class TestBuildScenario:
         assert sc.write_csv and sc.write_plots
         with pytest.raises(ConfigError, match="output.pdf"):
             build_scenario({**doc(), "output": {"pdf": True}})
+        for key in ("csv", "plots"):
+            with pytest.raises(ConfigError, match=f"output.{key} must be true or false"):
+                build_scenario({**doc(), "output": {key: "no"}})
 
     def test_document_name_wins_over_fallback(self):
         sc = build_scenario(doc(), name="fallback")
@@ -122,11 +125,6 @@ class TestBuildScenario:
             with pytest.raises(ConfigError, match="engine.substeps_per_sample"):
                 build_scenario(doc(engine={"substeps_per_sample": bad}))
         assert build_scenario(doc(engine={"substeps_per_sample": 2.0})).engine.substeps_per_sample == 2
-
-    def test_output_flags_require_booleans(self):
-        for key in ("csv", "plots"):
-            with pytest.raises(ConfigError, match=f"output.{key} must be true or false"):
-                build_scenario({**doc(), "output": {key: "no"}})
 
     def test_rejections_name_the_key_once(self):
         cases = [
