@@ -24,7 +24,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.signal
 
 from .errors import ConfigError
 from .plant import UncertainPlant
@@ -147,14 +146,32 @@ def low_pass_model(bandwidth: float, channels: int = 1) -> StateSpaceModel:
 
 
 def _siso_numerator(a: np.ndarray, b_col: np.ndarray, c: np.ndarray) -> np.ndarray:
-    """Numerator polynomial of c (sI - A)^-1 b for one input column, trimmed."""
-    num, _den = scipy.signal.ss2tf(a, b_col, c, np.zeros((1, 1)))
-    coeffs = np.atleast_1d(num[0])
+    """Numerator polynomial of c (sI - A)^-1 b for one input column, trimmed.
+
+    Uses c (sI - A)^-1 b = (det(sI - A + b c) - det(sI - A)) / det(sI - A).
+    """
+    coeffs = np.poly(a - b_col @ c) - np.poly(a)
     tol = max(np.abs(coeffs).max(), 1.0) * 1e-9
     nz = np.nonzero(np.abs(coeffs) > tol)[0]
     if nz.size == 0:
         return np.zeros(1)
     return coeffs[nz[0] :]
+
+
+def _canonical_realization(num: np.ndarray, den: np.ndarray) -> tuple[np.ndarray, ...]:
+    """Controller-canonical (A, B, C, D) of the proper SISO num(s)/den(s).
+
+    ``den[0]`` must be nonzero.  Leading numerator coefficients at or below
+    1e-14 after normalisation are dropped, keeping at least one.
+    """
+    num, den = num / den[0], den / den[0]
+    nz = np.nonzero(np.abs(num) > 1e-14)[0]
+    num = num[nz[0] :] if nz.size else num[-1:]
+    k = den.size
+    num = np.concatenate([np.zeros(k - num.size), num])
+    a = np.vstack([-den[1:], np.eye(k - 2, k - 1)])
+    c = (num[1:] - num[0] * den[1:])[np.newaxis, :]
+    return a, np.eye(k - 1, 1), c, np.array([[num[0]]])
 
 
 def matched_transmission_zeros(plant: UncertainPlant) -> np.ndarray:
@@ -219,7 +236,7 @@ def unmatched_path_model(plant: UncertainPlant, cfg: AugmentationConfig) -> Stat
                 "the dynamics-inverting unmatched path is improper even with the "
                 "low-pass filter; increase the filter order of the plant model"
             )
-        blocks.append(scipy.signal.tf2ss(num_total, den_total))
+        blocks.append(_canonical_realization(num_total, den_total))
     order = sum(b[0].shape[0] for b in blocks)
     a = np.zeros((order, order))
     b = np.zeros((order, k))

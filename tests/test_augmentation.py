@@ -23,7 +23,8 @@ from l1sim import (
     run_closed_loop,
     unmatched_path_model,
 )
-from l1sim.augmentation import error_dynamics_matrix
+from l1sim.augmentation import _canonical_realization, error_dynamics_matrix
+from l1sim.statespace import StateSpaceModel
 from conftest import make_nmp_plant
 
 
@@ -213,6 +214,25 @@ class TestUnmatchedPath:
             s_o, y_o = filter_step(orig, s_o, u)
             s_m, y_m = filter_step(mod, s_m, u)
         np.testing.assert_allclose(y_o, y_m, atol=1e-12)
+
+    def test_canonical_realization_textbook_form(self):
+        # (s^2 + 3 s + 3) / (s^2 + 2 s + 1) in controller-canonical form
+        a, b, c, d = _canonical_realization(np.array([1.0, 3.0, 3.0]), np.array([1.0, 2.0, 1.0]))
+        np.testing.assert_array_equal(a, [[-2.0, -1.0], [1.0, 0.0]])
+        np.testing.assert_array_equal(b, [[1.0], [0.0]])
+        np.testing.assert_array_equal(c, [[1.0, 2.0]])
+        np.testing.assert_array_equal(d, [[1.0]])
+
+    def test_canonical_realization_normalises_and_pads(self):
+        # 4 / (2 s^2 + 6 s + 4): strictly proper, leading denominator not 1
+        num, den = np.array([0.0, 4.0]), np.array([2.0, 6.0, 4.0])
+        a, b, c, d = _canonical_realization(num, den)
+        np.testing.assert_array_equal(a, [[-3.0, -2.0], [1.0, 0.0]])
+        np.testing.assert_array_equal(c, [[0.0, 2.0]])
+        assert d[0, 0] == 0.0
+        model = StateSpaceModel(a, b, c, d)
+        for s in [0.0, 1j, 3.0 + 1j]:
+            assert model_response(model, s) == pytest.approx(tf_response(num, den, s), rel=1e-12)
 
     def test_no_unmatched_directions_gives_none(self):
         p = UncertainPlant.from_matrices([[-1.0]], [[1.0]], [[1.0]])

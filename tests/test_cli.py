@@ -1,5 +1,11 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import yaml
 
+import l1sim
 from l1sim.cli import main
 
 SCENARIO = {
@@ -102,3 +108,12 @@ class TestRunCommand:
         path = write_scenario(tmp_path, "late.yaml", body)
         assert main(["run", str(path)]) == 1
         assert capsys.readouterr().err.startswith("error: reference.onset")
+
+
+def test_cli_import_leaves_scipy_signal_unloaded():
+    # scipy.signal costs about a second of every fresh-interpreter run
+    src = str(Path(l1sim.__file__).resolve().parents[1])
+    code = "import sys, l1sim.cli; print('scipy.signal' in sys.modules)"
+    proc = subprocess.run([sys.executable, "-c", code], env=dict(os.environ, PYTHONPATH=src),
+                          capture_output=True, text=True, timeout=120, check=True)
+    assert proc.stdout.strip() == "False"
