@@ -20,8 +20,6 @@ from .metrics import Metrics, compute_metrics
 from .plant import (
     ReferenceSignal,
     UncertainPlant,
-    UncertaintySpec,
-    constant_disturbance,
     plant_deriv,
     reference_model_deriv,
     reference_value,

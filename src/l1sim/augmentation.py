@@ -24,6 +24,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+import scipy.linalg
 
 from .errors import ConfigError
 from .plant import UncertainPlant
@@ -31,7 +32,6 @@ from .statespace import (
     StateSpaceModel,
     as_matrix,
     as_scalar,
-    dc_gain,
     discretize_zoh,
     filter_step,
     mat_exp,
@@ -199,12 +199,12 @@ def unmatched_path_model(plant: UncertainPlant, cfg: AugmentationConfig) -> Stat
     w = cfg.bandwidth_unmatched
 
     if cfg.law == "modified":
-        g = dc_gain(StateSpaceModel(plant.A, plant.B1, plant.C))
-        if abs(float(g[0, 0])) < 1e-12:
+        # H1(0)^-1 is the feedforward gain; reject |H1(0)| = 1/|k_ff| < 1e-12
+        g_inv = plant.k_ff
+        if abs(1.0 / g_inv) < 1e-12:
             raise ConfigError(
                 "the matched path has zero DC gain; the inverse-DC-gain law is undefined"
             )
-        g_inv = 1.0 / float(g[0, 0])
         # series: (A, B2, C) feeding the scalar gain, then the low-pass filter
         a = np.zeros((n + 1, n + 1))
         a[:n, :n] = plant.A
@@ -237,20 +237,10 @@ def unmatched_path_model(plant: UncertainPlant, cfg: AugmentationConfig) -> Stat
                 "low-pass filter; increase the filter order of the plant model"
             )
         blocks.append(_canonical_realization(num_total, den_total))
-    order = sum(b[0].shape[0] for b in blocks)
-    a = np.zeros((order, order))
-    b = np.zeros((order, k))
-    c = np.zeros((1, order))
-    d = np.zeros((1, k))
-    at = 0
-    for j, (aj, bj, cj, dj) in enumerate(blocks):
-        nj = aj.shape[0]
-        a[at : at + nj, at : at + nj] = aj
-        b[at : at + nj, j : j + 1] = bj
-        c[0, at : at + nj] = cj[0]
-        d[0, j] = dj[0, 0]
-        at += nj
-    model = StateSpaceModel(a, b, c, d)
+    a, b, c, d = zip(*blocks)
+    model = StateSpaceModel(
+        scipy.linalg.block_diag(*a), scipy.linalg.block_diag(*b), np.hstack(c), np.hstack(d)
+    )
     if model.order and np.max(np.linalg.eigvals(model.A).real) >= 0.0:
         raise ConfigError("the realized unmatched compensation path is internally unstable")
     return model

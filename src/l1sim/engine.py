@@ -6,10 +6,10 @@ and then integrates plant, reference model and predictor together with
 classical RK4.  Identical inputs give bit-identical traces.
 
 Exogenous inputs are held over each integrator step at their value at the
-step's start: the command r and the time argument of the disturbances f1/f2
-(their state argument still follows each RK4 stage).  So a command or
-disturbance onset takes effect from the first integrator step that starts at
-or after it, and no sample at or before the onset sees it.
+step's start: the command r and the on/off state of the constant
+disturbances f1/f2.  So a command or disturbance onset takes effect from the
+first integrator step that starts at or after it, and no sample at or before
+the onset sees it.
 """
 
 from __future__ import annotations

@@ -8,15 +8,12 @@ complement of the input directions.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Callable
+from dataclasses import dataclass, field
 
 import numpy as np
 
 from .errors import ConfigError
 from .statespace import as_matrix, as_scalar, as_vector, feedforward_gain, null_complement
-
-DisturbanceFn = Callable[[np.ndarray, float], np.ndarray]
 
 
 @dataclass(frozen=True)
@@ -54,73 +51,27 @@ def reference_value(sig: ReferenceSignal, t: float) -> float:
 
 
 @dataclass(frozen=True)
-class UncertaintySpec:
-    """Constant matched/unmatched disturbances, switched on at an onset time.
-
-    ``None`` leaves that channel undisturbed; its disturbance function is then
-    ``None`` too, which ``UncertainPlant`` reads as zero.
-    """
-
-    matched: np.ndarray | None = None
-    unmatched: np.ndarray | None = None
-    onset: float = 0.0
-
-    def __post_init__(self):
-        for key in ("matched", "unmatched"):
-            if getattr(self, key) is not None:
-                object.__setattr__(self, key, as_vector(getattr(self, key), f"uncertainty.{key}"))
-        onset = as_scalar(self.onset, "uncertainty.onset")
-        if onset < 0.0:
-            raise ConfigError(f"uncertainty.onset must be >= 0, got {onset}")
-        object.__setattr__(self, "onset", onset)
-
-    def matched_fn(self) -> DisturbanceFn | None:
-        return None if self.matched is None else constant_disturbance(self.matched, self.onset)
-
-    def unmatched_fn(self) -> DisturbanceFn | None:
-        return None if self.unmatched is None else constant_disturbance(self.unmatched, self.onset)
-
-
-def constant_disturbance(value, onset: float = 0.0) -> DisturbanceFn:
-    """Disturbance function that is zero before onset and constant after."""
-    value = np.atleast_1d(np.asarray(value, dtype=float))
-    zero = np.zeros_like(value)
-
-    def fn(_x: np.ndarray, t: float) -> np.ndarray:
-        return value if t >= onset else zero
-
-    return fn
-
-
-def _zero_disturbance(size: int) -> DisturbanceFn:
-    zero = np.zeros(size)
-
-    def fn(_x: np.ndarray, _t: float) -> np.ndarray:
-        return zero
-
-    return fn
-
-
-@dataclass(frozen=True)
 class UncertainPlant:
     """Closed-loop plant with matched (f1) and unmatched (f2) disturbance inputs.
 
     A is the desired closed-loop system matrix, B1 the control input matrix,
-    B2 the orthonormal complement of B1, C the (single row) output map and
-    k_ff the feedforward gain that gives the reference model unit DC gain.
-    f1 and f2 are callables (x, t) -> vector.  ``None`` for B2, k_ff, x0, f1
-    or f2 derives the complement, the feedforward gain, a zero initial state
-    and zero disturbances.  A flat B1 is read as one column.
+    B2 the orthonormal complement of B1 and C the (single row) output map.
+    f1 and f2 are constant disturbance vectors that act from ``onset`` on.
+    ``None`` for B2, x0, f1 or f2 derives the complement, a zero initial
+    state and zero disturbances.  A flat B1 is read as one column.  k_ff,
+    the feedforward gain that gives the reference model unit DC gain, is
+    derived from (A, B1, C).
     """
 
     A: np.ndarray
     B1: np.ndarray
-    B2: np.ndarray | None
     C: np.ndarray
-    k_ff: float | None
-    x0: np.ndarray | None
-    f1: DisturbanceFn | None
-    f2: DisturbanceFn | None
+    B2: np.ndarray | None = None
+    x0: np.ndarray | None = None
+    f1: np.ndarray | None = None
+    f2: np.ndarray | None = None
+    onset: float = 0.0
+    k_ff: float = field(init=False)
 
     def __post_init__(self):
         A = as_matrix(self.A, "plant.A")
@@ -162,36 +113,29 @@ class UncertainPlant:
                 )
         if np.linalg.matrix_rank(np.hstack([B1, B2])) < n:
             raise ConfigError("plant input directions [B1 B2] do not span the state space")
-        expected = feedforward_gain(A, B1, C)
-        if self.k_ff is not None and not np.isclose(self.k_ff, expected, rtol=1e-9, atol=1e-12):
-            raise ConfigError(
-                f"plant.k_ff = {self.k_ff} does not match the feedforward gain "
-                f"{expected} computed from (A, B1, C)"
-            )
+        for attr, key, size in (("f1", "matched", m), ("f2", "unmatched", B2.shape[1])):
+            value = getattr(self, attr)
+            f = np.zeros(size) if value is None else as_vector(value, f"uncertainty.{key}")
+            if f.shape != (size,):
+                raise ConfigError(f"uncertainty.{key} must have {size} entries, got {f.shape}")
+            object.__setattr__(self, attr, f)
+        onset = as_scalar(self.onset, "uncertainty.onset")
+        if onset < 0.0:
+            raise ConfigError(f"uncertainty.onset must be >= 0, got {onset}")
         object.__setattr__(self, "A", A)
         object.__setattr__(self, "B1", B1)
         object.__setattr__(self, "B2", B2)
         object.__setattr__(self, "C", C)
-        object.__setattr__(self, "k_ff", expected if self.k_ff is None else self.k_ff)
         object.__setattr__(self, "x0", x0)
-        if self.f1 is None:
-            object.__setattr__(self, "f1", _zero_disturbance(m))
-        if self.f2 is None:
-            object.__setattr__(self, "f2", _zero_disturbance(B2.shape[1]))
+        object.__setattr__(self, "onset", onset)
+        object.__setattr__(self, "k_ff", feedforward_gain(A, B1, C))
 
     @classmethod
     def from_matrices(
-        cls,
-        A,
-        B1,
-        C,
-        B2=None,
-        x0=None,
-        f1: DisturbanceFn | None = None,
-        f2: DisturbanceFn | None = None,
+        cls, A, B1, C, B2=None, x0=None, f1=None, f2=None, onset=0.0
     ) -> "UncertainPlant":
         """Build a plant, deriving B2 (orthogonal complement) and k_ff."""
-        return cls(A=A, B1=B1, B2=B2, C=C, k_ff=None, x0=x0, f1=f1, f2=f2)
+        return cls(A=A, B1=B1, C=C, B2=B2, x0=x0, f1=f1, f2=f2, onset=onset)
 
     @property
     def n(self) -> int:
@@ -210,8 +154,15 @@ class UncertainPlant:
 
 
 def plant_deriv(p: UncertainPlant, x: np.ndarray, u_a: np.ndarray, r: float, t: float) -> np.ndarray:
-    """State derivative of the disturbed plant under adaptive input u_a and command r."""
-    return p.A @ x + p.B1 @ (u_a + p.f1(x, t) + p.k_ff * r) + p.B2 @ p.f2(x, t)
+    """State derivative of the disturbed plant under adaptive input u_a and command r.
+
+    The disturbances act from ``p.onset`` on; before it they are exact zeros.
+    """
+    if t >= p.onset:
+        f1, f2 = p.f1, p.f2
+    else:
+        f1, f2 = np.zeros_like(p.f1), np.zeros_like(p.f2)
+    return p.A @ x + p.B1 @ (u_a + f1 + p.k_ff * r) + p.B2 @ f2
 
 
 def reference_model_deriv(p: UncertainPlant, x_m: np.ndarray, r: float) -> np.ndarray:

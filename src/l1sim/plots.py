@@ -130,13 +130,8 @@ def line_chart_svg(
     return "\n".join(parts)
 
 
-def emit_plots(
-    traces: Sequence[SimTrace],
-    out_dir,
-    stem: str,
-    groups: Sequence[str] = ("output", "adaptive"),
-) -> list[Path]:
-    """Write one SVG per requested signal group; returns the written paths.
+def emit_plots(traces: Sequence[SimTrace], out_dir, stem: str) -> list[Path]:
+    """Write the output and adaptive charts; returns the written paths.
 
     ``output`` overlays the command and every trace's output; ``adaptive``
     overlays the adaptive control signals.
@@ -145,28 +140,22 @@ def emit_plots(
         raise ValueError("at least one trace is required")
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
+    output = [("command", traces[0].t, traces[0].r)]
+    output += [(tr.label or "output", tr.t, tr.y) for tr in traces]
+    adaptive = []
+    for tr in traces:
+        for ch in range(tr.u_a.shape[1]):
+            name = tr.label or "u_a"
+            if tr.u_a.shape[1] > 1:
+                name = f"{name} [{ch + 1}]"
+            adaptive.append((name, tr.t, tr.u_a[:, ch]))
+    output_svg = line_chart_svg(output, f"{stem}: output tracking", "time [s]", "output")
+    adaptive_svg = line_chart_svg(
+        adaptive, f"{stem}: adaptive control signal", "time [s]", "adaptive input"
+    )
     written: list[Path] = []
-    for group in groups:
-        if group == "output":
-            series = [("command", traces[0].t, traces[0].r)]
-            for tr in traces:
-                series.append((tr.label or "output", tr.t, tr.y))
-            svg = line_chart_svg(series, f"{stem}: output tracking", "time [s]", "output")
-            target = out_dir / f"{stem}__output.svg"
-        elif group == "adaptive":
-            series = []
-            for tr in traces:
-                for ch in range(tr.u_a.shape[1]):
-                    name = tr.label or "u_a"
-                    if tr.u_a.shape[1] > 1:
-                        name = f"{name} [{ch + 1}]"
-                    series.append((name, tr.t, tr.u_a[:, ch]))
-            svg = line_chart_svg(
-                series, f"{stem}: adaptive control signal", "time [s]", "adaptive input"
-            )
-            target = out_dir / f"{stem}__adaptive.svg"
-        else:
-            raise ValueError(f"unknown plot group {group!r}; expected 'output' or 'adaptive'")
+    for group, svg in (("output", output_svg), ("adaptive", adaptive_svg)):
+        target = out_dir / f"{stem}__{group}.svg"
         target.write_text(svg)
         written.append(target)
     return written

@@ -13,7 +13,7 @@ from __future__ import annotations
 import copy
 import hashlib
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from pathlib import Path
 
 import numpy as np
@@ -29,7 +29,7 @@ from .augmentation import (
 from .engine import EngineConfig, SimTrace, run_closed_loop
 from .errors import ConfigError
 from .metrics import Metrics, compute_metrics, steady_mask
-from .plant import ReferenceSignal, UncertainPlant, UncertaintySpec
+from .plant import ReferenceSignal, UncertainPlant
 
 PLANT_PRESETS: dict[str, dict] = {
     # second-order SISO benchmark: poles at -5 +/- 5j, feedforward gain 0.025
@@ -66,7 +66,6 @@ class Scenario:
 
     name: str
     plant: UncertainPlant
-    uncertainty: UncertaintySpec
     signal: ReferenceSignal
     augmentation: AugmentationConfig
     loop: LoopModel
@@ -153,20 +152,12 @@ def build_scenario(cfg: dict, name: str | None = None, law_override: str | None 
     eng_cfg = _section(cfg, "engine", _ENGINE_KEYS, required=False)
     out_cfg = _section(cfg, "output", _OUTPUT_KEYS, required=False)
 
-    uncertainty = UncertaintySpec(
-        matched=unc_cfg.get("matched"),
-        unmatched=unc_cfg.get("unmatched"),
-        onset=_get(unc_cfg, "onset", 0.0),
-    )
     plant = UncertainPlant.from_matrices(
         **{key: plant_cfg.get(key) for key in ("A", "B1", "C", "B2", "x0")},
-        f1=uncertainty.matched_fn(),
-        f2=uncertainty.unmatched_fn(),
+        f1=unc_cfg.get("matched"),
+        f2=unc_cfg.get("unmatched"),
+        onset=_get(unc_cfg, "onset", 0.0),
     )
-    for key, size in (("matched", plant.m), ("unmatched", plant.n_unmatched)):
-        given = getattr(uncertainty, key)
-        if given is not None and given.shape != (size,):
-            raise ConfigError(f"uncertainty.{key} must have {size} entries, got {given.shape}")
 
     signal = ReferenceSignal(
         kind=ref_cfg.get("kind"),
@@ -188,7 +179,6 @@ def build_scenario(cfg: dict, name: str | None = None, law_override: str | None 
     return Scenario(
         name=str(cfg.get("name") or name or "scenario"),
         plant=plant,
-        uncertainty=uncertainty,
         signal=signal,
         augmentation=augmentation,
         loop=compile_loop(plant, augmentation),
@@ -210,81 +200,46 @@ def load_scenario(path, law_override: str | None = None) -> Scenario:
     return build_scenario(doc, name=path.stem, law_override=law_override)
 
 
-def _listed(a: np.ndarray | None) -> list | None:
-    return None if a is None else a.tolist()
+def _listed(value):
+    return value.tolist() if isinstance(value, np.ndarray) else value
 
 
 def scenario_fingerprint(scenario: Scenario) -> str:
-    """Hash of everything two compared runs must share (all but the law)."""
-    payload = {
-        "A": scenario.plant.A.tolist(),
-        "B1": scenario.plant.B1.tolist(),
-        "B2": scenario.plant.B2.tolist(),
-        "C": scenario.plant.C.tolist(),
-        "x0": scenario.plant.x0.tolist(),
-        "matched": _listed(scenario.uncertainty.matched),
-        "unmatched": _listed(scenario.uncertainty.unmatched),
-        "uncertainty_onset": scenario.uncertainty.onset,
-        "signal": [scenario.signal.kind, scenario.signal.onset, scenario.signal.amplitude,
-                   scenario.signal.gradient],
-        "sample_period": scenario.augmentation.sample_period,
-        "bandwidth_matched": scenario.augmentation.bandwidth_matched,
-        "bandwidth_unmatched": scenario.augmentation.bandwidth_unmatched,
-        "predictor_gain": _listed(scenario.augmentation.predictor_gain),
-        "t_end": scenario.engine.t_end,
-        "substeps": scenario.engine.substeps_per_sample,
-    }
+    """Hash of everything two compared runs must share: every field of the
+    plant, command, tuning and engine except the control law."""
+    payload = {}
+    for part in ("plant", "signal", "augmentation", "engine"):
+        obj = getattr(scenario, part)
+        payload[part] = {f.name: _listed(getattr(obj, f.name)) for f in fields(obj)}
+    payload["augmentation"]["law"] = None
     return hashlib.sha256(json.dumps(payload, sort_keys=True).encode()).hexdigest()
 
 
-_BASE_UNCERTAIN = {
-    "plant": {"preset": "paper-siso"},
-    # disturbances switch on with the command so the adaptation transient is
-    # part of the recorded response
-    "uncertainty": {"matched": [0.05], "unmatched": [0.001], "onset": 2.0},
-    "reference": {"kind": "step", "onset": 2.0, "amplitude": 1.0},
-    "controller": {"law": "off"},
-    "engine": {"t_end": 10.0},
-}
+_STEP = {"kind": "step", "onset": 2.0, "amplitude": 1.0}
+_RAMP = {"kind": "ramp", "onset": 2.0, "gradient": 1.0}
+# disturbances switch on with the command so the adaptation transient is
+# part of the recorded response
+_DISTURBED = {"matched": [0.05], "unmatched": [0.001], "onset": 2.0}
 
 
-def _preset(reference: dict, uncertainty: dict | None, laws: list[str]) -> dict:
-    doc = copy.deepcopy(_BASE_UNCERTAIN)
-    doc["reference"] = reference
-    if uncertainty is None:
-        doc["uncertainty"] = {}
-    else:
-        doc["uncertainty"] = uncertainty
-    return {"doc": doc, "laws": laws}
+def _preset(reference: dict, uncertainty: dict, laws: list[str]) -> dict:
+    doc = {
+        "plant": {"preset": "paper-siso"},
+        "uncertainty": uncertainty,
+        "reference": reference,
+        "controller": {"law": "off"},
+        "engine": {"t_end": 10.0},
+    }
+    return {"doc": copy.deepcopy(doc), "laws": laws}
 
 
 PRESETS: dict[str, dict] = {
-    "nominal-step": _preset(
-        {"kind": "step", "onset": 2.0, "amplitude": 1.0}, None, ["off"]
-    ),
-    "nominal-ramp": _preset(
-        {"kind": "ramp", "onset": 2.0, "gradient": 1.0}, None, ["off"]
-    ),
-    "uncertain-step-off": _preset(
-        {"kind": "step", "onset": 2.0, "amplitude": 1.0},
-        {"matched": [0.05], "unmatched": [0.001], "onset": 2.0},
-        ["off"],
-    ),
-    "uncertain-step-matched-only": _preset(
-        {"kind": "step", "onset": 2.0, "amplitude": 1.0},
-        {"matched": [0.05], "unmatched": [0.001], "onset": 2.0},
-        ["matched_only"],
-    ),
-    "uncertain-step-compare": _preset(
-        {"kind": "step", "onset": 2.0, "amplitude": 1.0},
-        {"matched": [0.05], "unmatched": [0.001], "onset": 2.0},
-        ["original", "modified"],
-    ),
-    "uncertain-ramp-compare": _preset(
-        {"kind": "ramp", "onset": 2.0, "gradient": 1.0},
-        {"matched": [0.05], "unmatched": [0.001], "onset": 2.0},
-        ["original", "modified"],
-    ),
+    "nominal-step": _preset(_STEP, {}, ["off"]),
+    "nominal-ramp": _preset(_RAMP, {}, ["off"]),
+    "uncertain-step-off": _preset(_STEP, _DISTURBED, ["off"]),
+    "uncertain-step-matched-only": _preset(_STEP, _DISTURBED, ["matched_only"]),
+    "uncertain-step-compare": _preset(_STEP, _DISTURBED, ["original", "modified"]),
+    "uncertain-ramp-compare": _preset(_RAMP, _DISTURBED, ["original", "modified"]),
 }
 
 
@@ -292,18 +247,18 @@ def preset_names() -> list[str]:
     return sorted(PRESETS)
 
 
-def run_scenario(scenario: Scenario, label: str | None = None) -> RunResult:
-    """Simulate one scenario and summarize the trace."""
-    name = label if label is not None else scenario.augmentation.law
+def run_scenario(scenario: Scenario) -> RunResult:
+    """Simulate one scenario and summarize the trace, labelled with its law."""
+    law = scenario.augmentation.law
     trace = run_closed_loop(
         scenario.plant,
         scenario.augmentation,
         scenario.signal,
         scenario.engine,
-        label=name,
+        label=law,
         model=scenario.loop,
     )
-    return RunResult(label=name, trace=trace, metrics=compute_metrics(trace, scenario.signal))
+    return RunResult(label=law, trace=trace, metrics=compute_metrics(trace, scenario.signal))
 
 
 def run_preset(name: str, law_override: str | None = None) -> PresetResult:

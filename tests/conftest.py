@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from l1sim import UncertainPlant, constant_disturbance
+from l1sim import UncertainPlant
 
 # second-order SISO benchmark used across the suite
 BENCH_A = np.array([[-10.0, -50.0], [1.0, 0.0]])
@@ -24,8 +24,8 @@ def bench_uncertain_plant() -> UncertainPlant:
         BENCH_A,
         BENCH_B1,
         BENCH_C,
-        f1=constant_disturbance([BENCH_F1]),
-        f2=constant_disturbance([BENCH_F2]),
+        f1=[BENCH_F1],
+        f2=[BENCH_F2],
     )
 
 

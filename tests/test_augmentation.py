@@ -79,7 +79,7 @@ class TestEstimatorFixedPoint:
         return run_closed_loop(plant, cfg, sig, EngineConfig(t_end=t_end))
 
     def _oracle(self, plant, a_err, T):
-        f = np.concatenate([plant.f1(plant.x0, 1e9), plant.f2(plant.x0, 1e9)])
+        f = np.concatenate([plant.f1, plant.f2])
         b = np.hstack([plant.B1, plant.B2])
         n = plant.n
         aug = np.zeros((2 * n, 2 * n))
@@ -158,7 +158,7 @@ class TestPredictorDeriv:
             x = rng.standard_normal(2)
             u_a = rng.standard_normal(1)
             r = float(rng.standard_normal())
-            est = DisturbanceEstimate(p.f1(x, 5.0), p.f2(x, 5.0))
+            est = DisturbanceEstimate(p.f1, p.f2)
             d_pred = predictor_deriv(model, x, u_a, r, est, np.zeros(2))
             d_plant = plant_deriv(p, x, u_a, r, 5.0)
             np.testing.assert_allclose(d_pred, d_plant, atol=1e-12)

@@ -11,7 +11,6 @@ from l1sim import (
     SimulationDiverged,
     UncertainPlant,
     compile_loop,
-    constant_disturbance,
     discretize_zoh,
     mat_exp,
     rk4_step,
@@ -161,8 +160,9 @@ class TestOnsetTiming:
             BENCH_A,
             BENCH_B1,
             BENCH_C,
-            f1=constant_disturbance([0.05], onset),
-            f2=constant_disturbance([0.001], onset),
+            f1=[0.05],
+            f2=[0.001],
+            onset=onset,
         )
         a = run_closed_loop(quiet, cfg, sig, eng)
         b = run_closed_loop(disturbed, cfg, sig, eng)

@@ -7,7 +7,6 @@ from l1sim import (
     EngineConfig,
     ReferenceSignal,
     UncertainPlant,
-    UncertaintySpec,
     plant_deriv,
     reference_model_deriv,
     reference_value,
@@ -46,28 +45,39 @@ class TestReferenceSignal:
         assert ReferenceSignal(kind="step", onset="2", amplitude=1).onset == 2.0
 
 
+def disturbed(**kwargs) -> UncertainPlant:
+    return UncertainPlant.from_matrices(BENCH_A, BENCH_B1, BENCH_C, **kwargs)
+
+
 class TestUncertaintySpec:
+    """The plant's disturbances: constant vectors f1, f2 and their onset."""
+
     def test_onset_gating(self):
-        spec = UncertaintySpec(matched=[0.05], unmatched=[0.001], onset=2.0)
-        f1, f2 = spec.matched_fn(), spec.unmatched_fn()
-        x = np.zeros(2)
-        assert np.array_equal(f1(x, 1.9), [0.0])
-        assert np.array_equal(f1(x, 2.0), [0.05])
-        assert np.array_equal(f2(x, 3.0), [0.001])
+        p = disturbed(f1=[0.05], f2=[0.001], onset=2.0)
+        x, u_a = np.zeros(2), np.zeros(1)
+        # x = 0, r = 0, u_a = 0: the derivative is B1 f1 + B2 f2 once active
+        assert np.array_equal(plant_deriv(p, x, u_a, 0.0, 1.9), [0.0, 0.0])
+        np.testing.assert_allclose(plant_deriv(p, x, u_a, 0.0, 2.0), [100.0, 0.001], rtol=1e-12)
 
     def test_scalar_coercion(self):
-        spec = UncertaintySpec(matched=0.05, unmatched=0.001)
-        assert spec.matched.shape == (1,)
+        p = disturbed(f1=0.05, f2=0.001, onset="2")
+        assert p.f1.shape == (1,) and p.f2.shape == (1,)
+        assert p.onset == 2.0
 
     def test_validation_names_key(self):
         with pytest.raises(ConfigError, match="uncertainty.onset must be >= 0"):
-            UncertaintySpec(matched=[0.05], unmatched=[0.001], onset=-1.0)
+            disturbed(f1=[0.05], f2=[0.001], onset=-1.0)
         with pytest.raises(ConfigError, match="uncertainty.unmatched has non-finite"):
-            UncertaintySpec(matched=[0.05], unmatched=[float("inf")])
+            disturbed(f1=[0.05], f2=[float("inf")])
+        with pytest.raises(ConfigError, match="uncertainty.matched must have 1 entries"):
+            disturbed(f1=[0.05, 0.05])
+        with pytest.raises(ConfigError, match="uncertainty.onset must be a number"):
+            disturbed(onset="soon")
 
-    def test_absent_channel_has_no_function(self):
-        spec = UncertaintySpec(matched=[0.05])
-        assert spec.unmatched is None and spec.unmatched_fn() is None
+    def test_absent_channel_is_zero(self):
+        p = disturbed(f1=[0.05])
+        assert np.array_equal(p.f2, [0.0]) and not np.signbit(p.f2).any()
+        assert p.onset == 0.0
 
 
 class TestPlantConstruction:
@@ -82,18 +92,10 @@ class TestPlantConstruction:
         with pytest.raises(ValueError, match="orthogonal"):
             UncertainPlant.from_matrices(BENCH_A, BENCH_B1, BENCH_C, B2=[[1.0], [1.0]])
 
-    def test_rejects_inconsistent_k_ff(self, bench_plant):
-        with pytest.raises(ValueError, match="feedforward"):
-            UncertainPlant(
-                A=bench_plant.A,
-                B1=bench_plant.B1,
-                B2=bench_plant.B2,
-                C=bench_plant.C,
-                k_ff=1.0,
-                x0=bench_plant.x0,
-                f1=bench_plant.f1,
-                f2=bench_plant.f2,
-            )
+    def test_k_ff_is_derived(self, bench_plant):
+        with pytest.raises(TypeError, match="k_ff"):
+            UncertainPlant(A=BENCH_A, B1=BENCH_B1, C=BENCH_C, k_ff=1.0)
+        assert UncertainPlant(A=BENCH_A, B1=BENCH_B1, C=BENCH_C).k_ff == bench_plant.k_ff
 
     def test_rejects_bad_dimensions(self):
         with pytest.raises(ConfigError, match="plant.A must be square"):

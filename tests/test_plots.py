@@ -29,19 +29,17 @@ def text_contents(path):
 
 class TestEmitPlots:
     def test_single_trace_output_chart(self, tmp_path):
-        paths = emit_plots([make_labeled_trace("demo")], tmp_path, "case", groups=("output",))
-        assert len(paths) == 1
-        assert paths[0].name == "case__output.svg"
-        assert series_labels(paths[0]) == ["command", "demo"]
+        emit_plots([make_labeled_trace("demo")], tmp_path, "case")
+        assert series_labels(tmp_path / "case__output.svg") == ["command", "demo"]
 
     def test_compare_overlay_three_curves(self, tmp_path):
         traces = [make_labeled_trace("original"), make_labeled_trace("modified")]
-        paths = emit_plots(traces, tmp_path, "cmp", groups=("output",))
-        assert series_labels(paths[0]) == ["command", "original", "modified"]
+        emit_plots(traces, tmp_path, "cmp")
+        assert series_labels(tmp_path / "cmp__output.svg") == ["command", "original", "modified"]
 
     def test_axis_labels_and_legend(self, tmp_path):
-        paths = emit_plots([make_labeled_trace("demo")], tmp_path, "case", groups=("output",))
-        texts = text_contents(paths[0])
+        emit_plots([make_labeled_trace("demo")], tmp_path, "case")
+        texts = text_contents(tmp_path / "case__output.svg")
         assert "time [s]" in texts
         assert "output" in texts
         assert "demo" in texts  # legend entry
@@ -50,18 +48,15 @@ class TestEmitPlots:
         t = np.linspace(0.0, 2.0, 30)
         trace = make_trace(t, t, t)  # u_a identically zero
         trace.label = "off"
-        paths = emit_plots([trace], tmp_path, "quiet", groups=("adaptive",))
-        assert series_labels(paths[0]) == ["off"]
-        assert paths[0].read_text().startswith("<svg")
+        emit_plots([trace], tmp_path, "quiet")
+        path = tmp_path / "quiet__adaptive.svg"
+        assert series_labels(path) == ["off"]
+        assert path.read_text().startswith("<svg")
 
     def test_both_groups_default(self, tmp_path):
         paths = emit_plots([make_labeled_trace("demo")], tmp_path, "case")
         names = sorted(p.name for p in paths)
         assert names == ["case__adaptive.svg", "case__output.svg"]
-
-    def test_unknown_group_rejected(self, tmp_path):
-        with pytest.raises(ValueError, match="group"):
-            emit_plots([make_labeled_trace("x")], tmp_path, "case", groups=("bogus",))
 
     def test_empty_traces_rejected(self, tmp_path):
         with pytest.raises(ValueError, match="trace"):

@@ -20,6 +20,7 @@ from l1sim import (
     run_scenario,
     scenario_fingerprint,
 )
+from l1sim import scenario as scenario_module
 from l1sim.metrics import steady_mask
 
 BASE_DOC = {
@@ -145,9 +146,9 @@ class TestBuildScenario:
 
     def test_omitted_uncertainty_is_zero(self):
         sc = build_scenario({**doc(), "uncertainty": {}})
-        assert sc.uncertainty.matched is None and sc.uncertainty.unmatched is None
-        np.testing.assert_array_equal(sc.plant.f1(np.zeros(2), 5.0), [0.0])
-        np.testing.assert_array_equal(sc.plant.f2(np.zeros(2), 5.0), [0.0])
+        np.testing.assert_array_equal(sc.plant.f1, [0.0])
+        np.testing.assert_array_equal(sc.plant.f2, [0.0])
+        assert sc.plant.onset == 0.0
 
     def test_loop_compiled_once_at_build(self, monkeypatch):
         sc = build_scenario(doc(controller={"law": "original"}, reference={"onset": 0.5}))
@@ -218,9 +219,53 @@ class TestPresets:
         assert scenario_fingerprint(a) == scenario_fingerprint(b)
 
     def test_fingerprint_sensitive_to_inputs(self):
-        a = build_scenario(doc())
-        b = build_scenario(doc(uncertainty={"matched": [0.06]}))
-        assert scenario_fingerprint(a) != scenario_fingerprint(b)
+        # one valid change per input key; every key but controller.law is an
+        # input, and plant.preset only names A, B1 and C
+        changes = {
+            "plant.A": [[-10.0, -40.0], [1.0, 0.0]],
+            "plant.B1": [[1000.0], [0.0]],
+            "plant.B2": [[0.0], [-1.0]],
+            "plant.C": [[0.0, 2.0]],
+            "plant.x0": [0.1, 0.0],
+            "uncertainty.matched": [0.06],
+            "uncertainty.unmatched": [0.002],
+            "uncertainty.onset": 1.0,
+            "reference.kind": "ramp",
+            "reference.onset": 1.0,
+            "reference.amplitude": 2.0,
+            "reference.gradient": 0.5,
+            "controller.sample_period": 2e-3,
+            "controller.bandwidth_matched": 30.0,
+            "controller.bandwidth_unmatched": 30.0,
+            "controller.L_p": [[9.98, 50.0], [-1.0, -0.02]],
+            "engine.t_end": 2.0,
+            "engine.substeps_per_sample": 2,
+        }
+        keys = {
+            f"{section}.{key}"
+            for section in ("plant", "uncertainty", "reference", "controller", "engine")
+            for key in getattr(scenario_module, f"_{section.upper()}_KEYS")
+        }
+        assert set(changes) == keys - {"plant.preset", "controller.law"}
+        base_doc = doc(reference={"gradient": 1.0})  # so that the kind can change
+        base = scenario_fingerprint(build_scenario(base_doc))
+        for dotted, value in changes.items():
+            section, key = dotted.split(".")
+            changed = copy.deepcopy(base_doc)
+            changed[section][key] = value
+            assert scenario_fingerprint(build_scenario(changed)) != base, dotted
+        for section, value in (("controller", {"law": "original"}), ("name", "other"),
+                               ("output", {"csv": True, "plots": True})):
+            same = {**copy.deepcopy(base_doc), section: value}
+            assert scenario_fingerprint(build_scenario(same)) == base, section
+
+    def test_fingerprint_same_for_omitted_and_zero_disturbance(self):
+        omitted = doc()
+        del omitted["uncertainty"]["matched"]
+        explicit = doc(uncertainty={"matched": [0.0]})
+        assert scenario_fingerprint(build_scenario(omitted)) == scenario_fingerprint(
+            build_scenario(explicit)
+        )
 
     def test_law_override_runs_single(self):
         res = run_preset("uncertain-step-compare", law_override="off")
