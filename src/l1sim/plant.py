@@ -161,7 +161,7 @@ def plant_deriv(p: UncertainPlant, x: np.ndarray, u_a: np.ndarray, r: float, t: 
     if t >= p.onset:
         f1, f2 = p.f1, p.f2
     else:
-        f1, f2 = np.zeros_like(p.f1), np.zeros_like(p.f2)
+        f1, f2 = np.zeros(p.f1.shape), np.zeros(p.f2.shape)
     return p.A @ x + p.B1 @ (u_a + f1 + p.k_ff * r) + p.B2 @ f2
 
 
