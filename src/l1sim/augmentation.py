@@ -16,7 +16,8 @@ of the unmatched compensation path are provided:
 augmentation.
 
 ``compile_loop`` checks a tuning against its plant and precomputes everything
-a run needs into one immutable ``LoopModel``.
+a run needs into one immutable ``LoopModel``, including the exact lifted
+recurrence of the whole sampled loop that the engine steps.
 """
 
 from __future__ import annotations
@@ -24,7 +25,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
 
 from .errors import ConfigError
 from .plant import UncertainPlant
@@ -34,8 +34,7 @@ from .statespace import (
     as_scalar,
     discretize_zoh,
     filter_step,
-    mat_exp,
-    mat_exp_integral,
+    zoh_maps,
 )
 
 LAWS = ("off", "matched_only", "original", "modified")
@@ -54,7 +53,7 @@ def _normalize_law(law: str) -> str:
     return law.replace("-", "_").strip().lower()
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class AugmentationConfig:
     """Tuning of the augmentation loop.
 
@@ -127,14 +126,18 @@ def adaptation_gain(a_err: np.ndarray, b_full: np.ndarray, sample_period: float)
         raise ConfigError(f"[B1 B2] must be {n}x{n}, got {b_full.shape}")
     if np.linalg.matrix_rank(b_full) < n:
         raise ConfigError("[B1 B2] is singular; the update law cannot separate the channels")
-    phi = mat_exp_integral(a_err, sample_period)
-    if np.linalg.matrix_rank(phi) < n:
+    return _estimator_gain(*zoh_maps(a_err, b_full, sample_period))
+
+
+def _estimator_gain(exp_at: np.ndarray, held_input: np.ndarray) -> np.ndarray:
+    """``-(Phi(T) B)^-1 e^(A_err T)`` from the error propagator over one sample
+    period and the map ``Phi(T) B`` of an input held over it."""
+    if np.linalg.matrix_rank(held_input) < held_input.shape[0]:
         raise ConfigError(
             "the exponential integral over one sample period is singular; "
             "adjust controller.sample_period or controller.L_p"
         )
-    exp_at = mat_exp(a_err, sample_period)
-    return -np.linalg.solve(b_full, np.linalg.solve(phi, exp_at))
+    return -np.linalg.solve(held_input, exp_at)
 
 
 def low_pass_model(bandwidth: float, channels: int = 1) -> StateSpaceModel:
@@ -237,9 +240,16 @@ def unmatched_path_model(plant: UncertainPlant, cfg: AugmentationConfig) -> Stat
                 "low-pass filter; increase the filter order of the plant model"
             )
         blocks.append(_canonical_realization(num_total, den_total))
-    a, b, c, d = zip(*blocks)
+    # block-diagonal stack of the per-channel realizations, which share one order
+    order = den_total.size - 1
+    a = np.zeros((k * order, k * order))
+    b = np.zeros((k * order, k))
+    for j, (a_j, b_j, _, _) in enumerate(blocks):
+        rows = slice(j * order, (j + 1) * order)
+        a[rows, rows] = a_j
+        b[rows, j : j + 1] = b_j
     model = StateSpaceModel(
-        scipy.linalg.block_diag(*a), scipy.linalg.block_diag(*b), np.hstack(c), np.hstack(d)
+        a, b, np.hstack([blk[2] for blk in blocks]), np.hstack([blk[3] for blk in blocks])
     )
     if model.order and np.max(np.linalg.eigvals(model.A).real) >= 0.0:
         raise ConfigError("the realized unmatched compensation path is internally unstable")
@@ -259,13 +269,22 @@ def build_control_law(
     return matched, None if path is None else discretize_zoh(path, cfg.sample_period)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class LoopModel:
     """One augmentation tuning compiled against one plant; built by ``compile_loop``.
 
-    Holds the estimator gain, the error feedback applied in the predictor and
-    the law filters of ``build_control_law``.  The filter states belong to
-    the run.
+    Holds the estimator gain, the error feedback applied in the predictor,
+    the law filters of ``build_control_law`` and the exact lifted loop.  The
+    lifted state at a sample boundary stacks the plant state x, the
+    reference-model state x_m, the prediction error x_tilde = x_hat - x and
+    the matched and unmatched law-filter states (``blocks`` names the
+    slices).  Between boundaries every input is held, so one sample is
+
+        s[k+1] = transition @ s[k] + r[k] @ command_maps + on[k] @ disturbance_maps
+
+    where r[k, j] is the command held over integrator step j of sample k and
+    on[k, j] is 1 once the disturbances act over that step.  The adaptive
+    input held over sample k is ``input_map @ s[k]``.
     """
 
     plant: UncertainPlant
@@ -274,6 +293,22 @@ class LoopModel:
     predictor_gain: np.ndarray
     matched: StateSpaceModel | None
     unmatched: StateSpaceModel | None
+    substeps: int
+    transition: np.ndarray        # (d, d)
+    command_maps: np.ndarray      # (substeps, d)
+    disturbance_maps: np.ndarray  # (substeps, d)
+    input_map: np.ndarray         # (m, d)
+
+    @property
+    def blocks(self) -> dict[str, slice]:
+        """Slices of the lifted state, in state order."""
+        n = self.plant.n
+        return {
+            "plant": slice(0, n),
+            "reference model": slice(n, 2 * n),
+            "predictor": slice(2 * n, 3 * n),
+            "law filter": slice(3 * n, self.transition.shape[0]),
+        }
 
     def update(self, x_tilde: np.ndarray) -> DisturbanceEstimate:
         """Disturbance estimate from the prediction error at a sample boundary."""
@@ -287,16 +322,90 @@ class LoopModel:
 PiecewiseConstantLaw = LoopModel
 
 
-def compile_loop(plant: UncertainPlant, cfg: AugmentationConfig) -> LoopModel:
+def grid_index(t: float, sample_period: float) -> int | None:
+    """Number of sample periods in t, or None when t is off the sample grid
+    (relative tolerance 1e-9)."""
+    n = round(t / sample_period)
+    return n if abs(n * sample_period - t) <= 1e-9 * max(1.0, abs(t)) else None
+
+
+def _step_maps(a_d: np.ndarray, b_d: np.ndarray, substeps: int) -> tuple[np.ndarray, np.ndarray]:
+    """Propagator over ``substeps`` steps of the ZOH maps (a_d, b_d) of one
+    step, and for each step j the map of an input held over step j alone."""
+    maps = np.empty((substeps, *b_d.shape))
+    maps[-1] = b_d
+    prop = a_d
+    for j in range(substeps - 2, -1, -1):
+        maps[j] = a_d @ maps[j + 1]
+        prop = prop @ a_d
+    return prop, maps
+
+
+def compile_loop(
+    plant: UncertainPlant, cfg: AugmentationConfig, substeps_per_sample: int = 1
+) -> LoopModel:
     """Check the tuning against the plant and precompute the loop model.
 
-    The only place a tuning is checked: Hurwitz error dynamics, a singular
-    update gain, the transmission-zero gate of the dynamics-inverting law and
-    improper or unstable path realizations all raise ``ConfigError`` here.
+    The only place a tuning is checked: an onset off the sample grid, Hurwitz
+    error dynamics, a singular update gain, the transmission-zero gate of the
+    dynamics-inverting law and improper or unstable path realizations all
+    raise ``ConfigError`` here.  ``substeps_per_sample`` is the engine's
+    ``substeps_per_sample``: the command and the disturbance switch are held
+    over steps of ``sample_period / substeps_per_sample``.
     """
+    T = cfg.sample_period
+    if grid_index(plant.onset, T) is None:
+        raise ConfigError(
+            f"uncertainty.onset = {plant.onset} must be a whole number of controller "
+            f"sample periods ({T})"
+        )
     a_err = error_dynamics_matrix(plant, cfg)
-    gain = adaptation_gain(a_err, np.hstack([plant.B1, plant.B2]), cfg.sample_period)
     matched, unmatched = build_control_law(plant, cfg)
+    n, m = plant.n, plant.m
+    h = T / substeps_per_sample
+    b_full = np.hstack([plant.B1, plant.B2])
+    # x and x_m move under A and x_tilde under A_err, each driven through
+    # [B1 B2]; one exponential of the stacked pair discretizes both
+    pair = np.zeros((2 * n, 2 * n))
+    pair[:n, :n] = plant.A
+    pair[n:, n:] = a_err
+    prop, steps = _step_maps(
+        *zoh_maps(pair, np.vstack([b_full, b_full]), h), substeps_per_sample
+    )
+    plant_prop, plant_steps = prop[:n, :n], steps[:, :n]
+    err_prop, err_steps = prop[n:, n:], steps[:, n:]
+    err_input = err_steps.sum(axis=0)
+    gain = _estimator_gain(err_prop, err_input)
+
+    orders = [0 if f is None else f.order for f in (matched, unmatched)]
+    d = 3 * n + sum(orders)
+    x, x_m, x_t = slice(0, n), slice(n, 2 * n), slice(2 * n, 3 * n)
+    transition = np.zeros((d, d))
+    input_map = np.zeros((m, d))
+    start = 3 * n
+    for filt, order, g in zip((matched, unmatched), orders, (gain[:m], gain[m:])):
+        if filt is None:
+            continue
+        block = slice(start, start + order)
+        start += order
+        # the filter advances on the new estimate, and u_a reads the advanced state
+        transition[block, x_t] = filt.B @ g
+        transition[block, block] = filt.A
+        input_map[:, x_t] -= (filt.C @ filt.B + filt.D) @ g
+        input_map[:, block] = -filt.C @ filt.A
+    transition[x, x] = plant_prop
+    transition[x] += plant_steps[:, :, :m].sum(axis=0) @ input_map
+    transition[x_m, x_m] = plant_prop
+    transition[x_t, x_t] = err_prop + err_input @ gain
+
+    # the command enters plant and reference model alike and cancels in x_tilde
+    command_maps = np.zeros((substeps_per_sample, d))
+    command_maps[:, x] = plant_steps[:, :, :m] @ np.full(m, plant.k_ff)
+    command_maps[:, x_m] = command_maps[:, x]
+    f = np.concatenate([plant.f1, plant.f2])
+    disturbance_maps = np.zeros((substeps_per_sample, d))
+    disturbance_maps[:, x] = plant_steps @ f
+    disturbance_maps[:, x_t] = -(err_steps @ f)
     return LoopModel(
         plant=plant,
         config=cfg,
@@ -304,6 +413,11 @@ def compile_loop(plant: UncertainPlant, cfg: AugmentationConfig) -> LoopModel:
         predictor_gain=a_err - plant.A,
         matched=matched,
         unmatched=unmatched,
+        substeps=substeps_per_sample,
+        transition=transition,
+        command_maps=command_maps,
+        disturbance_maps=disturbance_maps,
+        input_map=input_map,
     )
 
 

@@ -1,15 +1,24 @@
-"""Deterministic fixed-step closed-loop simulation.
+"""Deterministic sampled-data closed-loop simulation.
 
-At every sample boundary the engine computes the prediction error, updates
-the disturbance estimate, updates the adaptive input (held over the interval)
-and then integrates plant, reference model and predictor together with
-classical RK4.  Identical inputs give bit-identical traces.
+Between two sample boundaries the whole loop is linear and time invariant:
+the disturbance estimate and the adaptive input are held, the command r and
+the on/off state of the constant disturbances f1/f2 are held over each
+integrator step, and the estimator and both law filters are linear maps of
+the boundary state.  So the sampled loop is one exact zero-order-hold
+recurrence over the stacked state (``LoopModel``),
+
+    s[k+1] = M s[k] + f[k],
+
+precomputed by ``compile_loop``.  A run builds the forcing f from the hold
+grid and does one matrix-vector product per sample; every recorded signal is
+a projection of the stacked states.  Identical inputs give bit-identical
+traces.
 
 Exogenous inputs are held over each integrator step at their value at the
-step's start: the command r and the on/off state of the constant
-disturbances f1/f2.  So a command or disturbance onset takes effect from the
-first integrator step that starts at or after it, and no sample at or before
-the onset sees it.
+step's start.  So a command or disturbance onset takes effect from the first
+integrator step that starts at or after it, and no sample at or before the
+onset sees it.  ``substeps_per_sample`` sets that hold grid; the solution
+between its points is exact, not integrated.
 """
 
 from __future__ import annotations
@@ -18,23 +27,18 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .augmentation import (
-    AugmentationConfig,
-    LoopModel,
-    compile_loop,
-    control_update,
-    predictor_deriv,
-)
+from .augmentation import AugmentationConfig, LoopModel, compile_loop, grid_index
 from .errors import ConfigError, SimulationDiverged
-from .plant import ReferenceSignal, UncertainPlant, plant_deriv, reference_model_deriv, reference_value
+from .plant import ReferenceSignal, UncertainPlant, reference_value
 from .statespace import as_scalar
 
 
 @dataclass(frozen=True)
 class EngineConfig:
-    """Time horizon and integrator refinement.
+    """Time horizon and hold grid.
 
-    The integrator step is the controller sample period divided by
+    The integrator step, over which the command and the disturbance switch
+    are held, is the controller sample period divided by
     ``substeps_per_sample``, so it always divides the sample period exactly.
     """
 
@@ -92,8 +96,8 @@ def rk4_step(deriv, t: float, x: np.ndarray, h: float):
 
 
 def _sample_count(t_end: float, sample_period: float) -> int:
-    n = round(t_end / sample_period)
-    if n < 1 or abs(n * sample_period - t_end) > 1e-9 * max(1.0, abs(t_end)):
+    n = grid_index(t_end, sample_period)
+    if n is None or n < 1:
         raise ConfigError(
             f"engine.t_end = {t_end} must be a whole number of controller sample "
             f"periods ({sample_period})"
@@ -111,76 +115,55 @@ def run_closed_loop(
 ) -> SimTrace:
     """Simulate the closed loop and record every signal at each sample boundary.
 
-    ``model`` is ``compile_loop(plant, cfg)`` when the caller has already
-    compiled it (``Scenario.loop``); otherwise it is compiled here.
+    ``model`` is ``compile_loop(plant, cfg, eng.substeps_per_sample)`` when
+    the caller has already compiled it (``Scenario.loop``); otherwise it is
+    compiled here.
     """
+    substeps = eng.substeps_per_sample
     if model is None:
-        model = compile_loop(plant, cfg)
-    elif model.plant is not plant or model.config is not cfg:
+        model = compile_loop(plant, cfg, substeps)
+    elif model.plant is not plant or model.config is not cfg or model.substeps != substeps:
         raise ValueError("model was compiled from a different plant or configuration")
     T = cfg.sample_period
     n_steps = _sample_count(eng.t_end, T)
-    h = eng.integrator_step(T)
-    n, m, k = plant.n, plant.m, plant.n_unmatched
+    t = np.arange(n_steps + 1) * T
+    # integrator step j of sample i starts at i*T + j*h
+    t_hold = t[:-1, np.newaxis] + np.arange(substeps) * eng.integrator_step(T)
+    blocks = model.blocks
 
-    rows = n_steps + 1
-    out = SimTrace(
-        t=np.arange(rows) * T,
-        r=np.zeros(rows),
-        y=np.zeros(rows),
-        y_m=np.zeros(rows),
-        u_a=np.zeros((rows, m)),
-        sigma1=np.zeros((rows, m)),
-        sigma2=np.zeros((rows, k)),
-        x=np.zeros((rows, n)),
-        x_hat=np.zeros((rows, n)),
-        x_tilde=np.zeros((rows, n)),
+    states = np.empty((n_steps + 1, model.transition.shape[0]))
+    states[0] = 0.0
+    states[0, blocks["plant"]] = plant.x0
+    states[0, blocks["reference model"]] = plant.x0
+    states[1:] = reference_value(sig, t_hold) @ model.command_maps
+    states[1:] += (t_hold >= plant.onset) @ model.disturbance_maps
+    rows = list(states)  # row views: adding to one writes into states
+    step = model.transition.dot
+    # overflow is detected by the finite check below, not by numpy warnings
+    with np.errstate(over="ignore", invalid="ignore"):
+        for prev, row in zip(rows, rows[1:]):
+            row += step(prev)
+    finite = np.isfinite(states).all(axis=1)
+    if not finite.all():
+        k = int(np.argmin(finite))
+        block = next(name for name, cols in blocks.items()
+                     if not np.isfinite(states[k, cols]).all())
+        raise SimulationDiverged(k * T, k, block, float(np.abs(states[k - 1]).max()))
+
+    x = states[:, blocks["plant"]]
+    x_hat = x + states[:, blocks["predictor"]]
+    sigma = states[:, blocks["predictor"]] @ model.gain.T
+    m = plant.m
+    return SimTrace(
+        t=t,
+        r=reference_value(sig, t),
+        y=x @ plant.C[0],
+        y_m=states[:, blocks["reference model"]] @ plant.C[0],
+        u_a=states @ model.input_map.T + 0.0,  # + 0.0 normalizes -0.0
+        sigma1=sigma[:, :m],
+        sigma2=sigma[:, m:],
+        x=x,
+        x_hat=x_hat,
+        x_tilde=x_hat - x,
         label=label,
     )
-
-    z = np.concatenate([plant.x0, plant.x0, plant.x0])  # [x, x_m, x_hat]
-    xf_m, xf_u = (None if f is None else np.zeros(f.order) for f in (model.matched, model.unmatched))
-    # u_a, est, r and t_sub are held over each integrator step; deriv reads them
-    u_a, est, r, t_sub = np.zeros(m), None, 0.0, 0.0
-
-    def deriv(_t: float, state: np.ndarray) -> np.ndarray:
-        x = state[:n]
-        x_m = state[n : 2 * n]
-        x_hat = state[2 * n :]
-        dx = plant_deriv(plant, x, u_a, r, t_sub)
-        dx_m = reference_model_deriv(plant, x_m, r)
-        dx_hat = predictor_deriv(model, x_hat, u_a, r, est, x_hat - x)
-        return np.concatenate([dx, dx_m, dx_hat])
-
-    for i in range(rows):
-        t_i = i * T
-        x = z[:n]
-        x_m = z[n : 2 * n]
-        x_hat = z[2 * n :]
-        x_tilde = x_hat - x
-
-        est = model.update(x_tilde)
-        u_a, xf_m, xf_u = control_update(model, est, xf_m, xf_u)
-
-        out.r[i] = reference_value(sig, t_i)
-        out.y[i] = plant.output(x)
-        out.y_m[i] = plant.output(x_m)
-        out.u_a[i] = u_a
-        out.sigma1[i] = est.matched
-        out.sigma2[i] = est.unmatched
-        out.x[i] = x
-        out.x_hat[i] = x_hat
-        out.x_tilde[i] = x_tilde
-
-        if i == n_steps:
-            break
-
-        # overflow is detected via the finite check, not numpy warnings
-        with np.errstate(over="ignore", invalid="ignore"):
-            for j in range(eng.substeps_per_sample):
-                t_sub = t_i + j * h
-                r = reference_value(sig, t_sub)
-                z = rk4_step(deriv, t_sub, z, h)
-                if not np.all(np.isfinite(z)):
-                    raise SimulationDiverged(t_sub + h, "closed-loop state is non-finite")
-    return out

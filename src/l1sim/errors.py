@@ -9,11 +9,21 @@ class ConfigError(ValueError):
 
 
 class SimulationDiverged(RuntimeError):
-    """A closed-loop state became non-finite during integration."""
+    """A closed-loop state became non-finite during the simulation.
 
-    def __init__(self, time: float, detail: str = ""):
+    ``sample`` is the first sample boundary with a non-finite state and
+    ``time`` its time; ``block`` names the first state block that is
+    non-finite there (plant, reference model, predictor or law filter) and
+    ``last_norm`` is the largest magnitude in the stacked state one sample
+    earlier, the last finite one.
+    """
+
+    def __init__(self, time: float, sample: int, block: str, last_norm: float):
         self.time = time
-        msg = f"simulation diverged at t = {time:.6g} s"
-        if detail:
-            msg += f" ({detail})"
-        super().__init__(msg)
+        self.sample = sample
+        self.block = block
+        self.last_norm = last_norm
+        super().__init__(
+            f"simulation diverged at t = {time:.6g} s (sample {sample}: the {block} state "
+            f"is non-finite; last finite state max-norm {last_norm:.6g})"
+        )

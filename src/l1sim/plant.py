@@ -41,16 +41,16 @@ class ReferenceSignal:
                 object.__setattr__(self, key, as_scalar(value, f"reference.{key}"))
 
 
-def reference_value(sig: ReferenceSignal, t: float) -> float:
-    """Command value at time t (onset included in the active interval)."""
-    if t < sig.onset:
-        return 0.0
-    if sig.kind == "step":
-        return float(sig.amplitude)
-    return float(sig.gradient) * (t - sig.onset)
+def reference_value(sig: ReferenceSignal, t):
+    """Command value at time t, a float or an array of times (onset included
+    in the active interval)."""
+    t = np.asarray(t, dtype=float)
+    level = sig.amplitude if sig.kind == "step" else sig.gradient * (t - sig.onset)
+    value = np.where(t >= sig.onset, level, 0.0)
+    return value if value.ndim else float(value)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class UncertainPlant:
     """Closed-loop plant with matched (f1) and unmatched (f2) disturbance inputs.
 

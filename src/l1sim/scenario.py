@@ -181,7 +181,7 @@ def build_scenario(cfg: dict, name: str | None = None, law_override: str | None 
         plant=plant,
         signal=signal,
         augmentation=augmentation,
-        loop=compile_loop(plant, augmentation),
+        loop=compile_loop(plant, augmentation, engine.substeps_per_sample),
         engine=engine,
         write_csv=_flag(out_cfg, "csv", "output"),
         write_plots=_flag(out_cfg, "plots", "output"),

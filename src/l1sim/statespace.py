@@ -59,7 +59,7 @@ def _square(a, name: str = "matrix") -> np.ndarray:
     return m
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class StateSpaceModel:
     """LTI system (A, B, C, D), continuous or discrete depending on context.
 
@@ -208,22 +208,30 @@ def feedforward_gain(a, b1, c) -> float:
     return -1.0 / val
 
 
-def discretize_zoh(sys: StateSpaceModel, step: float) -> StateSpaceModel:
-    """Zero-order-hold discretization at a fixed step.
+def zoh_maps(a: np.ndarray, b: np.ndarray, step: float) -> tuple[np.ndarray, np.ndarray]:
+    """Zero-order-hold maps of dx/dt = A x + B u over one step h.
 
-    A_d = e^(A h) and B_d = (integral of e^(A tau)) B, obtained from one
-    augmented exponential.  C and D carry over unchanged.
+    A_d = e^(A h) and B_d = (integral of e^(A tau) over [0, h]) B, obtained
+    from one augmented exponential.  A (n x n) and B (n x m) must already be
+    float arrays.
     """
     if not (step > 0.0):
         raise ConfigError(f"step must be > 0, got {step}")
-    n, m = sys.order, sys.n_inputs
+    n, m = b.shape
     aug = np.zeros((n + m, n + m))
-    aug[:n, :n] = sys.A
-    aug[:n, n:] = sys.B
+    aug[:n, :n] = a
+    aug[:n, n:] = b
     big = scipy.linalg.expm(aug * step)
     if not np.all(np.isfinite(big)):
         raise ConfigError("discretization overflowed; A*step is too large")
-    return StateSpaceModel(A=big[:n, :n], B=big[:n, n:], C=sys.C, D=sys.D)
+    return big[:n, :n], big[:n, n:]
+
+
+def discretize_zoh(sys: StateSpaceModel, step: float) -> StateSpaceModel:
+    """Zero-order-hold discretization at a fixed step (``zoh_maps``).  C and D
+    carry over unchanged."""
+    a_d, b_d = zoh_maps(sys.A, sys.B, step)
+    return StateSpaceModel(A=a_d, B=b_d, C=sys.C, D=sys.D)
 
 
 def filter_step(sys: StateSpaceModel, state: np.ndarray, u) -> tuple[np.ndarray, np.ndarray]:

@@ -1,7 +1,15 @@
 import numpy as np
 import pytest
+from hypothesis import settings
 
 from l1sim import UncertainPlant
+
+# Property tests draw the same examples on every run and stay time-bounded;
+# no example database is written.
+settings.register_profile(
+    "l1sim", derandomize=True, max_examples=25, deadline=None, database=None
+)
+settings.load_profile("l1sim")
 
 # second-order SISO benchmark used across the suite
 BENCH_A = np.array([[-10.0, -50.0], [1.0, 0.0]])
@@ -38,3 +46,16 @@ def make_nmp_plant(f1=None, f2=None) -> UncertainPlant:
     b1 = np.array([[1.0], [0.0], [0.0]])
     c = np.array([[0.0, 1.0, -1.0]])
     return UncertainPlant.from_matrices(a, b1, c, f1=f1, f2=f2)
+
+
+def canonical_plant(poles, zeros, gain, **disturbances) -> UncertainPlant:
+    """Controllable-canonical SISO plant with the given poles and zeros."""
+    den = np.real(np.poly(poles))
+    num = np.real(np.poly(zeros)) * gain
+    n = den.size - 1
+    a = np.zeros((n, n))
+    a[0] = -den[1:]
+    a[1:, :-1] = np.eye(n - 1)
+    c = np.zeros((1, n))
+    c[0, n - num.size :] = num
+    return UncertainPlant.from_matrices(a, np.eye(n, 1), c, **disturbances)

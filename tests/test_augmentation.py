@@ -23,9 +23,9 @@ from l1sim import (
     run_closed_loop,
     unmatched_path_model,
 )
-from l1sim.augmentation import _canonical_realization, error_dynamics_matrix
+from l1sim.augmentation import _canonical_realization, _siso_numerator, error_dynamics_matrix
 from l1sim.statespace import StateSpaceModel
-from conftest import make_nmp_plant
+from conftest import canonical_plant, make_nmp_plant
 
 
 def tf_response(num, den, s: complex) -> complex:
@@ -233,6 +233,31 @@ class TestUnmatchedPath:
         model = StateSpaceModel(a, b, c, d)
         for s in [0.0, 1j, 3.0 + 1j]:
             assert model_response(model, s) == pytest.approx(tf_response(num, den, s), rel=1e-12)
+
+    def test_original_law_stacks_channels_block_diagonally(self):
+        # the realization equals scipy.linalg.block_diag of the per-channel
+        # realizations, byte for byte
+        rng = np.random.default_rng(3)
+        w = 40.0
+        cfg = AugmentationConfig(law="original", bandwidth_unmatched=w)
+        for order in (2, 3, 4, 5):
+            for _ in range(5):
+                p = canonical_plant(
+                    -rng.uniform(1.0, 20.0, order), -rng.uniform(0.5, 15.0, order - 1),
+                    rng.uniform(0.5, 5.0),
+                )
+                den = np.polymul([1.0, w], _siso_numerator(p.A, p.B1, p.C))
+                a, b, c, d = zip(*(
+                    _canonical_realization(w * _siso_numerator(p.A, p.B2[:, [j]], p.C), den)
+                    for j in range(p.n_unmatched)
+                ))
+                expect = (
+                    scipy.linalg.block_diag(*a), scipy.linalg.block_diag(*b),
+                    np.hstack(c), np.hstack(d),
+                )
+                model = unmatched_path_model(p, cfg)
+                for got, want in zip((model.A, model.B, model.C, model.D), expect):
+                    assert got.shape == want.shape and got.tobytes() == want.tobytes()
 
     def test_no_unmatched_directions_gives_none(self):
         p = UncertainPlant.from_matrices([[-1.0]], [[1.0]], [[1.0]])

@@ -1,15 +1,18 @@
+import copy
 import math
 
 import numpy as np
 import pytest
 
 from l1sim import (
+    PRESETS,
     AugmentationConfig,
     ConfigError,
     EngineConfig,
     ReferenceSignal,
     SimulationDiverged,
     UncertainPlant,
+    build_scenario,
     compile_loop,
     discretize_zoh,
     mat_exp,
@@ -17,7 +20,8 @@ from l1sim import (
     run_closed_loop,
 )
 from l1sim.statespace import StateSpaceModel
-from conftest import BENCH_A, BENCH_B1, BENCH_C
+from conftest import BENCH_A, BENCH_B1, BENCH_C, canonical_plant
+from oracle import max_deviation, rk4_closed_loop
 
 
 class TestRk4Step:
@@ -115,6 +119,15 @@ class TestClosedLoop:
         with pytest.raises(ValueError, match="different plant or configuration"):
             run_closed_loop(bench_plant, cfg, sig, EngineConfig(t_end=0.01), model=model)
 
+    def test_rejects_model_compiled_for_other_substeps(self, bench_plant):
+        sig = ReferenceSignal(kind="step", onset=0.0, amplitude=1.0)
+        cfg = AugmentationConfig(law="modified")
+        model = compile_loop(bench_plant, cfg)
+        eng = EngineConfig(t_end=0.01, substeps_per_sample=4)
+        with pytest.raises(ValueError, match="different plant or configuration"):
+            run_closed_loop(bench_plant, cfg, sig, eng, model=model)
+        run_closed_loop(bench_plant, cfg, sig, eng, model=compile_loop(bench_plant, cfg, 4))
+
     def test_step_refinement_converged(self, bench_uncertain_plant):
         sig = ReferenceSignal(kind="step", onset=0.5, amplitude=1.0)
         cfg = AugmentationConfig(law="modified")
@@ -132,6 +145,18 @@ class TestClosedLoop:
         assert 0.0 < err.value.time <= 3.0
         assert "diverged" in str(err.value)
 
+    def test_divergence_names_block_and_sample(self):
+        p = UncertainPlant.from_matrices([[500.0]], [[1.0]], [[1.0]])
+        sig = ReferenceSignal(kind="step", onset=0.0, amplitude=1.0)
+        with pytest.raises(SimulationDiverged) as err:
+            run_closed_loop(p, AugmentationConfig(law="off"), sig, EngineConfig(t_end=3.0))
+        # plant and reference model share A = 500 and overflow together;
+        # the plant is the first block of the state
+        assert err.value.block == "plant"
+        assert err.value.sample * 1e-3 == err.value.time
+        assert 1e307 < err.value.last_norm < math.inf
+        assert f"sample {err.value.sample}: the plant state" in str(err.value)
+
     def test_estimates_recorded_with_law_off(self, bench_uncertain_plant):
         # the estimator observes even when the augmentation injects nothing
         sig = ReferenceSignal(kind="step", onset=0.2, amplitude=1.0)
@@ -143,6 +168,44 @@ class TestClosedLoop:
 
 
 TRACE_FIELDS = ("r", "y", "y_m", "u_a", "sigma1", "sigma2", "x", "x_hat", "x_tilde")
+
+
+class TestExactEngine:
+    """The exact lifted engine against the RK4 oracle in ``tests/oracle.py``."""
+
+    @pytest.mark.parametrize(
+        "preset, law", [(name, law) for name in sorted(PRESETS) for law in PRESETS[name]["laws"]]
+    )
+    def test_matches_rk4_oracle_on_presets(self, preset, law):
+        sc = build_scenario(copy.deepcopy(PRESETS[preset]["doc"]), law_override=law)
+        assert sc.engine.substeps_per_sample == 1
+        exact = run_closed_loop(sc.plant, sc.augmentation, sc.signal, sc.engine)
+        oracle = rk4_closed_loop(sc.plant, sc.augmentation, sc.signal, sc.engine)
+        assert max_deviation(exact, oracle) <= 1e-9
+
+    def test_rk4_oracle_converges_at_fourth_order(self):
+        # stiff for the sample period: poles up to |22| at T = 5 ms, so one
+        # RK4 step per sample leaves an error far above rounding
+        T = 5e-3
+        p = canonical_plant(
+            [-20 + 10j, -20 - 10j, -15, -8], [-3, -6 + 2j, -6 - 2j], 2.0,
+            f1=[0.05], f2=[0.004, -0.003, 0.002], onset=5 * T,
+        )
+        cfg = AugmentationConfig(
+            law="original", sample_period=T, bandwidth_matched=80.0, bandwidth_unmatched=80.0
+        )
+        sig = ReferenceSignal(kind="step", onset=0.0, amplitude=1.0)
+        errors = []
+        for substeps in (1, 4, 16):
+            eng = EngineConfig(t_end=32 * T, substeps_per_sample=substeps)
+            errors.append(
+                max_deviation(
+                    run_closed_loop(p, cfg, sig, eng), rk4_closed_loop(p, cfg, sig, eng)
+                )
+            )
+        assert errors[0] > 1e-6
+        assert errors[0] / errors[1] >= 100.0
+        assert errors[1] / errors[2] >= 100.0
 
 
 class TestOnsetTiming:
@@ -173,3 +236,18 @@ class TestOnsetTiming:
         # it acts from the step that starts at the onset
         first_after = int(np.argmin(upto))
         assert not np.array_equal(a.x[first_after], b.x[first_after])
+
+    def test_onset_off_the_sample_grid_rejected(self):
+        cfg = AugmentationConfig(law="modified", sample_period=1e-3)
+        late = UncertainPlant.from_matrices(BENCH_A, BENCH_B1, BENCH_C, f1=[0.05], onset=0.0005)
+        with pytest.raises(ConfigError, match=r"uncertainty\.onset = 0\.0005 must be a whole"):
+            compile_loop(late, cfg)
+
+    @pytest.mark.parametrize(
+        "period, onset",
+        [(1e-3, 0.1), (1e-3, 0.0), (2.0**-10, 32 * 2.0**-10)]
+        + [(period, 5 * period) for period in (1e-3, 2e-3, 5e-3)],
+    )
+    def test_onset_on_the_sample_grid_accepted(self, period, onset):
+        cfg = AugmentationConfig(law="modified", sample_period=period)
+        compile_loop(UncertainPlant.from_matrices(BENCH_A, BENCH_B1, BENCH_C, onset=onset), cfg)

@@ -6,7 +6,9 @@ from l1sim import (
     ConfigError,
     EngineConfig,
     ReferenceSignal,
+    StateSpaceModel,
     UncertainPlant,
+    compile_loop,
     plant_deriv,
     reference_model_deriv,
     reference_value,
@@ -108,6 +110,21 @@ class TestPlantConstruction:
     def test_flat_b1_is_one_column(self):
         p = UncertainPlant.from_matrices(BENCH_A, [2000.0, 0.0], BENCH_C)
         np.testing.assert_array_equal(p.B1, BENCH_B1)
+
+    def test_array_holders_compare_by_identity(self):
+        def pair(make):
+            return make(), make()
+
+        lp = -0.01 * np.eye(2) - BENCH_A
+        plants = pair(lambda: UncertainPlant.from_matrices(BENCH_A, BENCH_B1, BENCH_C))
+        for a, b in (
+            plants,
+            pair(lambda: AugmentationConfig(law="modified", predictor_gain=lp)),
+            pair(lambda: StateSpaceModel(A=BENCH_A, B=BENCH_B1, C=BENCH_C)),
+            pair(lambda: compile_loop(plants[0], AugmentationConfig(law="off"))),
+        ):
+            assert a == a and a != b
+            assert len({a, b, a}) == 2
 
     def test_single_state_plant_has_empty_complement(self):
         p = UncertainPlant.from_matrices([[-1.0]], [[1.0]], [[1.0]])

@@ -20,6 +20,7 @@ from l1sim import (
     run_scenario,
     scenario_fingerprint,
 )
+from l1sim import engine as engine_module
 from l1sim import scenario as scenario_module
 from l1sim.metrics import steady_mask
 
@@ -165,6 +166,21 @@ class TestBuildScenario:
         assert calls == []
         build_scenario(doc(controller={"law": "original"}))
         assert calls  # the counter sees the exponentials of a build
+
+    def test_run_integrates_nothing(self, monkeypatch):
+        sc = build_scenario(
+            doc(controller={"law": "original"}, engine={"t_end": 2.0, "substeps_per_sample": 4})
+        )
+        calls = []
+        rk4_step = engine_module.rk4_step
+
+        def counting_rk4_step(*args, **kwargs):
+            calls.append(1)
+            return rk4_step(*args, **kwargs)
+
+        monkeypatch.setattr(engine_module, "rk4_step", counting_rk4_step)
+        run_scenario(sc)
+        assert calls == []
 
     def test_engine_alignment_checked_at_run(self):
         sc = build_scenario(doc(engine={"t_end": 0.0105}))
