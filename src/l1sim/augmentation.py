@@ -377,17 +377,16 @@ def compile_loop(
     err_input = err_steps.sum(axis=0)
     gain = _estimator_gain(err_prop, err_input)
 
-    orders = [0 if f is None else f.order for f in (matched, unmatched)]
-    d = 3 * n + sum(orders)
+    # state layout as in LoopModel.blocks
+    filters = [(f, g) for f, g in ((matched, gain[:m]), (unmatched, gain[m:])) if f is not None]
+    d = 3 * n + sum(f.order for f, _ in filters)
     x, x_m, x_t = slice(0, n), slice(n, 2 * n), slice(2 * n, 3 * n)
     transition = np.zeros((d, d))
     input_map = np.zeros((m, d))
     start = 3 * n
-    for filt, order, g in zip((matched, unmatched), orders, (gain[:m], gain[m:])):
-        if filt is None:
-            continue
-        block = slice(start, start + order)
-        start += order
+    for filt, g in filters:
+        block = slice(start, start + filt.order)
+        start += filt.order
         # the filter advances on the new estimate, and u_a reads the advanced state
         transition[block, x_t] = filt.B @ g
         transition[block, block] = filt.A

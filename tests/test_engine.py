@@ -21,7 +21,7 @@ from l1sim import (
 )
 from l1sim.statespace import StateSpaceModel
 from conftest import BENCH_A, BENCH_B1, BENCH_C, canonical_plant
-from oracle import max_deviation, rk4_closed_loop
+from oracle import TRACE_FIELDS, max_deviation, rk4_closed_loop
 
 
 class TestRk4Step:
@@ -165,9 +165,6 @@ class TestClosedLoop:
         )
         assert np.all(trace.u_a == 0.0)
         assert trace.sigma1[-1, 0] == pytest.approx(0.05, abs=1e-4)
-
-
-TRACE_FIELDS = ("r", "y", "y_m", "u_a", "sigma1", "sigma2", "x", "x_hat", "x_tilde")
 
 
 class TestExactEngine:
