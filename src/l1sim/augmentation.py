@@ -148,40 +148,39 @@ def low_pass_model(bandwidth: float, channels: int = 1) -> StateSpaceModel:
     )
 
 
-def _siso_numerator(a: np.ndarray, b_col: np.ndarray, c: np.ndarray) -> np.ndarray:
+def _numerator(a: np.ndarray, b_col: np.ndarray, c: np.ndarray, char: np.ndarray) -> np.ndarray:
     """Numerator polynomial of c (sI - A)^-1 b for one input column, trimmed.
 
-    Uses c (sI - A)^-1 b = (det(sI - A + b c) - det(sI - A)) / det(sI - A).
+    ``char`` is det(sI - A); c (sI - A)^-1 b = (det(sI - A + b c) - char) / char.
     """
-    coeffs = np.poly(a - b_col @ c) - np.poly(a)
-    tol = max(np.abs(coeffs).max(), 1.0) * 1e-9
-    nz = np.nonzero(np.abs(coeffs) > tol)[0]
-    if nz.size == 0:
-        return np.zeros(1)
-    return coeffs[nz[0] :]
+    coeffs = np.poly(a - b_col @ c) - char
+    mag = np.abs(coeffs)
+    nz = np.flatnonzero(mag > max(mag.max(), 1.0) * 1e-9)
+    return coeffs[nz[0] :] if nz.size else np.zeros(1)
 
 
-def _canonical_realization(num: np.ndarray, den: np.ndarray) -> tuple[np.ndarray, ...]:
-    """Controller-canonical (A, B, C, D) of the proper SISO num(s)/den(s).
+def _row_realization(nums: list[np.ndarray], den: np.ndarray) -> StateSpaceModel:
+    """Observer-canonical realization of the proper 1 x k row [num_j(s) / den(s)].
 
-    ``den[0]`` must be nonzero.  Leading numerator coefficients at or below
-    1e-14 after normalisation are dropped, keeping at least one.
+    The channels share the denominator, so the order is deg den whatever k
+    is.  ``den[0]`` must be nonzero and no numerator longer than ``den``.
     """
-    num, den = num / den[0], den / den[0]
-    nz = np.nonzero(np.abs(num) > 1e-14)[0]
-    num = num[nz[0] :] if nz.size else num[-1:]
-    k = den.size
-    num = np.concatenate([np.zeros(k - num.size), num])
-    a = np.vstack([-den[1:], np.eye(k - 2, k - 1)])
-    c = (num[1:] - num[0] * den[1:])[np.newaxis, :]
-    return a, np.eye(k - 1, 1), c, np.array([[num[0]]])
+    q = den.size - 1
+    rows = np.zeros((len(nums), q + 1))
+    for row, num in zip(rows, nums):
+        row[q + 1 - num.size :] = num / den[0]
+    den = den / den[0]
+    a = np.eye(q, k=1)
+    a[:, 0] = -den[1:]
+    b = (rows[:, 1:] - np.outer(rows[:, 0], den[1:])).T
+    return StateSpaceModel(a, b, np.eye(1, q), rows[np.newaxis, :, 0])
 
 
 def matched_transmission_zeros(plant: UncertainPlant) -> np.ndarray:
     """Transmission zeros of the matched path (output over the control input)."""
     if plant.m != 1:
         raise ConfigError("transmission-zero analysis supports a single control input")
-    num = _siso_numerator(plant.A, plant.B1, plant.C)
+    num = _numerator(plant.A, plant.B1, plant.C, np.poly(plant.A))
     if num.size < 2:
         return np.zeros(0)
     return np.roots(num)
@@ -190,68 +189,45 @@ def matched_transmission_zeros(plant: UncertainPlant) -> np.ndarray:
 def unmatched_path_model(plant: UncertainPlant, cfg: AugmentationConfig) -> StateSpaceModel | None:
     """Continuous realization of the unmatched compensation path for the law.
 
-    Maps the unmatched disturbance estimate to its control contribution.
-    Returns None when the law has no unmatched path or the plant has no
-    unmatched directions.
+    Maps the unmatched disturbance estimate to its control contribution,
+    ``g w num2_j(s) / ((s + w) den(s))`` for channel j, where num2_j/det(sI - A)
+    is the plant's unmatched path and (g, den) is (1, num1) under ``original``
+    and (k_ff, det(sI - A)) under ``modified``.  Returns None when the law has
+    no unmatched path or the plant has no unmatched directions.
     """
     if cfg.law in ("off", "matched_only") or plant.n_unmatched == 0:
         return None
     if plant.m != 1:
         raise ConfigError("the unmatched compensation path supports a single control input")
-    n, k = plant.n, plant.n_unmatched
     w = cfg.bandwidth_unmatched
+    char = np.poly(plant.A)
+    nums = [_numerator(plant.A, col[:, np.newaxis], plant.C, char) for col in plant.B2.T]
 
     if cfg.law == "modified":
         # H1(0)^-1 is the feedforward gain; reject |H1(0)| = 1/|k_ff| < 1e-12
-        g_inv = plant.k_ff
-        if abs(1.0 / g_inv) < 1e-12:
+        gain, den = plant.k_ff, char
+        if abs(1.0 / gain) < 1e-12:
             raise ConfigError(
                 "the matched path has zero DC gain; the inverse-DC-gain law is undefined"
             )
-        # series: (A, B2, C) feeding the scalar gain, then the low-pass filter
-        a = np.zeros((n + 1, n + 1))
-        a[:n, :n] = plant.A
-        a[n, :n] = w * g_inv * plant.C[0]
-        a[n, n] = -w
-        b = np.vstack([plant.B2, np.zeros((1, k))])
-        c = np.zeros((1, n + 1))
-        c[0, n] = 1.0
-        return StateSpaceModel(a, b, c, np.zeros((1, k)))
-
-    # original law: realize C2(s) H1(s)^-1 H2(s) per unmatched channel
-    num1 = _siso_numerator(plant.A, plant.B1, plant.C)
-    zeros1 = np.roots(num1) if num1.size >= 2 else np.zeros(0)
-    unstable = zeros1[zeros1.real >= 0.0] if zeros1.size else zeros1
-    if unstable.size:
-        raise ConfigError(
-            "the matched path has transmission zeros not in the open left half plane "
-            f"(at {np.round(unstable, 6)}); inverting its dynamics is unstable. "
-            "The dynamics-inverting law requires a minimum-phase plant; "
-            "use the inverse-DC-gain law instead"
-        )
-    den_total = np.polymul(np.array([1.0, w]), num1)
-    blocks = []
-    for j in range(k):
-        num2 = _siso_numerator(plant.A, plant.B2[:, j : j + 1], plant.C)
-        num_total = w * num2
-        if num_total.size > den_total.size:
+    else:
+        zeros = matched_transmission_zeros(plant)
+        unstable = zeros[zeros.real >= 0.0]
+        if unstable.size:
+            raise ConfigError(
+                "the matched path has transmission zeros not in the open left half plane "
+                f"(at {np.round(unstable, 6)}); inverting its dynamics is unstable. "
+                "The dynamics-inverting law requires a minimum-phase plant; "
+                "use the inverse-DC-gain law instead"
+            )
+        gain, den = 1.0, _numerator(plant.A, plant.B1, plant.C, char)
+        if max(num.size for num in nums) > den.size + 1:
             raise ConfigError(
                 "the dynamics-inverting unmatched path is improper even with the "
                 "low-pass filter; increase the filter order of the plant model"
             )
-        blocks.append(_canonical_realization(num_total, den_total))
-    # block-diagonal stack of the per-channel realizations, which share one order
-    order = den_total.size - 1
-    a = np.zeros((k * order, k * order))
-    b = np.zeros((k * order, k))
-    for j, (a_j, b_j, _, _) in enumerate(blocks):
-        rows = slice(j * order, (j + 1) * order)
-        a[rows, rows] = a_j
-        b[rows, j : j + 1] = b_j
-    model = StateSpaceModel(
-        a, b, np.hstack([blk[2] for blk in blocks]), np.hstack([blk[3] for blk in blocks])
-    )
-    if model.order and np.max(np.linalg.eigvals(model.A).real) >= 0.0:
+    model = _row_realization([gain * w * num for num in nums], np.convolve([1.0, w], den))
+    if cfg.law == "original" and np.max(np.linalg.eigvals(model.A).real) >= 0.0:
         raise ConfigError("the realized unmatched compensation path is internally unstable")
     return model
 
@@ -280,10 +256,11 @@ class LoopModel:
     the matched and unmatched law-filter states (``blocks`` names the
     slices).  Between boundaries every input is held, so one sample is
 
-        s[k+1] = transition @ s[k] + r[k] @ command_maps + on[k] @ disturbance_maps
+        s[k+1] = transition @ s[k] + r[k] @ command_maps + on[k] * disturbance_map
 
     where r[k, j] is the command held over integrator step j of sample k and
-    on[k, j] is 1 once the disturbances act over that step.  The adaptive
+    on[k] is 1 once the disturbances act over sample k (the onset is on the
+    sample grid, so the switch is constant within a sample).  The adaptive
     input held over sample k is ``input_map @ s[k]``.
     """
 
@@ -296,7 +273,7 @@ class LoopModel:
     substeps: int
     transition: np.ndarray        # (d, d)
     command_maps: np.ndarray      # (substeps, d)
-    disturbance_maps: np.ndarray  # (substeps, d)
+    disturbance_map: np.ndarray   # (d,)
     input_map: np.ndarray         # (m, d)
 
     @property
@@ -350,8 +327,8 @@ def compile_loop(
     error dynamics, a singular update gain, the transmission-zero gate of the
     dynamics-inverting law and improper or unstable path realizations all
     raise ``ConfigError`` here.  ``substeps_per_sample`` is the engine's
-    ``substeps_per_sample``: the command and the disturbance switch are held
-    over steps of ``sample_period / substeps_per_sample``.
+    ``substeps_per_sample``: the command is held over steps of
+    ``sample_period / substeps_per_sample``.
     """
     T = cfg.sample_period
     if grid_index(plant.onset, T) is None:
@@ -373,8 +350,9 @@ def compile_loop(
         *zoh_maps(pair, np.vstack([b_full, b_full]), h), substeps_per_sample
     )
     plant_prop, plant_steps = prop[:n, :n], steps[:, :n]
-    err_prop, err_steps = prop[n:, n:], steps[:, n:]
-    err_input = err_steps.sum(axis=0)
+    err_prop = prop[n:, n:]
+    # maps of an input held over the whole sample
+    plant_input, err_input = plant_steps.sum(axis=0), steps[:, n:].sum(axis=0)
     gain = _estimator_gain(err_prop, err_input)
 
     # state layout as in LoopModel.blocks
@@ -393,7 +371,7 @@ def compile_loop(
         input_map[:, x_t] -= (filt.C @ filt.B + filt.D) @ g
         input_map[:, block] = -filt.C @ filt.A
     transition[x, x] = plant_prop
-    transition[x] += plant_steps[:, :, :m].sum(axis=0) @ input_map
+    transition[x] += plant_input[:, :m] @ input_map
     transition[x_m, x_m] = plant_prop
     transition[x_t, x_t] = err_prop + err_input @ gain
 
@@ -402,9 +380,9 @@ def compile_loop(
     command_maps[:, x] = plant_steps[:, :, :m] @ np.full(m, plant.k_ff)
     command_maps[:, x_m] = command_maps[:, x]
     f = np.concatenate([plant.f1, plant.f2])
-    disturbance_maps = np.zeros((substeps_per_sample, d))
-    disturbance_maps[:, x] = plant_steps @ f
-    disturbance_maps[:, x_t] = -(err_steps @ f)
+    disturbance_map = np.zeros(d)
+    disturbance_map[x] = plant_input @ f
+    disturbance_map[x_t] = -(err_input @ f)
     return LoopModel(
         plant=plant,
         config=cfg,
@@ -415,7 +393,7 @@ def compile_loop(
         substeps=substeps_per_sample,
         transition=transition,
         command_maps=command_maps,
-        disturbance_maps=disturbance_maps,
+        disturbance_map=disturbance_map,
         input_map=input_map,
     )
 

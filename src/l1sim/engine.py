@@ -1,10 +1,11 @@
 """Deterministic sampled-data closed-loop simulation.
 
 Between two sample boundaries the whole loop is linear and time invariant:
-the disturbance estimate and the adaptive input are held, the command r and
-the on/off state of the constant disturbances f1/f2 are held over each
-integrator step, and the estimator and both law filters are linear maps of
-the boundary state.  So the sampled loop is one exact zero-order-hold
+the disturbance estimate and the adaptive input are held, the command r is
+held over each integrator step, the on/off state of the constant
+disturbances f1/f2 over the whole sample (their onset is on the sample
+grid), and the estimator and both law filters are linear maps of the
+boundary state.  So the sampled loop is one exact zero-order-hold
 recurrence over the stacked state (``LoopModel``),
 
     s[k+1] = M s[k] + f[k],
@@ -136,7 +137,7 @@ def run_closed_loop(
     states[0, blocks["plant"]] = plant.x0
     states[0, blocks["reference model"]] = plant.x0
     states[1:] = reference_value(sig, t_hold) @ model.command_maps
-    states[1:] += (t_hold >= plant.onset) @ model.disturbance_maps
+    states[1:] += np.outer(t[:-1] >= plant.onset, model.disturbance_map)
     rows = list(states)  # row views: adding to one writes into states
     step = model.transition.dot
     # overflow is detected by the finite check below, not by numpy warnings

@@ -26,7 +26,7 @@ from .augmentation import (
     LoopModel,
     compile_loop,
 )
-from .engine import EngineConfig, SimTrace, run_closed_loop
+from .engine import EngineConfig, SimTrace, _sample_count, run_closed_loop
 from .errors import ConfigError
 from .metrics import Metrics, compute_metrics, steady_mask
 from .plant import ReferenceSignal, UncertainPlant
@@ -176,6 +176,7 @@ def build_scenario(cfg: dict, name: str | None = None, law_override: str | None 
         t_end=_get(eng_cfg, "t_end", 10.0),
         substeps_per_sample=_get(eng_cfg, "substeps_per_sample", 1),
     )
+    _sample_count(engine.t_end, augmentation.sample_period)  # an off-grid horizon fails at load
     return Scenario(
         name=str(cfg.get("name") or name or "scenario"),
         plant=plant,

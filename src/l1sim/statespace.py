@@ -125,20 +125,14 @@ def mat_exp(a, t: float) -> np.ndarray:
 def mat_exp_integral(a, t: float) -> np.ndarray:
     """Integral of e^(A tau) over [0, t].
 
-    Computed as the off-diagonal block of exp([[A, I], [0, 0]] t), which stays
-    well defined when A is singular (where the A^-1 (e^(At) - I) form breaks).
+    Computed as the off-diagonal block of exp([[A, I], [0, 0]] t)
+    (``zoh_maps`` with B = I), which stays well defined when A is singular
+    (where the A^-1 (e^(At) - I) form breaks).
     """
     a = _square(a, "A")
     if not (t > 0.0):
         raise ConfigError(f"t must be > 0, got {t}")
-    n = a.shape[0]
-    aug = np.zeros((2 * n, 2 * n))
-    aug[:n, :n] = a
-    aug[:n, n:] = np.eye(n)
-    out = scipy.linalg.expm(aug * t)[:n, n:]
-    if not np.all(np.isfinite(out)):
-        raise ConfigError("exponential integral overflowed; A*t is ill-conditioned")
-    return out
+    return zoh_maps(a, np.eye(a.shape[0]), t)[1]
 
 
 def null_complement(b1) -> np.ndarray:

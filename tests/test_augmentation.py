@@ -23,8 +23,7 @@ from l1sim import (
     run_closed_loop,
     unmatched_path_model,
 )
-from l1sim.augmentation import _canonical_realization, _siso_numerator, error_dynamics_matrix
-from l1sim.statespace import StateSpaceModel
+from l1sim.augmentation import _row_realization, error_dynamics_matrix
 from conftest import canonical_plant, make_nmp_plant
 
 
@@ -33,11 +32,15 @@ def tf_response(num, den, s: complex) -> complex:
     return np.polyval(num, s) / np.polyval(den, s)
 
 
-def model_response(model, s: complex) -> complex:
-    """Frequency response of a (single output) state-space model at s."""
+def channel_responses(model, s: complex) -> np.ndarray:
+    """Frequency response of a single-output state-space model at s, per input."""
     n = model.order
-    h = model.C @ np.linalg.solve(s * np.eye(n) - model.A, model.B) + model.D
-    return complex(h[0].sum())
+    return (model.C @ np.linalg.solve(s * np.eye(n) - model.A, model.B) + model.D)[0]
+
+
+def model_response(model, s: complex) -> complex:
+    """Frequency response of a single-input, single-output model at s."""
+    return complex(channel_responses(model, s).sum())
 
 
 class TestAdaptationGain:
@@ -215,49 +218,44 @@ class TestUnmatchedPath:
             s_m, y_m = filter_step(mod, s_m, u)
         np.testing.assert_allclose(y_o, y_m, atol=1e-12)
 
-    def test_canonical_realization_textbook_form(self):
-        # (s^2 + 3 s + 3) / (s^2 + 2 s + 1) in controller-canonical form
-        a, b, c, d = _canonical_realization(np.array([1.0, 3.0, 3.0]), np.array([1.0, 2.0, 1.0]))
-        np.testing.assert_array_equal(a, [[-2.0, -1.0], [1.0, 0.0]])
-        np.testing.assert_array_equal(b, [[1.0], [0.0]])
-        np.testing.assert_array_equal(c, [[1.0, 2.0]])
-        np.testing.assert_array_equal(d, [[1.0]])
-
-    def test_canonical_realization_normalises_and_pads(self):
-        # 4 / (2 s^2 + 6 s + 4): strictly proper, leading denominator not 1
-        num, den = np.array([0.0, 4.0]), np.array([2.0, 6.0, 4.0])
-        a, b, c, d = _canonical_realization(num, den)
-        np.testing.assert_array_equal(a, [[-3.0, -2.0], [1.0, 0.0]])
-        np.testing.assert_array_equal(c, [[0.0, 2.0]])
-        assert d[0, 0] == 0.0
-        model = StateSpaceModel(a, b, c, d)
+    def test_row_realization_observer_canonical_entries(self):
+        # [(2 s^2 + 6 s + 6), (2 s + 8)] / (2 s^2 + 6 s + 4): normalised by the
+        # leading denominator coefficient, the strictly proper channel padded
+        nums = [np.array([2.0, 6.0, 6.0]), np.array([2.0, 8.0])]
+        den = np.array([2.0, 6.0, 4.0])
+        model = _row_realization(nums, den)
+        np.testing.assert_array_equal(model.A, [[-3.0, 1.0], [-2.0, 0.0]])
+        np.testing.assert_array_equal(model.B, [[0.0, 1.0], [1.0, 4.0]])
+        np.testing.assert_array_equal(model.C, [[1.0, 0.0]])
+        np.testing.assert_array_equal(model.D, [[1.0, 0.0]])
         for s in [0.0, 1j, 3.0 + 1j]:
-            assert model_response(model, s) == pytest.approx(tf_response(num, den, s), rel=1e-12)
+            expect = [tf_response(num, den, s) for num in nums]
+            assert channel_responses(model, s) == pytest.approx(expect, rel=1e-12)
 
-    def test_original_law_stacks_channels_block_diagonally(self):
-        # the realization equals scipy.linalg.block_diag of the per-channel
-        # realizations, byte for byte
+    @pytest.mark.parametrize("law", ["original", "modified"])
+    def test_multi_channel_polynomial_oracle(self, law):
+        # channel j is w g num2_j / ((s + w) den): with H1 = num1/det(sI - A) and
+        # H2_j = num2_j/det(sI - A), that is w H2_j / ((s + w) H1) under
+        # original and w k_ff H2_j / (s + w) under modified
         rng = np.random.default_rng(3)
         w = 40.0
-        cfg = AugmentationConfig(law="original", bandwidth_unmatched=w)
-        for order in (2, 3, 4, 5):
-            for _ in range(5):
-                p = canonical_plant(
-                    -rng.uniform(1.0, 20.0, order), -rng.uniform(0.5, 15.0, order - 1),
-                    rng.uniform(0.5, 5.0),
-                )
-                den = np.polymul([1.0, w], _siso_numerator(p.A, p.B1, p.C))
-                a, b, c, d = zip(*(
-                    _canonical_realization(w * _siso_numerator(p.A, p.B2[:, [j]], p.C), den)
-                    for j in range(p.n_unmatched)
-                ))
-                expect = (
-                    scipy.linalg.block_diag(*a), scipy.linalg.block_diag(*b),
-                    np.hstack(c), np.hstack(d),
-                )
+        cfg = AugmentationConfig(law=law, bandwidth_unmatched=w)
+        for order in (3, 4, 5):
+            for _ in range(3):
+                poles = -rng.uniform(1.0, 20.0, order)
+                zeros = -rng.uniform(0.5, 15.0, order - 1)
+                p = canonical_plant(poles, zeros, rng.uniform(0.5, 5.0))
                 model = unmatched_path_model(p, cfg)
-                for got, want in zip((model.A, model.B, model.C, model.D), expect):
-                    assert got.shape == want.shape and got.tobytes() == want.tobytes()
+                den = np.convolve([1.0, w], np.poly(zeros if law == "original" else poles))
+                assert model.n_inputs == order - 1
+                assert model.order == den.size - 1
+                for s in [0.0, 1j, 5j, 50j, 1.0 + 2j]:
+                    resolvent = np.linalg.inv(s * np.eye(order) - p.A)
+                    h1 = (p.C @ resolvent @ p.B1)[0, 0]
+                    h2 = (p.C @ resolvent @ p.B2)[0]
+                    scale = 1.0 / h1 if law == "original" else p.k_ff
+                    expect = w / (s + w) * scale * h2
+                    assert channel_responses(model, s) == pytest.approx(expect, rel=1e-9)
 
     def test_no_unmatched_directions_gives_none(self):
         p = UncertainPlant.from_matrices([[-1.0]], [[1.0]], [[1.0]])

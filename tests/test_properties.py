@@ -62,7 +62,7 @@ def dc_output(model) -> float:
     """Output at the fixed point of the lifted loop under a unit step command
     and the disturbances acting."""
     d = model.transition.shape[0]
-    forcing = model.command_maps.sum(axis=0) + model.disturbance_maps.sum(axis=0)
+    forcing = model.command_maps.sum(axis=0) + model.disturbance_map
     state = np.linalg.solve(np.eye(d) - model.transition, forcing)
     return model.plant.output(state[model.blocks["plant"]])
 

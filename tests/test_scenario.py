@@ -182,12 +182,9 @@ class TestBuildScenario:
         run_scenario(sc)
         assert calls == []
 
-    def test_engine_alignment_checked_at_run(self):
-        sc = build_scenario(doc(engine={"t_end": 0.0105}))
-        from l1sim import run_scenario
-
-        with pytest.raises(ConfigError, match="whole number"):
-            run_scenario(sc)
+    def test_engine_alignment_checked_at_load(self):
+        with pytest.raises(ConfigError, match="engine.t_end = 0.0105 must be a whole number"):
+            build_scenario(doc(engine={"t_end": 0.0105}))
 
 
 class TestLoadScenario:
