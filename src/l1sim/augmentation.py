@@ -12,12 +12,18 @@ of the unmatched compensation path are provided:
   gain, ``C2(s) H1(0)^-1 H2(s)``.  Identical at DC, slightly slower in the
   transient, and usable on non-minimum-phase plants.
 
+Both paths are ``g w num2_j(s) / ((s + w) den(s))`` per unmatched channel j,
+the law picking only the gain g and the denominator den, and both are
+realized in one observer-canonical form over the shared denominator, so the
+path has deg((s + w) den) states whatever the number of channels.
 ``matched_only`` drops the unmatched path entirely and ``off`` disables the
 augmentation.
 
 ``compile_loop`` checks a tuning against its plant and precomputes everything
 a run needs into one immutable ``LoopModel``, including the exact lifted
-recurrence of the whole sampled loop that the engine steps.
+recurrence of the whole sampled loop that the engine steps: its
+``transition``, the per-substep ``command_maps``, the per-sample
+``disturbance_map`` and the ``input_map`` of the adaptive input.
 """
 
 from __future__ import annotations
