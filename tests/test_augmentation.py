@@ -218,7 +218,18 @@ class TestUnmatchedPath:
             s_m, y_m = filter_step(mod, s_m, u)
         np.testing.assert_allclose(y_o, y_m, atol=1e-12)
 
-    def test_row_realization_observer_canonical_entries(self):
+    def test_canonical_realization_textbook_form(self):
+        # (s^2 + 3 s + 3) / (s^2 + 2 s + 1) in observer-canonical form
+        num, den = np.array([1.0, 3.0, 3.0]), np.array([1.0, 2.0, 1.0])
+        model = _row_realization([num], den)
+        np.testing.assert_array_equal(model.A, [[-2.0, 1.0], [-1.0, 0.0]])
+        np.testing.assert_array_equal(model.B, [[1.0], [2.0]])
+        np.testing.assert_array_equal(model.C, [[1.0, 0.0]])
+        np.testing.assert_array_equal(model.D, [[1.0]])
+        for s in [0.0, 1j, 3.0 + 1j]:
+            assert model_response(model, s) == pytest.approx(tf_response(num, den, s), rel=1e-12)
+
+    def test_canonical_realization_normalises_and_pads(self):
         # [(2 s^2 + 6 s + 6), (2 s + 8)] / (2 s^2 + 6 s + 4): normalised by the
         # leading denominator coefficient, the strictly proper channel padded
         nums = [np.array([2.0, 6.0, 6.0]), np.array([2.0, 8.0])]
