@@ -182,14 +182,16 @@ def _row_realization(nums: list[np.ndarray], den: np.ndarray) -> StateSpaceModel
     return StateSpaceModel(a, b, np.eye(1, q), rows[np.newaxis, :, 0])
 
 
+def _zeros(num: np.ndarray) -> np.ndarray:
+    """Roots of a trimmed numerator; none for a constant."""
+    return np.roots(num) if num.size > 1 else np.zeros(0)
+
+
 def matched_transmission_zeros(plant: UncertainPlant) -> np.ndarray:
     """Transmission zeros of the matched path (output over the control input)."""
     if plant.m != 1:
         raise ConfigError("transmission-zero analysis supports a single control input")
-    num = _numerator(plant.A, plant.B1, plant.C, np.poly(plant.A))
-    if num.size < 2:
-        return np.zeros(0)
-    return np.roots(num)
+    return _zeros(_numerator(plant.A, plant.B1, plant.C, np.poly(plant.A)))
 
 
 def unmatched_path_model(plant: UncertainPlant, cfg: AugmentationConfig) -> StateSpaceModel | None:
@@ -217,7 +219,8 @@ def unmatched_path_model(plant: UncertainPlant, cfg: AugmentationConfig) -> Stat
                 "the matched path has zero DC gain; the inverse-DC-gain law is undefined"
             )
     else:
-        zeros = matched_transmission_zeros(plant)
+        gain, den = 1.0, _numerator(plant.A, plant.B1, plant.C, char)
+        zeros = _zeros(den)
         unstable = zeros[zeros.real >= 0.0]
         if unstable.size:
             raise ConfigError(
@@ -226,7 +229,6 @@ def unmatched_path_model(plant: UncertainPlant, cfg: AugmentationConfig) -> Stat
                 "The dynamics-inverting law requires a minimum-phase plant; "
                 "use the inverse-DC-gain law instead"
             )
-        gain, den = 1.0, _numerator(plant.A, plant.B1, plant.C, char)
         if max(num.size for num in nums) > den.size + 1:
             raise ConfigError(
                 "the dynamics-inverting unmatched path is improper even with the "

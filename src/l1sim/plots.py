@@ -1,7 +1,13 @@
 """Self-contained SVG line charts for trace inspection.
 
 Hand-written vector output keeps the toolchain free of any rendering
-dependency; the CSV files remain the data of record.
+dependency; the CSV files remain the data of record.  Files are UTF-8 with
+``\n`` line ends on every platform.
+
+A polyline's pixel coordinates are computed for the whole series at once
+with the same elementwise float64 expressions as the axis ticks, so each
+point is bit-equal to the scalar arithmetic, and all its points are
+formatted by one ``%`` of a repeated ``%.2f,%.2f`` template.
 """
 
 from __future__ import annotations
@@ -60,10 +66,11 @@ def line_chart_svg(
     plot_w = WIDTH - MARGIN_L - MARGIN_R
     plot_h = HEIGHT - MARGIN_T - MARGIN_B
 
-    def px(x: float) -> float:
+    # scalars for the ticks, float64 arrays for the series
+    def px(x):
         return MARGIN_L + (x - x_lo) / (x_hi - x_lo) * plot_w
 
-    def py(y: float) -> float:
+    def py(y):
         return MARGIN_T + (y_hi - y) / (y_hi - y_lo) * plot_h
 
     parts = [
@@ -105,7 +112,8 @@ def line_chart_svg(
     )
     for idx, (label, sx, sy) in enumerate(series):
         color = PALETTE[idx % len(PALETTE)]
-        pts = " ".join(f"{px(float(a)):.2f},{py(float(b)):.2f}" for a, b in zip(sx, sy))
+        xy = np.column_stack((px(np.asarray(sx, float)), py(np.asarray(sy, float))))
+        pts = " ".join(["%.2f,%.2f"] * xy.shape[0]) % tuple(xy.ravel().tolist())
         parts.append(
             f'<polyline class="series" data-label="{escape(str(label))}" points="{pts}" '
             f'fill="none" stroke="{color}" stroke-width="1.6"/>'
@@ -156,6 +164,6 @@ def emit_plots(traces: Sequence[SimTrace], out_dir, stem: str) -> list[Path]:
     written: list[Path] = []
     for group, svg in (("output", output_svg), ("adaptive", adaptive_svg)):
         target = out_dir / f"{stem}__{group}.svg"
-        target.write_text(svg)
+        target.write_text(svg, encoding="utf-8", newline="\n")
         written.append(target)
     return written

@@ -280,15 +280,30 @@ def run_preset(name: str, law_override: str | None = None) -> PresetResult:
     return PresetResult(name=name, runs=runs, shared_fingerprint=fingerprints.pop())
 
 
+def _rounding_floor(*traces: SimTrace) -> float:
+    """Level below which a tracking error is arithmetic rounding, not
+    behaviour: 1e3 eps times the larger of 1 and the largest |command|."""
+    scale = max([1.0] + [float(np.abs(tr.r).max(initial=0.0)) for tr in traces])
+    return 1e3 * np.finfo(float).eps * scale
+
+
+def _above_floor(value: float, floor: float) -> str:
+    return f"<{floor:.3e}" if value < floor else f"{value:.3e}"
+
+
 def format_report(result: PresetResult) -> str:
-    """Human-readable metrics summary, with deltas when two laws are compared."""
+    """Human-readable metrics summary, with deltas when two laws are compared.
+
+    Tracking errors below ``_rounding_floor`` print as ``<floor``, so a change
+    of arithmetic order does not move a report line.
+    """
     lines = [f"scenario: {result.name}"]
     for run in result.runs:
         mt = run.metrics
         parts = [
             f"law={run.label:<13}",
             f"y(t_end)={run.trace.y[-1]: .6f}",
-            f"ss_err={mt.steady_state_error:.3e}",
+            f"ss_err={_above_floor(mt.steady_state_error, _rounding_floor(run.trace))}",
         ]
         if mt.overshoot_pct is not None:
             parts.append(f"overshoot={mt.overshoot_pct:.3f}%")
@@ -305,9 +320,8 @@ def format_report(result: PresetResult) -> str:
     if len(result.runs) == 2:
         a, b = result.runs
         yss_a, yss_b = (float(np.mean(run.trace.y[steady_mask(run.trace.t)])) for run in (a, b))
-        lines.append(
-            f"compare: |y_ss({a.label}) - y_ss({b.label})| = {abs(yss_a - yss_b):.3e}"
-        )
+        delta = _above_floor(abs(yss_a - yss_b), _rounding_floor(a.trace, b.trace))
+        lines.append(f"compare: |y_ss({a.label}) - y_ss({b.label})| = {delta}")
         if a.metrics.overshoot_pct is not None and b.metrics.overshoot_pct is not None:
             lines.append(
                 f"compare: overshoot {a.label} {a.metrics.overshoot_pct:.3f}% vs "

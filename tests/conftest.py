@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 from hypothesis import settings
 
-from l1sim import UncertainPlant
+from l1sim import PRESETS, UncertainPlant, run_preset
 
 # Property tests draw the same examples on every run and stay time-bounded;
 # no example database is written.
@@ -17,6 +17,12 @@ BENCH_B1 = np.array([[2000.0], [0.0]])
 BENCH_C = np.array([[0.0, 1.0]])
 BENCH_F1 = 0.05
 BENCH_F2 = 0.001
+
+
+@pytest.fixture(scope="session")
+def preset_results() -> dict:
+    """Every built-in preset run once, by name; tests must not modify them."""
+    return {name: run_preset(name) for name in sorted(PRESETS)}
 
 
 @pytest.fixture

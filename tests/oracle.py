@@ -1,4 +1,9 @@
-"""Reference closed loop integrated with classical RK4.
+"""Reference implementations the package is checked against.
+
+``rk4_closed_loop`` is the closed loop integrated with classical RK4;
+``reference_csv_text`` and ``reference_polylines`` format trace files one
+value (or point) per Python call, the way the block formatters in
+``l1sim.traceio`` and ``l1sim.plots`` must reproduce byte for byte.
 
 The engine (``run_closed_loop``) solves the sampled loop exactly between
 sample boundaries.  This oracle integrates the same loop numerically, built
@@ -17,6 +22,7 @@ import numpy as np
 from l1sim import (
     SimTrace,
     compile_loop,
+    csv_header,
     control_update,
     plant_deriv,
     predictor_deriv,
@@ -24,6 +30,7 @@ from l1sim import (
     reference_value,
     rk4_step,
 )
+from l1sim.plots import HEIGHT, MARGIN_B, MARGIN_L, MARGIN_R, MARGIN_T, WIDTH
 
 TRACE_FIELDS = ("r", "y", "y_m", "u_a", "sigma1", "sigma2", "x", "x_hat", "x_tilde")
 
@@ -86,3 +93,42 @@ def rk4_closed_loop(plant, cfg, sig, eng) -> SimTrace:
 def max_deviation(a: SimTrace, b: SimTrace) -> float:
     """Largest absolute difference between two traces over every signal."""
     return max(float(np.abs(getattr(a, f) - getattr(b, f)).max(initial=0.0)) for f in TRACE_FIELDS)
+
+
+def reference_csv_text(trace: SimTrace) -> str:
+    """The trace CSV as text, one ``format(v, ".17g")`` call per value."""
+    n, m, k = trace.x.shape[1], trace.u_a.shape[1], trace.sigma2.shape[1]
+    data = np.column_stack([trace.t, trace.r, trace.y, trace.y_m, trace.u_a, trace.sigma1,
+                            trace.sigma2, trace.x, trace.x_hat])
+    lines = [csv_header(n, m, k)]
+    for row in data:
+        lines.append(",".join(format(v, ".17g") for v in row))
+    return "\n".join(lines) + "\n"
+
+
+def reference_polylines(series) -> list[str]:
+    """The ``points`` of each series of ``line_chart_svg``, mapped to pixels by
+    scalar Python arithmetic and formatted one f-string per point."""
+    x_lo = min(float(np.min(sx)) for _, sx, _ in series)
+    x_hi = max(float(np.max(sx)) for _, sx, _ in series)
+    y_lo = min(float(np.min(sy)) for _, _, sy in series)
+    y_hi = max(float(np.max(sy)) for _, _, sy in series)
+    if x_hi - x_lo < 1e-12:
+        x_lo, x_hi = x_lo - 1.0, x_hi + 1.0
+    if y_hi - y_lo < 1e-12:
+        y_lo, y_hi = y_lo - 1.0, y_hi + 1.0
+    pad = 0.05 * (y_hi - y_lo)
+    y_lo, y_hi = y_lo - pad, y_hi + pad
+    plot_w = WIDTH - MARGIN_L - MARGIN_R
+    plot_h = HEIGHT - MARGIN_T - MARGIN_B
+
+    def px(x: float) -> float:
+        return MARGIN_L + (x - x_lo) / (x_hi - x_lo) * plot_w
+
+    def py(y: float) -> float:
+        return MARGIN_T + (y_hi - y) / (y_hi - y_lo) * plot_h
+
+    return [
+        " ".join(f"{px(float(a)):.2f},{py(float(b)):.2f}" for a, b in zip(sx, sy))
+        for _, sx, sy in series
+    ]

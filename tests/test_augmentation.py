@@ -268,6 +268,20 @@ class TestUnmatchedPath:
                     expect = w / (s + w) * scale * h2
                     assert channel_responses(model, s) == pytest.approx(expect, rel=1e-9)
 
+    @pytest.mark.parametrize("law, extra", [("original", 2), ("modified", 1)])
+    def test_characteristic_polynomials_computed_once(self, monkeypatch, law, extra):
+        # det(sI - A), one numerator per unmatched channel and, under original, num1
+        calls = []
+        poly = np.poly
+        monkeypatch.setattr(np, "poly", lambda a: calls.append(1) or poly(a))
+        rng = np.random.default_rng(8)
+        for order in (2, 3, 4):
+            poles, zeros = -rng.uniform(1.0, 20.0, order), -rng.uniform(0.5, 15.0, order - 1)
+            p = canonical_plant(poles, zeros, 2.0)
+            calls.clear()
+            unmatched_path_model(p, AugmentationConfig(law=law))
+            assert len(calls) == p.n_unmatched + extra, order
+
     def test_no_unmatched_directions_gives_none(self):
         p = UncertainPlant.from_matrices([[-1.0]], [[1.0]], [[1.0]])
         assert compile_loop(p, AugmentationConfig(law="modified")).unmatched is None

@@ -1,4 +1,5 @@
 import copy
+import dataclasses
 
 import numpy as np
 import pytest
@@ -299,6 +300,27 @@ class TestPresets:
         assert "nominal-step" in text
         assert "law=off" in text
         assert "ss_err=" in text
+
+    def test_report_rounding_floor(self, preset_results):
+        # 1e3 eps for a unit step, 8e3 eps for the ramp that reaches 8
+        assert "ss_err=<2.220e-13" in format_report(preset_results["nominal-step"])
+        text = format_report(preset_results["uncertain-ramp-compare"])
+        assert "|y_ss(original) - y_ss(modified)| = <1.776e-12" in text
+        assert "ss_err=2.005e-01" in text
+
+    def test_report_lines_survive_rounding_noise(self, preset_results):
+        rng = np.random.default_rng(9)
+        for name, result in preset_results.items():
+            sig = build_scenario(copy.deepcopy(PRESETS[name]["doc"])).signal
+            noisy = []
+            for run in result.runs:
+                trace = dataclasses.replace(
+                    run.trace, y=run.trace.y + rng.choice([-1e-14, 1e-14], run.trace.y.size)
+                )
+                metrics = compute_metrics(trace, sig)
+                noisy.append(dataclasses.replace(run, trace=trace, metrics=metrics))
+            perturbed = dataclasses.replace(result, runs=noisy)
+            assert format_report(perturbed) == format_report(result), name
 
     def test_report_compare_uses_metrics_window(self):
         n = 10001

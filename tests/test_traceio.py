@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -5,13 +7,37 @@ from l1sim import (
     AugmentationConfig,
     EngineConfig,
     ReferenceSignal,
+    SimTrace,
     compute_metrics,
     csv_header,
     emit_csv,
     load_csv,
     run_closed_loop,
 )
+from oracle import TRACE_FIELDS, reference_csv_text
 from test_metrics import make_trace
+
+EDGE_VALUES = [0.0, -0.0, 5e-324, -5e-324, 1.797e308, -1.797e308, np.inf, -np.inf, 2.0**53, 1.0]
+
+
+def random_trace(rows: int, n: int, m: int, k: int, seed: int, edge_share: float = 0.0) -> SimTrace:
+    """Seeded trace of normal values over 40 decades, a share of them replaced
+    by IEEE edge values."""
+    rng = np.random.default_rng(seed)
+
+    def draw(*shape):
+        values = rng.standard_normal(shape) * 10.0 ** rng.integers(-20, 20, shape)
+        edge = rng.random(shape) < edge_share
+        values[edge] = rng.choice(EDGE_VALUES, int(edge.sum()))
+        return values
+
+    x, x_hat = draw(rows, n), draw(rows, n)
+    with np.errstate(over="ignore", invalid="ignore"):  # inf - inf and max - (-max)
+        x_tilde = x_hat - x
+    return SimTrace(
+        t=np.arange(rows) * 1e-3, r=draw(rows), y=draw(rows), y_m=draw(rows), u_a=draw(rows, m),
+        sigma1=draw(rows, m), sigma2=draw(rows, k), x=x, x_hat=x_hat, x_tilde=x_tilde,
+    )
 
 
 @pytest.fixture
@@ -95,3 +121,57 @@ class TestRoundTrip:
         path.write_text("a,b,c\n1,2,3\n")
         with pytest.raises(ValueError, match="schema"):
             load_csv(path)
+
+
+class TestByteFormat:
+    """The block formatter writes the bytes of the per-value reference writer."""
+
+    def test_preset_csvs_match_reference(self, tmp_path, preset_results):
+        for name, result in preset_results.items():
+            for run in result.runs:
+                path = emit_csv(run.trace, tmp_path / f"{name}__{run.label}.csv")
+                want = reference_csv_text(run.trace).encode()
+                assert path.read_bytes() == want, (name, run.label)
+
+    # no rows, one row, one whole 256-row block, a partial third block; two inputs
+    @pytest.mark.parametrize("rows, n, m, k", [(0, 4, 1, 3), (1, 4, 1, 3), (256, 4, 1, 3),
+                                               (515, 4, 1, 3), (300, 3, 2, 1)])
+    def test_edge_values_match_reference(self, tmp_path, rows, n, m, k):
+        trace = random_trace(rows, n, m, k, seed=rows, edge_share=0.3)
+        data = emit_csv(trace, tmp_path / "edge.csv").read_bytes()
+        assert data == reference_csv_text(trace).encode()
+        if rows > 1:  # every edge value is written
+            for token in (b"-0,", b"4.9406564584124654e-324", b"-1.797e+308", b"-inf",
+                          b"9007199254740992"):
+                assert token in data, token
+
+    def test_edge_trace_round_trip_bit_exact(self, tmp_path):
+        trace = random_trace(515, n=4, m=1, k=3, seed=7, edge_share=0.3)
+        with np.errstate(over="ignore", invalid="ignore"):  # x_tilde of edge values
+            back = load_csv(emit_csv(trace, tmp_path / "edge.csv"))
+        for name in ("t",) + TRACE_FIELDS:
+            got, want = getattr(back, name), getattr(trace, name)
+            assert got.shape == want.shape and got.tobytes() == want.tobytes(), name
+
+    def test_no_carriage_returns_and_ascii(self, tmp_path):
+        path = emit_csv(random_trace(50, n=2, m=1, k=1, seed=1), tmp_path / "essai-µ.csv")
+        data = path.read_bytes()
+        assert b"\r" not in data
+        assert data.decode("ascii") == reference_csv_text(load_csv(path))
+
+
+class TestMemory:
+    def test_emit_peak_below_quarter_of_file(self, tmp_path):
+        # the preset trace shape: 10 001 samples of 11 columns
+        trace = random_trace(10_001, n=2, m=1, k=1, seed=11)
+        path = tmp_path / "long.csv"
+        tracemalloc.start()
+        try:
+            tracemalloc.reset_peak()
+            emit_csv(trace, path)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        size = path.stat().st_size
+        assert size > 1_000_000
+        assert peak < size / 4, f"peak {peak} B for a {size} B file"
