@@ -11,9 +11,13 @@ recurrence over the stacked state (``LoopModel``),
     s[k+1] = M s[k] + f[k],
 
 precomputed by ``compile_loop``.  A run builds the forcing f from the hold
-grid and does one matrix-vector product per sample; every recorded signal is
-a projection of the stacked states.  Identical inputs give bit-identical
-traces.
+grid and solves the recurrence for all N samples at once with a log-depth
+scan of ceil(log2(N+1)) whole-trace products (recursive doubling,
+``_doubling_scan``); every recorded signal is a projection of the stacked
+states.  If a state comes out non-finite, the run steps the recurrence again
+one sample at a time, and that sequential pass names the first non-finite
+sample and block in ``SimulationDiverged``.  Identical inputs give
+bit-identical traces, whatever the number of BLAS threads.
 
 Exogenous inputs are held over each integrator step at their value at the
 step's start.  So a command or disturbance onset takes effect from the first
@@ -106,6 +110,72 @@ def _sample_count(t_end: float, sample_period: float) -> int:
     return n
 
 
+def _stacked_forcing(model: LoopModel, sig: ReferenceSignal, t: np.ndarray) -> np.ndarray:
+    """Rows [s[0], f[0], ..., f[N-1]]: the initial lifted state, then the
+    forcing of each sample (``LoopModel``) for the boundary times t."""
+    plant, blocks = model.plant, model.blocks
+    # integrator step j of sample i starts at i*T + j*h
+    h = model.config.sample_period / model.substeps
+    t_hold = t[:-1, np.newaxis] + np.arange(model.substeps) * h
+    rows = np.empty((t.shape[0], model.transition.shape[0]))
+    rows[0] = 0.0
+    rows[0, blocks["plant"]] = plant.x0
+    rows[0, blocks["reference model"]] = plant.x0
+    rows[1:] = reference_value(sig, t_hold) @ model.command_maps
+    rows[1:] += np.outer(t[:-1] >= plant.onset, model.disturbance_map)
+    return rows
+
+
+def _doubling_scan(rows: np.ndarray, transition: np.ndarray) -> None:
+    """Turn [s[0], f[0], ..., f[N-1]] into [s[0], ..., s[N]] in place, where
+    s[k+1] = M s[k] + f[k] and M is ``transition``.
+
+    Recursive doubling (Kogge and Stone 1973; the Hillis-Steele inclusive
+    scan): after the stage of step 2^i, row j holds the sum over the 2^(i+1)
+    rows up to j of M^(j-l) rows[l].  Each stage is one product of the whole
+    trace with the power P = M^step, so the scan takes ceil(log2(N+1))
+    products.  Row j only ever reads rows before it.
+    """
+    power, step = transition, 1
+    while step < rows.shape[0]:
+        # the product is formed from the rows as they were before this stage
+        rows[step:] += rows[:-step] @ power.T
+        step *= 2
+        if step < rows.shape[0]:
+            power = power @ power
+
+
+def lifted_states(model: LoopModel, sig: ReferenceSignal, n_samples: int) -> np.ndarray:
+    """Lifted state s[k] of ``model`` at sample boundaries k = 0..n_samples.
+
+    Raises ``SimulationDiverged`` at the first boundary whose state is not
+    finite.  The powers of the scan can overflow before the states do, and
+    its rounding can move an overflow by a sample, so a non-finite scan is
+    stepped again one sample at a time, and that recurrence decides where,
+    and whether, the loop diverged.
+    """
+    T = model.config.sample_period
+    t = np.arange(n_samples + 1) * T
+    states = _stacked_forcing(model, sig, t)
+    # overflow is detected by the finite checks below, not by numpy warnings
+    with np.errstate(over="ignore", invalid="ignore"):
+        _doubling_scan(states, model.transition)
+        if np.isfinite(states).all():
+            return states
+        states = _stacked_forcing(model, sig, t)
+        rows = list(states)  # row views: adding to one writes into states
+        step = model.transition.dot
+        for prev, row in zip(rows, rows[1:]):
+            row += step(prev)
+    finite = np.isfinite(states).all(axis=1)
+    if finite.all():
+        return states
+    k = int(np.argmin(finite))
+    block = next(name for name, cols in model.blocks.items()
+                 if not np.isfinite(states[k, cols]).all())
+    raise SimulationDiverged(k * T, k, block, float(np.abs(states[k - 1]).max()))
+
+
 def run_closed_loop(
     plant: UncertainPlant,
     cfg: AugmentationConfig,
@@ -128,28 +198,8 @@ def run_closed_loop(
     T = cfg.sample_period
     n_steps = _sample_count(eng.t_end, T)
     t = np.arange(n_steps + 1) * T
-    # integrator step j of sample i starts at i*T + j*h
-    t_hold = t[:-1, np.newaxis] + np.arange(substeps) * eng.integrator_step(T)
+    states = lifted_states(model, sig, n_steps)
     blocks = model.blocks
-
-    states = np.empty((n_steps + 1, model.transition.shape[0]))
-    states[0] = 0.0
-    states[0, blocks["plant"]] = plant.x0
-    states[0, blocks["reference model"]] = plant.x0
-    states[1:] = reference_value(sig, t_hold) @ model.command_maps
-    states[1:] += np.outer(t[:-1] >= plant.onset, model.disturbance_map)
-    rows = list(states)  # row views: adding to one writes into states
-    step = model.transition.dot
-    # overflow is detected by the finite check below, not by numpy warnings
-    with np.errstate(over="ignore", invalid="ignore"):
-        for prev, row in zip(rows, rows[1:]):
-            row += step(prev)
-    finite = np.isfinite(states).all(axis=1)
-    if not finite.all():
-        k = int(np.argmin(finite))
-        block = next(name for name, cols in blocks.items()
-                     if not np.isfinite(states[k, cols]).all())
-        raise SimulationDiverged(k * T, k, block, float(np.abs(states[k - 1]).max()))
 
     x = states[:, blocks["plant"]]
     x_hat = x + states[:, blocks["predictor"]]

@@ -52,6 +52,10 @@ def line_chart_svg(
     """Render labeled (x, y) series as one SVG chart with axes and a legend."""
     if not series:
         raise ValueError("at least one series is required")
+    for label, sx, sy in series:
+        for axis, values in (("x", sx), ("y", sy)):
+            if not np.isfinite(values).all():
+                raise ValueError(f"series {label!r} has a non-finite {axis} value")
     x_lo = min(float(np.min(sx)) for _, sx, _ in series)
     x_hi = max(float(np.max(sx)) for _, sx, _ in series)
     y_lo = min(float(np.min(sy)) for _, _, sy in series)

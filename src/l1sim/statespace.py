@@ -147,11 +147,12 @@ def null_complement(b1) -> np.ndarray:
     n, m = b1.shape
     if m >= n:
         raise ConfigError(f"B1 must be a tall matrix (m < n), got {n}x{m}")
-    if np.linalg.matrix_rank(b1) < m:
+    # one SVD gives both the rank, at the tolerance of np.linalg.matrix_rank,
+    # and the complement: the right singular vectors past the rank
+    _, sv, vh = np.linalg.svd(b1.T)
+    if np.count_nonzero(sv > sv.max() * n * np.finfo(float).eps) < m:
         raise ConfigError("B1 is rank deficient; its complement is not well defined")
-    b2 = scipy.linalg.null_space(b1.T)
-    if b2.shape != (n, n - m):
-        raise ConfigError("unexpected null-space dimension; B1 is numerically rank deficient")
+    b2 = vh[m:].T.copy()
     for j in range(b2.shape[1]):
         col = b2[:, j]
         lead = col[np.abs(col) > 1e-12]

@@ -1,9 +1,12 @@
 """Reference implementations the package is checked against.
 
 ``rk4_closed_loop`` is the closed loop integrated with classical RK4;
-``reference_csv_text`` and ``reference_polylines`` format trace files one
-value (or point) per Python call, the way the block formatters in
-``l1sim.traceio`` and ``l1sim.plots`` must reproduce byte for byte.
+``lifted_forcing`` and ``sequential_states`` step the lifted recurrence of
+a ``LoopModel`` one sample at a time, the reference for the engine's
+doubling scan; ``reference_csv_text`` and ``reference_polylines`` format
+trace files one value (or point) per Python call, the way the block
+formatters in ``l1sim.traceio`` and ``l1sim.plots`` must reproduce byte for
+byte.
 
 The engine (``run_closed_loop``) solves the sampled loop exactly between
 sample boundaries.  This oracle integrates the same loop numerically, built
@@ -88,6 +91,32 @@ def rk4_closed_loop(plant, cfg, sig, eng) -> SimTrace:
             r = reference_value(sig, t_hold)
             z = rk4_step(deriv, t_hold, z, h)
     return out
+
+
+def lifted_forcing(model, sig, n_samples: int) -> np.ndarray:
+    """f[k] of the lifted recurrence for samples k < n_samples: each integrator
+    step's held command through its command map, plus the disturbance map
+    once the disturbances act."""
+    T = model.config.sample_period
+    h = T / model.substeps
+    start = np.arange(n_samples) * T
+    forcing = np.outer(start >= model.plant.onset, model.disturbance_map)
+    for j, command_map in enumerate(model.command_maps):
+        forcing += np.outer(reference_value(sig, start + j * h), command_map)
+    return forcing
+
+
+def sequential_states(model, forcing: np.ndarray) -> np.ndarray:
+    """s[0..N] of s[k+1] = transition @ s[k] + forcing[k], one sample at a
+    time, from the initial plant and reference-model state x0."""
+    blocks = model.blocks
+    states = np.zeros((forcing.shape[0] + 1, model.transition.shape[0]))
+    states[0, blocks["plant"]] = model.plant.x0
+    states[0, blocks["reference model"]] = model.plant.x0
+    with np.errstate(over="ignore", invalid="ignore"):
+        for k, f in enumerate(forcing):
+            states[k + 1] = model.transition @ states[k] + f
+    return states
 
 
 def max_deviation(a: SimTrace, b: SimTrace) -> float:

@@ -117,3 +117,19 @@ def test_cli_import_leaves_scipy_signal_unloaded():
     proc = subprocess.run([sys.executable, "-c", code], env=dict(os.environ, PYTHONPATH=src),
                           capture_output=True, text=True, timeout=120, check=True)
     assert proc.stdout.strip() == "False"
+
+
+def test_csv_bytes_do_not_follow_the_blas_thread_count(tmp_path):
+    # the engine's whole-trace products go through BLAS gemm, which splits
+    # long traces between threads; the trace bytes must not depend on that
+    src = str(Path(l1sim.__file__).resolve().parents[1])
+    names = ["uncertain-step-compare__original.csv", "uncertain-step-compare__modified.csv"]
+    for threads in ("1", "2"):
+        env = dict(os.environ, PYTHONPATH=src, OPENBLAS_NUM_THREADS=threads)
+        subprocess.run(
+            [sys.executable, "-m", "l1sim.cli", "run", "--preset", "uncertain-step-compare",
+             "--csv", "--out", str(tmp_path / threads)],
+            env=env, capture_output=True, text=True, timeout=120, check=True,
+        )
+    for name in names:
+        assert (tmp_path / "1" / name).read_bytes() == (tmp_path / "2" / name).read_bytes(), name

@@ -81,6 +81,15 @@ class TestEmitPlots:
         with pytest.raises(ValueError, match="trace"):
             emit_plots([], tmp_path, "case")
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("axis", ["x", "y"])
+    def test_non_finite_series_rejected(self, bad, axis):
+        values = np.array([bad, 1.0])
+        sx, sy = (values, np.arange(2.0)) if axis == "x" else (np.arange(2.0), values)
+        series = [("fine", np.arange(2.0), np.arange(2.0)), ("spoiled", sx, sy)]
+        with pytest.raises(ValueError, match=f"series 'spoiled' has a non-finite {axis} value"):
+            line_chart_svg(series, "t", "x", "y")
+
 
 class TestPolylineBytes:
     """Block-formatted polylines equal the per-point scalar reference."""

@@ -9,12 +9,17 @@ from l1sim import (
     ConfigError,
     EngineConfig,
     ReferenceSignal,
+    UncertainPlant,
     compile_loop,
     run_closed_loop,
 )
 from l1sim.augmentation import LAWS
+from l1sim.engine import lifted_states
 from conftest import canonical_plant
-from oracle import TRACE_FIELDS, rk4_closed_loop
+from oracle import TRACE_FIELDS, lifted_forcing, rk4_closed_loop, sequential_states
+
+# horizons at the edges of the doubling scan's stages (N + 1 rows)
+SCAN_HORIZONS = (1, 2, 3, 7, 8, 9, 1023, 1024, 1025)
 
 
 @st.composite
@@ -88,3 +93,28 @@ def test_exact_engine_matches_rk4_oracle_under_every_law(case):
         dc[law] = dc_output(model)
     if "original" in dc:
         assert abs(dc["original"] - dc["modified"]) <= 1e-9 * max(1.0, abs(dc["modified"]))
+
+
+@given(scenarios(), st.data())
+def test_doubling_scan_matches_sequential_recurrence(case, data):
+    plant, T, bandwidths, sig = case
+    # a nonzero initial state reaches the last row only through the last stage
+    x0 = data.draw(st.lists(st.floats(-1.0, 1.0), min_size=plant.n, max_size=plant.n))
+    plant = UncertainPlant.from_matrices(
+        plant.A, plant.B1, plant.C, x0=x0, f1=plant.f1, f2=plant.f2, onset=plant.onset
+    )
+    for law in LAWS:
+        cfg = AugmentationConfig(law=law, sample_period=T, **bandwidths)
+        for substeps in (1, 2, 4):
+            try:
+                model = compile_loop(plant, cfg, substeps)
+            except ConfigError:
+                assert law == "original"  # a non-minimum-phase plant
+                break
+            # a row depends only on the rows before it, so every horizon's
+            # reference is a prefix of the longest one
+            ref = sequential_states(model, lifted_forcing(model, sig, max(SCAN_HORIZONS)))
+            for n in SCAN_HORIZONS:
+                states = lifted_states(model, sig, n)
+                scale = float(np.abs(ref[: n + 1]).max())
+                assert np.abs(states - ref[: n + 1]).max() <= 1e-12 * scale, (law, substeps, n)

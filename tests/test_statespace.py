@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+import scipy.linalg
 
 from l1sim import (
     StateSpaceModel,
@@ -172,6 +173,17 @@ class TestNullComplement:
         for j in range(b2a.shape[1]):
             lead = b2a[np.abs(b2a[:, j]) > 1e-12, j]
             assert lead[0] > 0
+
+    def test_equals_scipy_null_space_after_sign_rule(self):
+        rng = np.random.default_rng(8)
+        for n in range(2, 6):
+            for m in range(1, n):
+                b1 = rng.standard_normal((n, m))
+                ref = scipy.linalg.null_space(b1.T)
+                for j in range(ref.shape[1]):
+                    if ref[np.abs(ref[:, j]) > 1e-12, j][0] < 0.0:
+                        ref[:, j] = -ref[:, j]
+                np.testing.assert_allclose(null_complement(b1), ref, rtol=0.0, atol=1e-15)
 
     def test_rejects_wide_and_deficient(self):
         with pytest.raises(ValueError, match="m < n"):
