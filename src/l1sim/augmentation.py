@@ -5,24 +5,23 @@ and recomputes it at every boundary from the prediction error.  Two variants
 of the unmatched compensation path are provided:
 
 * ``original``  - runs the unmatched estimate through the inverted matched
-  dynamics, ``C2(s) H1(s)^-1 H2(s)``.  Requires every transmission zero of the
-  matched path to lie in the open left half plane; otherwise the inverse is
-  unstable and construction is rejected.
+  dynamics, ``C2(s) H1(s)^-1 H2(s)``, the observer-canonical row
+  ``w num2_j(s) / ((s + w) num1(s))`` per unmatched channel j.  Requires every
+  transmission zero of the matched path to lie in the open left half plane;
+  otherwise the inverse is unstable and construction is rejected.
 * ``modified``  - replaces the dynamic inverse by the constant inverse DC
-  gain, ``C2(s) H1(0)^-1 H2(s)``.  Identical at DC, slightly slower in the
-  transient, and usable on non-minimum-phase plants.
+  gain, ``C2(s) H1(0)^-1 H2(s)``, realized from the state space as a copy
+  (A, B2, C) of the plant in series with ``w k_ff / (s + w)``: n + 1 states
+  and no polynomial.  Identical at DC, slightly slower in the transient, and
+  usable on non-minimum-phase plants.
 
-Both paths are ``g w num2_j(s) / ((s + w) den(s))`` per unmatched channel j,
-the law picking only the gain g and the denominator den, and both are
-realized in one observer-canonical form over the shared denominator, so the
-path has deg((s + w) den) states whatever the number of channels.
 ``matched_only`` drops the unmatched path entirely and ``off`` disables the
 augmentation.
 
 ``compile_loop`` checks a tuning against its plant and precomputes everything
-a run needs into one immutable ``LoopModel``, including the exact lifted
-recurrence of the whole sampled loop that the engine steps: its
-``transition``, the per-substep ``command_maps``, the per-sample
+a run needs into one immutable ``LoopModel``, with one matrix exponential:
+the exact lifted recurrence of the whole sampled loop that the engine steps,
+its ``transition``, the per-substep ``command_maps``, the per-sample
 ``disturbance_map`` and the ``input_map`` of the adaptive input.
 """
 
@@ -38,8 +37,8 @@ from .statespace import (
     StateSpaceModel,
     as_matrix,
     as_scalar,
-    discretize_zoh,
     filter_step,
+    full_rank,
     zoh_maps,
 )
 
@@ -86,9 +85,8 @@ class AugmentationConfig:
                 raise ConfigError(f"controller.{key} must be > 0, got {value}")
             object.__setattr__(self, key, value)
         if self.predictor_gain is not None:
-            object.__setattr__(
-                self, "predictor_gain", as_matrix(self.predictor_gain, "controller.L_p")
-            )
+            lp = as_matrix(self.predictor_gain, "controller.L_p")
+            object.__setattr__(self, "predictor_gain", lp)
 
 
 @dataclass(frozen=True)
@@ -103,11 +101,10 @@ def error_dynamics_matrix(plant: UncertainPlant, cfg: AugmentationConfig) -> np.
     """Prediction-error system matrix (predictor gain plus plant A), validated Hurwitz."""
     n = plant.n
     if cfg.predictor_gain is None:
-        a_err = DEFAULT_ERROR_POLE * np.eye(n)
-    else:
-        if cfg.predictor_gain.shape != (n, n):
-            raise ConfigError(f"controller.L_p must be {n}x{n}, got {cfg.predictor_gain.shape}")
-        a_err = cfg.predictor_gain + plant.A
+        return DEFAULT_ERROR_POLE * np.eye(n)  # Hurwitz by construction
+    if cfg.predictor_gain.shape != (n, n):
+        raise ConfigError(f"controller.L_p must be {n}x{n}, got {cfg.predictor_gain.shape}")
+    a_err = cfg.predictor_gain + plant.A
     eigs = np.linalg.eigvals(a_err)
     if np.max(eigs.real) >= 0.0:
         raise ConfigError(
@@ -130,7 +127,7 @@ def adaptation_gain(a_err: np.ndarray, b_full: np.ndarray, sample_period: float)
     n = a_err.shape[0]
     if b_full.shape != (n, n):
         raise ConfigError(f"[B1 B2] must be {n}x{n}, got {b_full.shape}")
-    if np.linalg.matrix_rank(b_full) < n:
+    if not full_rank(np.linalg.svd(b_full, compute_uv=False), n):
         raise ConfigError("[B1 B2] is singular; the update law cannot separate the channels")
     return _estimator_gain(*zoh_maps(a_err, b_full, sample_period))
 
@@ -138,7 +135,7 @@ def adaptation_gain(a_err: np.ndarray, b_full: np.ndarray, sample_period: float)
 def _estimator_gain(exp_at: np.ndarray, held_input: np.ndarray) -> np.ndarray:
     """``-(Phi(T) B)^-1 e^(A_err T)`` from the error propagator over one sample
     period and the map ``Phi(T) B`` of an input held over it."""
-    if np.linalg.matrix_rank(held_input) < held_input.shape[0]:
+    if not full_rank(np.linalg.svd(held_input, compute_uv=False), held_input.shape[0]):
         raise ConfigError(
             "the exponential integral over one sample period is singular; "
             "adjust controller.sample_period or controller.L_p"
@@ -149,9 +146,7 @@ def _estimator_gain(exp_at: np.ndarray, held_input: np.ndarray) -> np.ndarray:
 def low_pass_model(bandwidth: float, channels: int = 1) -> StateSpaceModel:
     """First-order unit-DC-gain low-pass filter w/(s+w), replicated per channel."""
     eye = np.eye(channels)
-    return StateSpaceModel(
-        A=-bandwidth * eye, B=bandwidth * eye, C=eye, D=np.zeros((channels, channels))
-    )
+    return StateSpaceModel._of(-bandwidth * eye, bandwidth * eye, eye, 0.0 * eye)
 
 
 def _numerator(a: np.ndarray, b_col: np.ndarray, c: np.ndarray, char: np.ndarray) -> np.ndarray:
@@ -179,7 +174,7 @@ def _row_realization(nums: list[np.ndarray], den: np.ndarray) -> StateSpaceModel
     a = np.eye(q, k=1)
     a[:, 0] = -den[1:]
     b = (rows[:, 1:] - np.outer(rows[:, 0], den[1:])).T
-    return StateSpaceModel(a, b, np.eye(1, q), rows[np.newaxis, :, 0])
+    return StateSpaceModel._of(a, b, np.eye(1, q), rows[np.newaxis, :, 0])
 
 
 def _zeros(num: np.ndarray) -> np.ndarray:
@@ -198,44 +193,47 @@ def unmatched_path_model(plant: UncertainPlant, cfg: AugmentationConfig) -> Stat
     """Continuous realization of the unmatched compensation path for the law.
 
     Maps the unmatched disturbance estimate to its control contribution,
-    ``g w num2_j(s) / ((s + w) den(s))`` for channel j, where num2_j/det(sI - A)
-    is the plant's unmatched path and (g, den) is (1, num1) under ``original``
-    and (k_ff, det(sI - A)) under ``modified``.  Returns None when the law has
-    no unmatched path or the plant has no unmatched directions.
+    ``g w H2_j(s) / (s + w)`` for channel j, where H1 = num1/det(sI - A) and
+    H2_j = num2_j/det(sI - A) are the plant's matched and unmatched paths and
+    g is H1(s)^-1 under ``original`` (the observer-canonical row over num1)
+    and k_ff = H1(0)^-1 under ``modified`` (the plant copy (A, B2, C) in
+    series with w k_ff/(s + w)).  None when the law or the plant has no path.
     """
     if cfg.law in ("off", "matched_only") or plant.n_unmatched == 0:
         return None
     if plant.m != 1:
         raise ConfigError("the unmatched compensation path supports a single control input")
     w = cfg.bandwidth_unmatched
-    char = np.poly(plant.A)
-    nums = [_numerator(plant.A, col[:, np.newaxis], plant.C, char) for col in plant.B2.T]
-
     if cfg.law == "modified":
         # H1(0)^-1 is the feedforward gain; reject |H1(0)| = 1/|k_ff| < 1e-12
-        gain, den = plant.k_ff, char
-        if abs(1.0 / gain) < 1e-12:
+        if abs(1.0 / plant.k_ff) < 1e-12:
             raise ConfigError(
                 "the matched path has zero DC gain; the inverse-DC-gain law is undefined"
             )
-    else:
-        gain, den = 1.0, _numerator(plant.A, plant.B1, plant.C, char)
-        zeros = _zeros(den)
-        unstable = zeros[zeros.real >= 0.0]
-        if unstable.size:
-            raise ConfigError(
-                "the matched path has transmission zeros not in the open left half plane "
-                f"(at {np.round(unstable, 6)}); inverting its dynamics is unstable. "
-                "The dynamics-inverting law requires a minimum-phase plant; "
-                "use the inverse-DC-gain law instead"
-            )
-        if max(num.size for num in nums) > den.size + 1:
-            raise ConfigError(
-                "the dynamics-inverting unmatched path is improper even with the "
-                "low-pass filter; increase the filter order of the plant model"
-            )
-    model = _row_realization([gain * w * num for num in nums], np.convolve([1.0, w], den))
-    if cfg.law == "original" and np.max(np.linalg.eigvals(model.A).real) >= 0.0:
+        n, k = plant.n, plant.n_unmatched
+        a = np.zeros((n + 1, n + 1))
+        a[:n, :n], a[n, :n], a[n, n] = plant.A, w * plant.k_ff * plant.C[0], -w
+        b = np.vstack([plant.B2, np.zeros((1, k))])
+        return StateSpaceModel._of(a, b, np.eye(1, n + 1, n), np.zeros((1, k)))
+    char = np.poly(plant.A)
+    nums = [_numerator(plant.A, col[:, np.newaxis], plant.C, char) for col in plant.B2.T]
+    den = _numerator(plant.A, plant.B1, plant.C, char)
+    zeros = _zeros(den)
+    unstable = zeros[zeros.real >= 0.0]
+    if unstable.size:
+        raise ConfigError(
+            "the matched path has transmission zeros not in the open left half plane "
+            f"(at {np.round(unstable, 6)}); inverting its dynamics is unstable. "
+            "The dynamics-inverting law requires a minimum-phase plant; "
+            "use the inverse-DC-gain law instead"
+        )
+    if max(num.size for num in nums) > den.size + 1:
+        raise ConfigError(
+            "the dynamics-inverting unmatched path is improper even with the "
+            "low-pass filter; increase the filter order of the plant model"
+        )
+    model = _row_realization([w * num for num in nums], np.convolve([1.0, w], den))
+    if np.max(np.linalg.eigvals(model.A).real) >= 0.0:
         raise ConfigError("the realized unmatched compensation path is internally unstable")
     return model
 
@@ -243,14 +241,11 @@ def unmatched_path_model(plant: UncertainPlant, cfg: AugmentationConfig) -> Stat
 def build_control_law(
     plant: UncertainPlant, cfg: AugmentationConfig
 ) -> tuple[StateSpaceModel | None, StateSpaceModel | None]:
-    """Discretized law filters: the matched low-pass filter (``None`` under
-    ``off``) and the unmatched compensation path (``None`` when the law or the
-    plant has none)."""
-    if cfg.law == "off":
-        return None, None
-    matched = discretize_zoh(low_pass_model(cfg.bandwidth_matched, plant.m), cfg.sample_period)
-    path = unmatched_path_model(plant, cfg)
-    return matched, None if path is None else discretize_zoh(path, cfg.sample_period)
+    """Discretized law filters of ``compile_loop``: the matched low-pass
+    filter (``None`` under ``off``) and the unmatched compensation path
+    (``None`` when the law or the plant has none)."""
+    loop = compile_loop(plant, cfg)
+    return loop.matched, loop.unmatched
 
 
 @dataclass(frozen=True, eq=False)
@@ -258,7 +253,7 @@ class LoopModel:
     """One augmentation tuning compiled against one plant; built by ``compile_loop``.
 
     Holds the estimator gain, the error feedback applied in the predictor,
-    the law filters of ``build_control_law`` and the exact lifted loop.  The
+    the law filters, discretized with the whole loop, and the lifted loop.  The
     lifted state at a sample boundary stacks the plant state x, the
     reference-model state x_m, the prediction error x_tilde = x_hat - x and
     the matched and unmatched law-filter states (``blocks`` names the
@@ -345,39 +340,45 @@ def compile_loop(
             f"sample periods ({T})"
         )
     a_err = error_dynamics_matrix(plant, cfg)
-    matched, unmatched = build_control_law(plant, cfg)
     n, m = plant.n, plant.m
-    h = T / substeps_per_sample
-    b_full = np.hstack([plant.B1, plant.B2])
-    # x and x_m move under A and x_tilde under A_err, each driven through
-    # [B1 B2]; one exponential of the stacked pair discretizes both
-    pair = np.zeros((2 * n, 2 * n))
-    pair[:n, :n] = plant.A
-    pair[n:, n:] = a_err
-    prop, steps = _step_maps(
-        *zoh_maps(pair, np.vstack([b_full, b_full]), h), substeps_per_sample
-    )
-    plant_prop, plant_steps = prop[:n, :n], steps[:, :n]
-    err_prop = prop[n:, n:]
-    # maps of an input held over the whole sample
-    plant_input, err_input = plant_steps.sum(axis=0), steps[:, n:].sum(axis=0)
+    # each continuous law filter, the estimate channels it reads and its block
+    filters, width = [], 2 * n
+    if cfg.law != "off":
+        path = unmatched_path_model(plant, cfg)
+        for filt, chans in ((low_pass_model(cfg.bandwidth_matched, m), slice(0, m)),
+                            (path, slice(m, n))):
+            if filt is not None:
+                filters.append((filt, chans, slice(width, width + filt.order)))
+                width += filt.order
+    # One exponential of a block-diagonal generator discretizes the whole loop: x
+    # under A and x_tilde under A_err, both driven through [B1 B2] by the held input
+    # (input columns n:), and each filter, driven by its channels of the estimate (:n).
+    gen, drive = np.zeros((width, width)), np.zeros((width, 2 * n))
+    gen[:n, :n], gen[n : 2 * n, n : 2 * n] = plant.A, a_err
+    drive[:n, n:] = drive[n : 2 * n, n:] = np.hstack([plant.B1, plant.B2])
+    for filt, chans, block in filters:
+        gen[block, block], drive[block, chans] = filt.A, filt.B
+    prop, steps = _step_maps(*zoh_maps(gen, drive, T / substeps_per_sample), substeps_per_sample)
+    held = steps.sum(axis=0)  # maps of an input held over the whole sample
+    plant_prop, plant_input = prop[:n, :n], held[:n, n:]
+    err_prop, err_input = prop[n : 2 * n, n : 2 * n], held[n : 2 * n, n:]
     gain = _estimator_gain(err_prop, err_input)
 
-    # state layout as in LoopModel.blocks
-    filters = [(f, g) for f, g in ((matched, gain[:m]), (unmatched, gain[m:])) if f is not None]
-    d = 3 * n + sum(f.order for f, _ in filters)
+    # the lifted state is the generator's with x_m after x (LoopModel.blocks)
+    d = n + width
     x, x_m, x_t = slice(0, n), slice(n, 2 * n), slice(2 * n, 3 * n)
-    transition = np.zeros((d, d))
-    input_map = np.zeros((m, d))
-    start = 3 * n
-    for filt, g in filters:
-        block = slice(start, start + filt.order)
-        start += filt.order
+    transition, input_map = np.zeros((d, d)), np.zeros((m, d))
+    discrete = []
+    for filt, chans, block in filters:
+        filt = StateSpaceModel._of(prop[block, block], held[block, chans], filt.C, filt.D)
+        discrete.append(filt)
+        block, g = slice(n + block.start, n + block.stop), gain[chans]
         # the filter advances on the new estimate, and u_a reads the advanced state
         transition[block, x_t] = filt.B @ g
         transition[block, block] = filt.A
         input_map[:, x_t] -= (filt.C @ filt.B + filt.D) @ g
         input_map[:, block] = -filt.C @ filt.A
+    matched, unmatched = discrete + [None] * (2 - len(discrete))
     transition[x, x] = plant_prop
     transition[x] += plant_input[:, :m] @ input_map
     transition[x_m, x_m] = plant_prop
@@ -385,7 +386,7 @@ def compile_loop(
 
     # the command enters plant and reference model alike and cancels in x_tilde
     command_maps = np.zeros((substeps_per_sample, d))
-    command_maps[:, x] = plant_steps[:, :, :m] @ np.full(m, plant.k_ff)
+    command_maps[:, x] = steps[:, :n, n : n + m] @ np.full(m, plant.k_ff)
     command_maps[:, x_m] = command_maps[:, x]
     f = np.concatenate([plant.f1, plant.f2])
     disturbance_map = np.zeros(d)

@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import ConfigError
-from .statespace import as_matrix, as_scalar, as_vector, feedforward_gain, null_complement
+from .statespace import _complement, _feedforward_gain, as_matrix, as_scalar, as_vector, full_rank
 
 
 @dataclass(frozen=True)
@@ -84,14 +84,15 @@ class UncertainPlant:
         if B1.shape[0] != n:
             raise ConfigError(f"plant.B1 must have {n} rows, got {B1.shape}")
         m = B1.shape[1]
+        sv = None  # the singular values of [B1 B2], when deriving B2 gives them
         if self.B2 is None:
-            B2 = null_complement(B1) if m < n else np.zeros((n, 0))
+            B2, sv = _complement(B1) if m < n else (np.zeros((n, 0)), None)
         else:
             try:
                 B2 = np.asarray(self.B2, dtype=float).reshape(n, -1)
             except (TypeError, ValueError) as exc:
                 raise ConfigError(f"plant.B2 must be a matrix with {n} rows: {exc}") from None
-            if not np.all(np.isfinite(B2)):
+            if not np.isfinite(B2).all():
                 raise ConfigError("plant.B2 has non-finite entries")
         C = as_matrix(self.C, "plant.C")
         if m + B2.shape[1] != n:
@@ -103,15 +104,14 @@ class UncertainPlant:
         x0 = np.zeros(n) if self.x0 is None else as_vector(self.x0, "plant.x0")
         if x0.shape != (n,):
             raise ConfigError(f"plant.x0 must have length {n}, got {x0.shape}")
-        if B2.shape[1] > 0:
-            cross = np.abs(B1.T @ B2).max()
-            scale = max(1.0, np.abs(B1).max())
-            if cross > 1e-9 * scale:
+        if sv is None:  # B2 given, or B1 square
+            if B2.shape[1] > 0 and np.abs(B1.T @ B2).max() > 1e-9 * max(1.0, np.abs(B1).max()):
                 raise ConfigError(
                     "plant.B2 is not orthogonal to plant.B1 (B1^T B2 != 0); "
                     "drop B2 to derive it automatically"
                 )
-        if np.linalg.matrix_rank(np.hstack([B1, B2])) < n:
+            sv = np.linalg.svd(np.hstack([B1, B2]), compute_uv=False)
+        if not full_rank(sv, n):
             raise ConfigError("plant input directions [B1 B2] do not span the state space")
         for attr, key, size in (("f1", "matched", m), ("f2", "unmatched", B2.shape[1])):
             value = getattr(self, attr)
@@ -122,13 +122,8 @@ class UncertainPlant:
         onset = as_scalar(self.onset, "uncertainty.onset")
         if onset < 0.0:
             raise ConfigError(f"uncertainty.onset must be >= 0, got {onset}")
-        object.__setattr__(self, "A", A)
-        object.__setattr__(self, "B1", B1)
-        object.__setattr__(self, "B2", B2)
-        object.__setattr__(self, "C", C)
-        object.__setattr__(self, "x0", x0)
-        object.__setattr__(self, "onset", onset)
-        object.__setattr__(self, "k_ff", feedforward_gain(A, B1, C))
+        k_ff = _feedforward_gain(A, B1, C)
+        vars(self).update(A=A, B1=B1, B2=B2, C=C, x0=x0, onset=onset, k_ff=k_ff)
 
     @classmethod
     def from_matrices(

@@ -176,7 +176,10 @@ def build_scenario(cfg: dict, name: str | None = None, law_override: str | None 
         t_end=_get(eng_cfg, "t_end", 10.0),
         substeps_per_sample=_get(eng_cfg, "substeps_per_sample", 1),
     )
-    _sample_count(engine.t_end, augmentation.sample_period)  # an off-grid horizon fails at load
+    # an off-grid horizon, or a step command after it, fails at load
+    t_last = _sample_count(engine.t_end, augmentation.sample_period) * augmentation.sample_period
+    if signal.kind == "step" and signal.onset > t_last:
+        raise ConfigError("reference.onset must not be after engine.t_end for step metrics")
     return Scenario(
         name=str(cfg.get("name") or name or "scenario"),
         plant=plant,

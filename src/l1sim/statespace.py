@@ -34,7 +34,7 @@ def as_vector(v, name: str) -> np.ndarray:
         out = np.asarray(v, dtype=float).reshape(-1)
     except (TypeError, ValueError) as exc:
         raise ConfigError(f"{name} is not a numeric vector: {exc}") from None
-    if not np.all(np.isfinite(out)):
+    if not np.isfinite(out).all():
         raise ConfigError(f"{name} has non-finite entries")
     return out
 
@@ -47,7 +47,7 @@ def as_matrix(a, name: str = "matrix") -> np.ndarray:
         raise ConfigError(f"{name} is not a numeric matrix: {exc}") from None
     if m.ndim != 2 or m.shape[0] < 1 or m.shape[1] < 1:
         raise ConfigError(f"{name} must be a non-empty 2-D matrix, got shape {m.shape}")
-    if not np.all(np.isfinite(m)):
+    if not np.isfinite(m).all():
         raise ConfigError(f"{name} has non-finite entries")
     return m
 
@@ -80,16 +80,17 @@ class StateSpaceModel:
             raise ConfigError(f"B must have {n} rows to match A, got {B.shape}")
         if C.shape[1] != n:
             raise ConfigError(f"C must have {n} columns to match A, got {C.shape}")
-        D = self.D
-        if D is None:
-            D = np.zeros((C.shape[0], B.shape[1]))
-        D = as_matrix(D, "D")
+        D = as_matrix(np.zeros((C.shape[0], B.shape[1])) if self.D is None else self.D, "D")
         if D.shape != (C.shape[0], B.shape[1]):
             raise ConfigError(f"D must be {C.shape[0]}x{B.shape[1]}, got {D.shape}")
-        object.__setattr__(self, "A", A)
-        object.__setattr__(self, "B", B)
-        object.__setattr__(self, "C", C)
-        object.__setattr__(self, "D", D)
+        vars(self).update(A=A, B=B, C=C, D=D)  # frozen: set past __setattr__
+
+    @classmethod
+    def _of(cls, A, B, C, D) -> "StateSpaceModel":
+        """Model of float arrays the package has already checked, unvalidated."""
+        model = object.__new__(cls)
+        vars(model).update(A=A, B=B, C=C, D=D)
+        return model
 
     @property
     def order(self) -> int:
@@ -98,10 +99,6 @@ class StateSpaceModel:
     @property
     def n_inputs(self) -> int:
         return self.B.shape[1]
-
-    @property
-    def n_outputs(self) -> int:
-        return self.C.shape[0]
 
 
 def mat_exp(a, t: float) -> np.ndarray:
@@ -113,11 +110,10 @@ def mat_exp(a, t: float) -> np.ndarray:
     a = _square(a, "A")
     if not np.isfinite(t):
         raise ConfigError(f"t must be finite, got {t}")
-    n = a.shape[0]
     if t == 0.0:
-        return np.eye(n)
+        return np.eye(a.shape[0])
     out = scipy.linalg.expm(a * t)
-    if not np.all(np.isfinite(out)):
+    if not np.isfinite(out).all():
         raise ConfigError("matrix exponential overflowed; A*t is too large")
     return out
 
@@ -143,22 +139,29 @@ def null_complement(b1) -> np.ndarray:
     sign convention (first non-negligible entry positive) so the output is
     deterministic.
     """
-    b1 = as_matrix(b1, "B1")
+    return _complement(as_matrix(b1, "B1"))[0]
+
+
+def _complement(b1: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """``null_complement`` of a float matrix, and the singular values of
+    [B1 B2]: those of B1 and, as B2 is orthonormal and orthogonal to B1, ones."""
     n, m = b1.shape
     if m >= n:
         raise ConfigError(f"B1 must be a tall matrix (m < n), got {n}x{m}")
-    # one SVD gives both the rank, at the tolerance of np.linalg.matrix_rank,
-    # and the complement: the right singular vectors past the rank
+    # one SVD gives the rank and the complement: the right singular vectors past it
     _, sv, vh = np.linalg.svd(b1.T)
-    if np.count_nonzero(sv > sv.max() * n * np.finfo(float).eps) < m:
+    if not full_rank(sv, n):
         raise ConfigError("B1 is rank deficient; its complement is not well defined")
-    b2 = vh[m:].T.copy()
-    for j in range(b2.shape[1]):
-        col = b2[:, j]
-        lead = col[np.abs(col) > 1e-12]
-        if lead.size and lead[0] < 0.0:
-            b2[:, j] = -col
-    return b2
+    b2 = vh[m:].T
+    lead = b2[(np.abs(b2) > 1e-12).argmax(axis=0), range(n - m)]  # unit columns have one
+    return b2 * np.copysign(1.0, lead), np.concatenate([sv, np.ones(n - m)])
+
+
+def full_rank(sv: np.ndarray, size: int) -> bool:
+    """Full rank of singular values ``sv`` of a matrix of largest side ``size``
+    at the tolerance of ``np.linalg.matrix_rank``."""
+    sv = sv.tolist()  # min and max of a few Python floats cost less than numpy's
+    return min(sv) > max(sv) * size * np.finfo(float).eps
 
 
 def dc_gain(sys: StateSpaceModel) -> np.ndarray:
@@ -166,17 +169,15 @@ def dc_gain(sys: StateSpaceModel) -> np.ndarray:
 
     Requires A invertible (no pole at the origin).
     """
-    n = sys.order
-    if np.linalg.matrix_rank(sys.A) < n:
+    if not full_rank(np.linalg.svd(sys.A, compute_uv=False), sys.order):
         raise ConfigError("A is singular: pole at the origin, DC gain undefined")
     return sys.C @ np.linalg.solve(-sys.A, sys.B) + sys.D
 
 
 def dc_gain_discrete(sys: StateSpaceModel) -> np.ndarray:
     """DC gain of a discrete-time system: C (I - A)^-1 B + D."""
-    n = sys.order
-    eye_minus = np.eye(n) - sys.A
-    if np.linalg.matrix_rank(eye_minus) < n:
+    eye_minus = np.eye(sys.order) - sys.A
+    if not full_rank(np.linalg.svd(eye_minus, compute_uv=False), sys.order):
         raise ConfigError("discrete system has a pole at z = 1, DC gain undefined")
     return sys.C @ np.linalg.solve(eye_minus, sys.B) + sys.D
 
@@ -186,11 +187,12 @@ def feedforward_gain(a, b1, c) -> float:
 
     Returns -1 / (c A^-1 b1) for a single-input, single-output channel pair.
     """
-    a = _square(a, "A")
-    b1 = as_matrix(b1, "B1")
-    c = as_matrix(c, "c")
-    n = a.shape[0]
-    if np.linalg.matrix_rank(a) < n:
+    return _feedforward_gain(_square(a, "A"), as_matrix(b1, "B1"), as_matrix(c, "c"))
+
+
+def _feedforward_gain(a: np.ndarray, b1: np.ndarray, c: np.ndarray) -> float:
+    """``feedforward_gain`` of float matrices."""
+    if not full_rank(np.linalg.svd(a, compute_uv=False), a.shape[0]):
         raise ConfigError("A is singular; feedforward gain undefined")
     g = c @ np.linalg.solve(a, b1)
     if g.shape != (1, 1):
@@ -217,7 +219,7 @@ def zoh_maps(a: np.ndarray, b: np.ndarray, step: float) -> tuple[np.ndarray, np.
     aug[:n, :n] = a
     aug[:n, n:] = b
     big = scipy.linalg.expm(aug * step)
-    if not np.all(np.isfinite(big)):
+    if not np.isfinite(big).all():
         raise ConfigError("discretization overflowed; A*step is too large")
     return big[:n, :n], big[:n, n:]
 
@@ -225,8 +227,7 @@ def zoh_maps(a: np.ndarray, b: np.ndarray, step: float) -> tuple[np.ndarray, np.
 def discretize_zoh(sys: StateSpaceModel, step: float) -> StateSpaceModel:
     """Zero-order-hold discretization at a fixed step (``zoh_maps``).  C and D
     carry over unchanged."""
-    a_d, b_d = zoh_maps(sys.A, sys.B, step)
-    return StateSpaceModel(A=a_d, B=b_d, C=sys.C, D=sys.D)
+    return StateSpaceModel._of(*zoh_maps(sys.A, sys.B, step), sys.C, sys.D)
 
 
 def filter_step(sys: StateSpaceModel, state: np.ndarray, u) -> tuple[np.ndarray, np.ndarray]:

@@ -1,3 +1,4 @@
+import itertools
 import math
 
 import numpy as np
@@ -16,14 +17,16 @@ from l1sim import (
     compile_loop,
     control_update,
     dc_gain_discrete,
+    discretize_zoh,
     filter_step,
+    low_pass_model,
     matched_transmission_zeros,
     plant_deriv,
     predictor_deriv,
     run_closed_loop,
     unmatched_path_model,
 )
-from l1sim.augmentation import _row_realization, error_dynamics_matrix
+from l1sim.augmentation import LAWS, _row_realization, error_dynamics_matrix
 from conftest import canonical_plant, make_nmp_plant
 
 
@@ -268,9 +271,10 @@ class TestUnmatchedPath:
                     expect = w / (s + w) * scale * h2
                     assert channel_responses(model, s) == pytest.approx(expect, rel=1e-9)
 
-    @pytest.mark.parametrize("law, extra", [("original", 2), ("modified", 1)])
+    @pytest.mark.parametrize("law, extra", [("original", 2), ("modified", None)])
     def test_characteristic_polynomials_computed_once(self, monkeypatch, law, extra):
-        # det(sI - A), one numerator per unmatched channel and, under original, num1
+        # original: det(sI - A), one numerator per unmatched channel and num1;
+        # modified realizes its path from the state space, with no polynomial
         calls = []
         poly = np.poly
         monkeypatch.setattr(np, "poly", lambda a: calls.append(1) or poly(a))
@@ -278,13 +282,81 @@ class TestUnmatchedPath:
         for order in (2, 3, 4):
             poles, zeros = -rng.uniform(1.0, 20.0, order), -rng.uniform(0.5, 15.0, order - 1)
             p = canonical_plant(poles, zeros, 2.0)
-            calls.clear()
-            unmatched_path_model(p, AugmentationConfig(law=law))
-            assert len(calls) == p.n_unmatched + extra, order
+            expected = 0 if extra is None else p.n_unmatched + extra
+            for build in (unmatched_path_model, compile_loop):
+                calls.clear()
+                build(p, AugmentationConfig(law=law))
+                assert len(calls) == expected, (order, build.__name__)
 
     def test_no_unmatched_directions_gives_none(self):
         p = UncertainPlant.from_matrices([[-1.0]], [[1.0]], [[1.0]])
         assert compile_loop(p, AugmentationConfig(law="modified")).unmatched is None
+
+
+def seeded_canonical_plants(seed: int, per_order: int):
+    """Canonical plants of order 2-5 with the pole, zero and gain ranges of the sweep."""
+    rng = np.random.default_rng(seed)
+    for order in (2, 3, 4, 5):
+        for _ in range(per_order):
+            poles, zeros = -rng.uniform(1.0, 20.0, order), -rng.uniform(0.5, 15.0, order - 1)
+            yield canonical_plant(poles, zeros, rng.uniform(0.5, 5.0))
+
+
+def relative_gap(got: np.ndarray, want: np.ndarray) -> float:
+    return float(np.abs(got - want).max() / max(np.abs(want).max(), np.finfo(float).tiny))
+
+
+class TestOnePassCompile:
+    """compile_loop discretizes plant, predictor error and law filters together."""
+
+    @pytest.mark.parametrize("substeps", [1, 2, 4])
+    @pytest.mark.parametrize("law", LAWS)
+    def test_one_exponential_per_compile(self, monkeypatch, bench_plant, law, substeps):
+        calls = []
+        expm = scipy.linalg.expm
+        monkeypatch.setattr(scipy.linalg, "expm", lambda a: calls.append(1) or expm(a))
+        for plant in (bench_plant, canonical_plant([-2.0, -3.0, -4.0], [-1.0, -5.0], 2.0)):
+            calls.clear()
+            compile_loop(plant, AugmentationConfig(law=law), substeps)
+            assert len(calls) == 1
+
+    def test_modified_path_is_well_scaled(self):
+        # an observer-canonical realization of this path reaches ~1e12 entries here
+        for p in seeded_canonical_plants(5, 10):
+            for period, bandwidth in itertools.product((1e-3, 5e-3), (10.0, 80.0)):
+                cfg = AugmentationConfig(
+                    law="modified",
+                    sample_period=period,
+                    bandwidth_matched=bandwidth,
+                    bandwidth_unmatched=bandwidth,
+                )
+                loop = compile_loop(p, cfg)
+                assert loop.unmatched.order == p.n + 1
+                assert np.abs(loop.transition).max() <= 1e6, p.n
+
+    @pytest.mark.parametrize("substeps", [1, 2, 4])
+    def test_filters_equal_separate_discretization(self, substeps):
+        period = 2e-3
+        for p in seeded_canonical_plants(6, 3):
+            for law in ("matched_only", "original", "modified"):
+                cfg = AugmentationConfig(
+                    law=law, sample_period=period, bandwidth_matched=80.0, bandwidth_unmatched=10.0
+                )
+                loop = compile_loop(p, cfg, substeps)
+                pairs = [(loop.matched, low_pass_model(80.0, p.m))]
+                if law == "modified":
+                    pairs.append((loop.unmatched, unmatched_path_model(p, cfg)))
+                for got, model in pairs:
+                    want = discretize_zoh(model, period)
+                    assert relative_gap(got.A, want.A) <= 1e-12
+                    assert relative_gap(got.B, want.B) <= 1e-12
+                    assert np.array_equal(got.C, want.C) and np.array_equal(got.D, want.D)
+                # build_control_law returns the filters of this one compile
+                single = compile_loop(p, cfg)
+                for got, want in zip(build_control_law(p, cfg), (single.matched, single.unmatched)):
+                    assert (got is None) == (want is None)
+                    if got is not None:
+                        assert np.array_equal(got.A, want.A) and np.array_equal(got.B, want.B)
 
 
 class TestNonMinimumPhaseGate:

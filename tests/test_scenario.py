@@ -1,5 +1,6 @@
 import copy
 import dataclasses
+from functools import partial
 
 import numpy as np
 import pytest
@@ -12,6 +13,7 @@ from l1sim import (
     ReferenceSignal,
     RunResult,
     SimTrace,
+    adaptation_gain,
     build_scenario,
     compute_metrics,
     format_report,
@@ -31,7 +33,7 @@ BASE_DOC = {
     "uncertainty": {"matched": [0.05], "unmatched": [0.001], "onset": 2.0},
     "reference": {"kind": "step", "onset": 2.0, "amplitude": 1.0},
     "controller": {"law": "modified"},
-    "engine": {"t_end": 1.0},
+    "engine": {"t_end": 2.5},
 }
 
 NMP_DOC = {
@@ -186,6 +188,115 @@ class TestBuildScenario:
     def test_engine_alignment_checked_at_load(self):
         with pytest.raises(ConfigError, match="engine.t_end = 0.0105 must be a whole number"):
             build_scenario(doc(engine={"t_end": 0.0105}))
+
+    def test_step_onset_past_horizon_rejected_at_load(self, monkeypatch):
+        calls = []
+        monkeypatch.setattr(scenario_module, "compile_loop", lambda *a: calls.append(1))
+        message = "^reference.onset must not be after engine.t_end for step metrics$"
+        with pytest.raises(ConfigError, match=message):
+            build_scenario(doc(reference={"onset": 2.501}))
+        assert calls == []  # rejected before any set-up work
+        monkeypatch.undo()
+        # an onset at the last sample is inside the trace, and a ramp has no step metrics
+        run_scenario(build_scenario(doc(reference={"onset": 2.5})))
+        run_scenario(build_scenario(doc(reference={"kind": "ramp", "onset": 3.0, "gradient": 1.0})))
+
+
+PAPER_A = [[-10.0, -50.0], [1.0, 0.0]]
+DIAG_A = [[-1.0, 0.0, 0.0], [0.0, -2.0, 0.0], [0.0, 0.0, -3.0]]
+E1 = [[1.0], [0.0], [0.0]]
+ONES = [[1.0, 1.0, 1.0]]
+
+
+def build_short(plant: dict, **controller):
+    """A build of a 10-sample step scenario under ``modified``, to call later."""
+    document = {
+        "plant": plant,
+        "reference": {"kind": "step", "onset": 0.0, "amplitude": 1.0},
+        "controller": {"law": "modified", **controller},
+        "engine": {"t_end": 0.01},
+    }
+    return partial(build_scenario, document)
+
+
+def nyquist_error_dynamics() -> list:
+    """L_p for DIAG_A that leaves an error mode at the sampling frequency with
+    damping 1e-12: Hurwitz, but its integral over one sample nearly vanishes."""
+    w = 2.0 * np.pi / 1e-3
+    a_err = np.array([[-1.0, 0.0, 0.0], [0.0, -1e-12, w], [0.0, -w, -1e-12]])
+    return (a_err - np.array(DIAG_A)).tolist()
+
+
+NO_SPAN = "plant input directions [B1 B2] do not span the state space"
+REJECTIONS = {
+    "B1 tiny": (build_short({"A": PAPER_A, "B1": [[1e-20], [0.0]], "C": [[0.0, 1.0]]}), NO_SPAN),
+    "B1 tiny diagonal": (
+        build_short({"A": PAPER_A, "B1": [[1e-17], [1e-17]], "C": [[0.0, 1.0]]}),
+        NO_SPAN,
+    ),
+    "B1 square singular": (
+        build_short({"A": PAPER_A, "B1": [[1.0, 1.0], [1.0, 1.0]], "C": [[0.0, 1.0]]}),
+        NO_SPAN,
+    ),
+    "B1 rank deficient": (
+        build_short({"A": DIAG_A, "B1": [[1.0, 2.0], [2.0, 4.0], [3.0, 6.0]], "C": ONES}),
+        "B1 is rank deficient; its complement is not well defined",
+    ),
+    "B2 too few columns": (
+        build_short({"A": DIAG_A, "B1": E1, "B2": [[0.0], [1.0], [0.0]], "C": ONES}),
+        "plant.B2 must have 2 columns to complete B1, got (3, 1)",
+    ),
+    "B2 not spanning": (
+        build_short({"A": DIAG_A, "B1": E1, "B2": [[0.0, 0.0], [1.0, 1.0], [0.0, 0.0]], "C": ONES}),
+        NO_SPAN,
+    ),
+    "B2 not orthogonal": (
+        build_short({"preset": "paper-siso", "B2": [[1.0], [1.0]]}),
+        "plant.B2 is not orthogonal to plant.B1 (B1^T B2 != 0); drop B2 to derive it automatically",
+    ),
+    "A singular": (
+        build_short({"A": [[0.0, 1.0], [0.0, 0.0]], "B1": [[0.0], [1.0]], "C": [[1.0, 0.0]]}),
+        "A is singular; feedforward gain undefined",
+    ),
+    "DC path zero": (
+        build_short({"preset": "paper-siso", "C": [[1.0, 0.0]]}),
+        "zero DC path from input to output; feedforward gain undefined",
+    ),
+    "DC gain below the modified law's floor": (
+        build_short({"preset": "paper-siso", "C": [[1.0, 1e-14]]}),
+        "the matched path has zero DC gain; the inverse-DC-gain law is undefined",
+    ),
+    "non-minimum phase under original": (
+        partial(build_scenario, copy.deepcopy(NMP_DOC)),
+        "the matched path has transmission zeros not in the open left half plane (at [1.]); "
+        "inverting its dynamics is unstable. The dynamics-inverting law requires a "
+        "minimum-phase plant; use the inverse-DC-gain law instead",
+    ),
+    "L_p unstable": (
+        build_short({"preset": "paper-siso"}, L_p=[[10.0, 50.0], [-1.0, 1.0]]),
+        "controller.L_p makes the prediction-error dynamics unstable "
+        "(eigenvalue real parts [0. 1.]); the error matrix must be Hurwitz",
+    ),
+    "exponential integral singular": (
+        build_short({"A": DIAG_A, "B1": E1, "C": ONES}, L_p=nyquist_error_dynamics()),
+        "the exponential integral over one sample period is singular; "
+        "adjust controller.sample_period or controller.L_p",
+    ),
+    "adaptation_gain input singular": (
+        partial(adaptation_gain, -np.eye(2), np.array([[1.0, 1.0], [1.0, 1.0]]), 0.01),
+        "[B1 B2] is singular; the update law cannot separate the channels",
+    ),
+}
+
+
+@pytest.mark.parametrize("case", sorted(REJECTIONS))
+def test_rejection_messages_unchanged(case):
+    """Each input is rejected with the exact message it got before set-up
+    was compiled in one pass."""
+    reject, message = REJECTIONS[case]
+    with pytest.raises(ConfigError) as info:
+        reject()
+    assert str(info.value) == message
 
 
 class TestLoadScenario:
