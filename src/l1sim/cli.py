@@ -65,13 +65,18 @@ def _cmd_run(args: argparse.Namespace) -> int:
 
     out_dir = Path(args.out)
     written: list[Path] = []
-    if want_csv or want_plots:
-        out_dir.mkdir(parents=True, exist_ok=True)
-    if want_csv:
-        for run in result.runs:
-            written.append(emit_csv(run.trace, out_dir / f"{result.name}__{run.label}.csv"))
-    if want_plots:
-        written.extend(emit_plots([run.trace for run in result.runs], out_dir, result.name))
+    try:
+        if want_csv or want_plots:
+            out_dir.mkdir(parents=True, exist_ok=True)
+        if want_csv:
+            for run in result.runs:
+                written.append(emit_csv(run.trace, out_dir / f"{result.name}__{run.label}.csv"))
+        if want_plots:
+            written.extend(emit_plots([run.trace for run in result.runs], out_dir, result.name))
+    except OSError as exc:
+        print(f"error: cannot write {exc.filename or out_dir}: {exc.strerror or exc}",
+              file=sys.stderr)
+        return 1
     for path in written:
         print(f"wrote: {path}")
     return 0

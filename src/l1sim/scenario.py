@@ -198,7 +198,12 @@ def load_scenario(path, law_override: str | None = None) -> Scenario:
     if not path.exists():
         raise ConfigError(f"scenario file not found: {path}")
     try:
-        doc = yaml.safe_load(path.read_text())
+        text = path.read_text(encoding="utf-8")
+    except (OSError, UnicodeDecodeError) as exc:
+        reason = getattr(exc, "strerror", None) or exc  # an OSError's message repeats the path
+        raise ConfigError(f"cannot read scenario file {path}: {reason}") from exc
+    try:
+        doc = yaml.safe_load(text)
     except yaml.YAMLError as exc:
         raise ConfigError(f"{path} is not valid YAML: {exc}") from exc
     return build_scenario(doc, name=path.stem, law_override=law_override)

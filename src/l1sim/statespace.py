@@ -2,8 +2,10 @@
 
 Matrix exponentials and their integrals, orthogonal complements, DC gains,
 zero-order-hold discretization and discrete filter stepping.  Everything is
-double precision and sized for systems of order ~10 or less.  Invalid
-arguments raise ``ConfigError`` naming the quantity.
+double precision and sized for systems of order ~30 or less, and needs numpy
+alone: the exponential is Al-Mohy & Higham's scaling and squaring (``_expm``),
+and SciPy is a test dependency only, the reference the tests hold it to.
+Invalid arguments raise ``ConfigError`` naming the quantity.
 """
 
 from __future__ import annotations
@@ -12,7 +14,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
 
 from .errors import ConfigError
 
@@ -101,18 +102,115 @@ class StateSpaceModel:
         return self.B.shape[1]
 
 
+# theta_m of Al-Mohy & Higham (2009), Algorithm 5.1: the largest norm bound at
+# which the degree-m Pade approximant r_m meets double precision
+_THETA = {3: 1.495585217958292e-2, 5: 2.539398330063230e-1, 7: 9.504178996162932e-1,
+          9: 2.097847961257068, 13: 4.25}
+# r_m(A) = p_m(-A)^-1 p_m(A) with p_m(x) = sum_j b_j x^j, b_j = (2m - j)! / (j! (m - j)!)
+_PADE = {m: [float(math.factorial(2 * m - j) // (math.factorial(j) * math.factorial(m - j)))
+             for j in range(m + 1)] for m in _THETA}
+# log2 of 1/|c_(2m+1)| = (2m)! (2m+1)! / m!^2, c_(2m+1) x^(2m+1) leading e^x - r_m(x)
+_LOG2_C = {m: math.log2(math.factorial(2 * m) * math.factorial(2 * m + 1)
+                        / math.factorial(m) ** 2) for m in _THETA}
+
+
+def _even_powers(a: np.ndarray) -> list[np.ndarray]:
+    """A^2, A^4 and A^6."""
+    a2 = a.dot(a)
+    a4 = a2.dot(a2)
+    return [a2, a4, a2.dot(a4)]
+
+
+def _ell(col_sums: np.ndarray, abs_a: np.ndarray, norm: float, m: int) -> int:
+    """Extra squarings that keep the rounding of r_m(A) below the unit
+    roundoff: ell(A, m) of Al-Mohy & Higham (2009), Algorithm 5.1, with the exact
+    ||abs(A)^(2m+1)||_1 from vector-matrix products on ``col_sums`` = 1^T abs(A)."""
+    v = col_sums
+    for _ in range(2 * m):
+        v = v.dot(abs_a)
+    top = float(v.max())
+    if top == 0.0:
+        return 0
+    # an overflowed norm is bounded by ||A||^(2m+1)
+    log2_top = math.log2(top) if top < math.inf else (2 * m + 1) * math.log2(norm)
+    return max(0, math.ceil((log2_top - math.log2(norm) - _LOG2_C[m] + 53) / (2 * m)))
+
+
+def _pade(a: np.ndarray, powers: list[np.ndarray], m: int) -> np.ndarray:
+    """r_m(A) from A and its even powers A^2, A^4, ..."""
+    b = _PADE[m]
+    if m == 13:
+        a2, a4, a6 = powers
+        u = a6.dot(b[13] * a6 + b[11] * a4 + b[9] * a2) + b[7] * a6 + b[5] * a4 + b[3] * a2
+        v = a6.dot(b[12] * a6 + b[10] * a4 + b[8] * a2) + b[6] * a6 + b[4] * a4 + b[2] * a2
+    else:
+        u, v = b[3] * powers[0], b[2] * powers[0]
+        for k in range(1, m // 2):
+            u += b[2 * k + 3] * powers[k]
+            v += b[2 * k + 2] * powers[k]
+    diagonal = slice(None, None, len(a) + 1)
+    u.ravel()[diagonal] += b[1]
+    v.ravel()[diagonal] += b[0]
+    u = a.dot(u)
+    return np.linalg.solve(v - u, v + u)
+
+
+def _expm(a: np.ndarray) -> np.ndarray:
+    """e^A of a square float matrix by scaling and squaring: Al-Mohy & Higham,
+    *SIAM J. Matrix Anal. Appl.* 31(3), 2009, Algorithm 5.1 with exact 1-norms.
+
+    The Pade degree (3, 5, 7, 9 or 13) and the squarings s follow from the
+    norms of A^4 ... A^10.  Returns a non-finite matrix where e^A overflows;
+    callers check.
+    """
+    ones, abs_a = np.ones(len(a)), np.abs(a)
+    col_sums = ones.dot(abs_a)
+    norm = float(col_sums.max())
+    if not norm < math.inf:
+        return np.full(a.shape, np.nan)
+
+    def root_norm(p: np.ndarray, k: int) -> float:
+        return float(ones.dot(np.abs(p)).max()) ** (1 / k)  # ||A^k||_1^(1/k) of p = A^k
+
+    powers = _even_powers(a)
+    d6 = root_norm(powers[2], 6)
+    eta = max(root_norm(powers[1], 4), d6)
+    for m in (3, 5):
+        if eta <= _THETA[m] and _ell(col_sums, abs_a, norm, m) == 0:
+            return _pade(a, powers, m)
+    powers.append(powers[1].dot(powers[1]))
+    d8 = root_norm(powers[3], 8)
+    eta = max(d6, d8)
+    for m in (7, 9):
+        if eta <= _THETA[m] and _ell(col_sums, abs_a, norm, m) == 0:
+            return _pade(a, powers, m)
+    # ||A^k||^(1/k) <= ||A|| also bounds powers that overflowed (min keeps its
+    # first argument against a NaN)
+    eta = min(norm, eta, max(d8, root_norm(powers[1].dot(powers[2]), 10)))
+    s = max(math.ceil(math.log2(eta / _THETA[13])), 0) if eta else 0
+    s += _ell(col_sums * 2.0**-s, abs_a * 2.0**-s, norm * 2.0**-s, 13)
+    # scaling by 2^-s is exact: these are the powers of A scaled, without their overflow
+    scaled = a * 2.0**-s
+    x = _pade(scaled, _even_powers(scaled), 13)
+    for _ in range(s):
+        x = x.dot(x)
+    return x
+
+
 def mat_exp(a, t: float) -> np.ndarray:
     """Matrix exponential e^(A t).
 
-    Uses scaling-and-squaring with a Pade kernel.  t = 0 returns the identity
-    exactly.
+    Uses ``_expm``: Al-Mohy & Higham's (2009) scaling and squaring with a
+    Pade approximant of degree 3 to 13, in numpy alone; SciPy's ``expm`` is
+    only the tests' reference.  t = 0 returns the identity exactly.
     """
     a = _square(a, "A")
     if not np.isfinite(t):
         raise ConfigError(f"t must be finite, got {t}")
     if t == 0.0:
         return np.eye(a.shape[0])
-    out = scipy.linalg.expm(a * t)
+    with np.errstate(over="ignore", invalid="ignore"):
+        out = _expm(a * t)
     if not np.isfinite(out).all():
         raise ConfigError("matrix exponential overflowed; A*t is too large")
     return out
@@ -218,7 +316,8 @@ def zoh_maps(a: np.ndarray, b: np.ndarray, step: float) -> tuple[np.ndarray, np.
     aug = np.zeros((n + m, n + m))
     aug[:n, :n] = a
     aug[:n, n:] = b
-    big = scipy.linalg.expm(aug * step)
+    with np.errstate(over="ignore", invalid="ignore"):
+        big = _expm(aug * step)
     if not np.isfinite(big).all():
         raise ConfigError("discretization overflowed; A*step is too large")
     return big[:n, :n], big[:n, n:]

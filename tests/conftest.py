@@ -65,3 +65,12 @@ def canonical_plant(poles, zeros, gain, **disturbances) -> UncertainPlant:
     c = np.zeros((1, n))
     c[0, n - num.size :] = num
     return UncertainPlant.from_matrices(a, np.eye(n, 1), c, **disturbances)
+
+
+def seeded_canonical_plants(seed: int, per_order: int):
+    """Canonical plants of order 2-5 with the pole, zero and gain ranges of the sweep."""
+    rng = np.random.default_rng(seed)
+    for order in (2, 3, 4, 5):
+        for _ in range(per_order):
+            poles, zeros = -rng.uniform(1.0, 20.0, order), -rng.uniform(0.5, 15.0, order - 1)
+            yield canonical_plant(poles, zeros, rng.uniform(0.5, 5.0))

@@ -26,8 +26,9 @@ from l1sim import (
     run_closed_loop,
     unmatched_path_model,
 )
+from l1sim import statespace
 from l1sim.augmentation import LAWS, _row_realization, error_dynamics_matrix
-from conftest import canonical_plant, make_nmp_plant
+from conftest import canonical_plant, make_nmp_plant, seeded_canonical_plants
 
 
 def tf_response(num, den, s: complex) -> complex:
@@ -293,15 +294,6 @@ class TestUnmatchedPath:
         assert compile_loop(p, AugmentationConfig(law="modified")).unmatched is None
 
 
-def seeded_canonical_plants(seed: int, per_order: int):
-    """Canonical plants of order 2-5 with the pole, zero and gain ranges of the sweep."""
-    rng = np.random.default_rng(seed)
-    for order in (2, 3, 4, 5):
-        for _ in range(per_order):
-            poles, zeros = -rng.uniform(1.0, 20.0, order), -rng.uniform(0.5, 15.0, order - 1)
-            yield canonical_plant(poles, zeros, rng.uniform(0.5, 5.0))
-
-
 def relative_gap(got: np.ndarray, want: np.ndarray) -> float:
     return float(np.abs(got - want).max() / max(np.abs(want).max(), np.finfo(float).tiny))
 
@@ -313,8 +305,8 @@ class TestOnePassCompile:
     @pytest.mark.parametrize("law", LAWS)
     def test_one_exponential_per_compile(self, monkeypatch, bench_plant, law, substeps):
         calls = []
-        expm = scipy.linalg.expm
-        monkeypatch.setattr(scipy.linalg, "expm", lambda a: calls.append(1) or expm(a))
+        expm = statespace._expm
+        monkeypatch.setattr(statespace, "_expm", lambda a: calls.append(1) or expm(a))
         for plant in (bench_plant, canonical_plant([-2.0, -3.0, -4.0], [-1.0, -5.0], 2.0)):
             calls.clear()
             compile_loop(plant, AugmentationConfig(law=law), substeps)

@@ -103,6 +103,42 @@ class TestRunCommand:
         assert err.startswith("error: engine.substeps_per_sample must be an integer")
         assert "Traceback" not in err
 
+    def test_unreadable_scenario_file_exit_code(self, tmp_path, capsys):
+        not_utf8 = tmp_path / "latin1.yaml"
+        not_utf8.write_bytes(
+            "# gr\u00f6\u00dfe\n".encode("latin-1") + yaml.safe_dump(SCENARIO).encode()
+        )
+        for path, reason in ((tmp_path, "Is a directory"), (not_utf8, "can't decode byte 0xf6")):
+            assert main(["run", str(path)]) == 1
+            err = capsys.readouterr().err
+            assert err.startswith(f"error: cannot read scenario file {path}: ")
+            assert reason in err
+            assert "Traceback" not in err
+
+    def test_scenario_file_read_as_utf8_under_an_ascii_locale(self, tmp_path):
+        path = tmp_path / "utf8.yaml"
+        path.write_bytes("# \u03c3 and \u00fc\n".encode() + yaml.safe_dump(SCENARIO).encode())
+        src = str(Path(l1sim.__file__).resolve().parents[1])
+        env = dict(os.environ, PYTHONPATH=src, LC_ALL="C", PYTHONCOERCECLOCALE="0")
+        proc = subprocess.run(
+            [sys.executable, "-X", "utf8=0", "-m", "l1sim.cli", "run", str(path)],
+            env=env, capture_output=True, text=True, timeout=120,
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert "law=modified" in proc.stdout
+
+    def test_unwritable_output_exit_code(self, tmp_path, capsys):
+        taken = tmp_path / "taken"
+        taken.write_text("not a directory\n")
+        blocked = tmp_path / "blocked"
+        (blocked / "nominal-step__off.csv").mkdir(parents=True)
+        for out, path in ((taken, taken), (blocked, blocked / "nominal-step__off.csv")):
+            code = main(["run", "--preset", "nominal-step", "--csv", "--out", str(out)])
+            err = capsys.readouterr().err
+            assert code == 1
+            assert err.startswith(f"error: cannot write {path}: ")
+            assert "Traceback" not in err
+
     def test_step_onset_after_horizon_exit_code(self, tmp_path, capsys):
         body = dict(SCENARIO, reference={"kind": "step", "onset": 5.0, "amplitude": 1.0})
         path = write_scenario(tmp_path, "late.yaml", body)
@@ -117,6 +153,26 @@ def test_cli_import_leaves_scipy_signal_unloaded():
     proc = subprocess.run([sys.executable, "-c", code], env=dict(os.environ, PYTHONPATH=src),
                           capture_output=True, text=True, timeout=120, check=True)
     assert proc.stdout.strip() == "False"
+
+
+def test_cli_run_loads_no_scipy(tmp_path):
+    # scipy is a test dependency only: a whole run with both outputs must not import it
+    src = str(Path(l1sim.__file__).resolve().parents[1])
+    path = write_scenario(tmp_path)
+    code = (
+        "import atexit, runpy, sys\n"
+        "atexit.register(lambda: print(sorted(m for m in sys.modules\n"
+        "                                     if m.split('.')[0] == 'scipy')))\n"
+        "runpy.run_module('l1sim.cli', run_name='__main__', alter_sys=True)\n"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", code, "run", str(path), "--csv", "--plots", "--out", str(tmp_path)],
+        env=dict(os.environ, PYTHONPATH=src), capture_output=True, text=True, timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert (tmp_path / "case__modified.csv").exists()
+    assert (tmp_path / "case__output.svg").exists()
+    assert proc.stdout.splitlines()[-1] == "[]"
 
 
 def test_csv_bytes_do_not_follow_the_blas_thread_count(tmp_path):

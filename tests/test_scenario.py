@@ -4,7 +4,6 @@ from functools import partial
 
 import numpy as np
 import pytest
-import scipy.linalg
 
 from l1sim import (
     ConfigError,
@@ -25,6 +24,7 @@ from l1sim import (
 )
 from l1sim import engine as engine_module
 from l1sim import scenario as scenario_module
+from l1sim import statespace
 from l1sim.metrics import steady_mask
 
 BASE_DOC = {
@@ -158,13 +158,13 @@ class TestBuildScenario:
         sc = build_scenario(doc(controller={"law": "original"}, reference={"onset": 0.5}))
         assert sc.loop.plant is sc.plant and sc.loop.config is sc.augmentation
         calls = []
-        expm = scipy.linalg.expm
+        expm = statespace._expm
 
         def counting_expm(*args, **kwargs):
             calls.append(1)
             return expm(*args, **kwargs)
 
-        monkeypatch.setattr(scipy.linalg, "expm", counting_expm)
+        monkeypatch.setattr(statespace, "_expm", counting_expm)
         run_scenario(sc)
         assert calls == []
         build_scenario(doc(controller={"law": "original"}))

@@ -1,11 +1,18 @@
+import copy
+import itertools
 import math
 
+import mpmath
 import numpy as np
 import pytest
 import scipy.linalg
 
+from conftest import seeded_canonical_plants
 from l1sim import (
+    PRESETS,
+    ConfigError,
     StateSpaceModel,
+    build_scenario,
     dc_gain,
     dc_gain_discrete,
     discretize_zoh,
@@ -14,7 +21,9 @@ from l1sim import (
     mat_exp,
     mat_exp_integral,
     null_complement,
+    statespace,
 )
+from l1sim.augmentation import LAWS
 
 
 def series_exp_integral(a: np.ndarray, t: float, terms: int = 25) -> np.ndarray:
@@ -94,6 +103,100 @@ class TestMatExp:
             mat_exp(np.array([[np.nan, 0.0], [0.0, 1.0]]), 1.0)
         with pytest.raises(ValueError, match="finite"):
             mat_exp(np.eye(2), np.inf)
+
+    def test_overflow_rejected_without_warnings(self):
+        # the suite turns warnings into errors, so a stray overflow warning fails here
+        a = np.array([[800.0, 1.0], [0.0, 700.0]])
+        message = "^matrix exponential overflowed; A\\*t is too large$"
+        with pytest.raises(ConfigError, match=message):
+            mat_exp(a, 1.0)
+        with pytest.raises(ConfigError, match="^discretization overflowed; A\\*step is too large$"):
+            statespace.zoh_maps(a, np.ones((2, 1)), 1.0)
+        # A^2 = 0, but abs(A)^27 overflows in ell, and the squarings ell then
+        # asks for overflow as well (scipy.linalg.expm gives NaN here too)
+        with pytest.raises(ConfigError, match="^matrix exponential overflowed"):
+            mat_exp([[1e50, 1e50], [-1e50, -1e50]], 1.0)
+        # A*t itself overflows
+        with pytest.raises(ConfigError, match="^matrix exponential overflowed"):
+            mat_exp([[-1e200, 0.0], [1.0, -1e200]], 1e200)
+
+    def test_overflowing_powers_of_a_stable_or_nilpotent_matrix(self):
+        # A^6 overflows, yet e^A underflows to zero
+        assert np.array_equal(mat_exp([[-1e60, 1e60], [0.0, -2e60]], 1.0), np.zeros((2, 2)))
+        # A^2 = 0 however large A is
+        assert np.array_equal(mat_exp([[0.0, 1e300], [0.0, 0.0]], 1.0), [[1.0, 1e300], [0.0, 1.0]])
+
+
+def relative_gap(got: np.ndarray, want: np.ndarray) -> float:
+    return float(np.abs(got - want).max() / max(1.0, np.abs(want).max()))
+
+
+def exact_expm(a: np.ndarray) -> np.ndarray:
+    """Independent oracle: e^A in 50-digit arithmetic, rounded to doubles."""
+    with mpmath.workdps(50):
+        return np.array(mpmath.expm(mpmath.matrix(a.tolist())).tolist(), dtype=float)
+
+
+class TestExpmKernel:
+    """statespace._expm against scipy.linalg.expm, and a 50-digit mpmath.expm
+    wherever the two differ."""
+
+    def test_every_pade_degree_matches_scipy(self, monkeypatch):
+        degrees = []
+        pade = statespace._pade
+        monkeypatch.setattr(
+            statespace, "_pade", lambda a, powers, m: degrees.append(m) or pade(a, powers, m)
+        )
+        rng = np.random.default_rng(3)
+        for scale in (1e-3, 0.05, 0.5, 1.5, 20.0, 300.0):
+            a = random_stable(rng, 4) * scale
+            assert relative_gap(statespace._expm(a), scipy.linalg.expm(a)) <= 1e-13, scale
+        assert sorted(set(degrees)) == [3, 5, 7, 9, 13]
+
+    def test_ell_squarings_keep_a_non_normal_matrix_accurate(self):
+        # 1-norm 393 but every eigenvalue within 0.2 of zero: ell adds 6
+        # squarings to those the norms of A's powers ask for; without them
+        # the result is 1.5e-7 off (scipy: 3.2e-11)
+        a = np.array([
+            [-20.83298475050546, -42.28652696722622, -64.6590737581117, 24.508532683494547],
+            [-33.22341561438581, -56.8526707341731, -114.18654598141991, 49.78861657729984],
+            [137.80135888208898, 31.238301914373356, -73.76966509127034, 92.52818620461294],
+            [201.495685671811, 46.367507234834804, -132.14038152094406, 151.6437162657447],
+        ])
+        assert relative_gap(statespace._expm(a), exact_expm(a)) <= 1e-10
+
+    def test_every_build_exponential_matches_the_references(self, monkeypatch):
+        # every exponential build_scenario makes: the presets under all four
+        # laws, and seeded order-2-5 plants across the tuning grid
+        seen = {}
+        expm = statespace._expm
+
+        def recording_expm(a):
+            seen.setdefault(a.tobytes(), a.copy())
+            return expm(a)
+
+        monkeypatch.setattr(statespace, "_expm", recording_expm)
+        for spec, law in itertools.product(PRESETS.values(), LAWS):
+            build_scenario(copy.deepcopy(spec["doc"]), law_override=law)
+        grid = itertools.product(LAWS, (1e-3, 2e-3, 5e-3), (10.0, 80.0), (1, 2, 4))
+        for p, (law, period, bandwidth, substeps) in itertools.product(
+            list(seeded_canonical_plants(6, 2)), grid
+        ):
+            build_scenario({
+                "plant": {"A": p.A.tolist(), "B1": p.B1.tolist(), "C": p.C.tolist()},
+                "reference": {"kind": "step", "onset": 0.0, "amplitude": 1.0},
+                "controller": {"law": law, "sample_period": period,
+                               "bandwidth_matched": bandwidth, "bandwidth_unmatched": bandwidth},
+                "engine": {"t_end": 0.1, "substeps_per_sample": substeps},
+            })
+        assert max(len(a) for a in seen.values()) == 27  # the stack of an order-5 plant
+        for a in seen.values():
+            got, ref = expm(a), scipy.linalg.expm(a)
+            if relative_gap(got, ref) <= 1e-13:
+                continue
+            # the two differ: the 50-digit exponential settles which is right
+            exact = exact_expm(a)
+            assert relative_gap(got, exact) <= min(relative_gap(ref, exact), 1e-12)
 
 
 class TestMatExpIntegral:
