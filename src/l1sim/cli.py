@@ -47,6 +47,13 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _echo(text: str) -> None:
+    """Print to stdout, writing what its encoding cannot hold as backslash
+    escapes, as stderr does."""
+    encoding = getattr(sys.stdout, "encoding", None) or "utf-8"
+    print(text.encode(encoding, "backslashreplace").decode(encoding))
+
+
 def _cmd_run(args: argparse.Namespace) -> int:
     if (args.scenario is None) == (args.preset is None):
         print("error: give exactly one of a scenario file or --preset", file=sys.stderr)
@@ -61,7 +68,7 @@ def _cmd_run(args: argparse.Namespace) -> int:
         want_plots = want_plots or scenario.write_plots
         single: RunResult = run_scenario(scenario)
         result = PresetResult(name=scenario.name, runs=[single], shared_fingerprint="")
-    print(format_report(result))
+    _echo(format_report(result))
 
     out_dir = Path(args.out)
     written: list[Path] = []
@@ -77,8 +84,11 @@ def _cmd_run(args: argparse.Namespace) -> int:
         print(f"error: cannot write {exc.filename or out_dir}: {exc.strerror or exc}",
               file=sys.stderr)
         return 1
+    except UnicodeEncodeError as exc:  # a file name the file system encoding cannot hold
+        print(f"error: cannot write {exc.object}: {exc}", file=sys.stderr)
+        return 1
     for path in written:
-        print(f"wrote: {path}")
+        _echo(f"wrote: {path}")
     return 0
 
 

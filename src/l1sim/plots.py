@@ -8,13 +8,15 @@ A polyline's pixel coordinates are computed for the whole series at once
 with the same elementwise float64 expressions as the axis ticks, so each
 point is bit-equal to the scalar arithmetic, and all its points are
 formatted by one ``%`` of a repeated ``%.2f,%.2f`` template.
+
+Text and attribute values are escaped by ``_escape``, not by ``xml.sax``,
+whose import pulls in ``urllib``, ``http``, ``email`` and ``ssl``.
 """
 
 from __future__ import annotations
 
 from pathlib import Path
 from typing import Sequence
-from xml.sax.saxutils import escape
 
 import numpy as np
 
@@ -37,6 +39,12 @@ def _nice_ticks(lo: float, hi: float, target: int = 6) -> list[float]:
     first = np.ceil(lo / step) * step
     ticks = np.arange(first, hi + 0.5 * step, step)
     return [float(v) for v in ticks]
+
+
+def _escape(text: str) -> str:
+    """XML-escape text or a double-quoted attribute value: ``&``, ``<`` and
+    ``>`` in that order, as ``xml.sax``'s ``escape`` does, plus ``"``."""
+    return text.replace("&", "&amp;").replace("<", "&lt;").replace(">", "&gt;").replace('"', "&quot;")
 
 
 def _fmt(v: float) -> str:
@@ -82,7 +90,7 @@ def line_chart_svg(
         f'viewBox="0 0 {WIDTH} {HEIGHT}" font-family="sans-serif" font-size="13">',
         f'<rect width="{WIDTH}" height="{HEIGHT}" fill="white"/>',
         f'<text class="title" x="{WIDTH / 2:.1f}" y="24" text-anchor="middle" '
-        f'font-size="16">{escape(title)}</text>',
+        f'font-size="16">{_escape(title)}</text>',
     ]
     for xt in _nice_ticks(x_lo, x_hi):
         gx = px(xt)
@@ -108,18 +116,18 @@ def line_chart_svg(
     )
     parts.append(
         f'<text class="xlabel" x="{MARGIN_L + plot_w / 2:.1f}" y="{HEIGHT - 14}" '
-        f'text-anchor="middle">{escape(xlabel)}</text>'
+        f'text-anchor="middle">{_escape(xlabel)}</text>'
     )
     parts.append(
         f'<text class="ylabel" x="18" y="{MARGIN_T + plot_h / 2:.1f}" text-anchor="middle" '
-        f'transform="rotate(-90 18 {MARGIN_T + plot_h / 2:.1f})">{escape(ylabel)}</text>'
+        f'transform="rotate(-90 18 {MARGIN_T + plot_h / 2:.1f})">{_escape(ylabel)}</text>'
     )
     for idx, (label, sx, sy) in enumerate(series):
         color = PALETTE[idx % len(PALETTE)]
         xy = np.column_stack((px(np.asarray(sx, float)), py(np.asarray(sy, float))))
         pts = " ".join(["%.2f,%.2f"] * xy.shape[0]) % tuple(xy.ravel().tolist())
         parts.append(
-            f'<polyline class="series" data-label="{escape(str(label))}" points="{pts}" '
+            f'<polyline class="series" data-label="{_escape(str(label))}" points="{pts}" '
             f'fill="none" stroke="{color}" stroke-width="1.6"/>'
         )
     legend_x = MARGIN_L + plot_w - 170
@@ -136,7 +144,7 @@ def line_chart_svg(
             f'stroke="{color}" stroke-width="2.5"/>'
         )
         parts.append(
-            f'<text class="legend-label" x="{legend_x + 32}" y="{ly + 4}">{escape(str(label))}</text>'
+            f'<text class="legend-label" x="{legend_x + 32}" y="{ly + 4}">{_escape(str(label))}</text>'
         )
     parts.append("</svg>")
     return "\n".join(parts)

@@ -6,18 +6,18 @@ matrices are written row-major as nested lists.  The built-in presets run
 the standard SISO validation campaign: nominal step/ramp, disturbed step
 with the augmentation off / matched-only / both full laws, and the
 disturbed ramp comparison.
+
+PyYAML loads on the first ``load_scenario`` and ``hashlib``/``json`` on the
+first ``scenario_fingerprint``, so ``import l1sim`` pays for neither.
 """
 
 from __future__ import annotations
 
 import copy
-import hashlib
-import json
 from dataclasses import dataclass, fields
 from pathlib import Path
 
 import numpy as np
-import yaml
 
 from .augmentation import (
     DEFAULT_BANDWIDTH,
@@ -194,6 +194,8 @@ def build_scenario(cfg: dict, name: str | None = None, law_override: str | None 
 
 def load_scenario(path, law_override: str | None = None) -> Scenario:
     """Parse and validate a scenario file."""
+    import yaml  # here, not at module level: callers that build from dicts never parse YAML
+
     path = Path(path)
     if not path.exists():
         raise ConfigError(f"scenario file not found: {path}")
@@ -216,6 +218,9 @@ def _listed(value):
 def scenario_fingerprint(scenario: Scenario) -> str:
     """Hash of everything two compared runs must share: every field of the
     plant, command, tuning and engine except the control law."""
+    import hashlib  # here, not at module level: a CLI file run never fingerprints
+    import json
+
     payload = {}
     for part in ("plant", "signal", "augmentation", "engine"):
         obj = getattr(scenario, part)

@@ -162,6 +162,14 @@ def _expm(a: np.ndarray) -> np.ndarray:
     The Pade degree (3, 5, 7, 9 or 13) and the squarings s follow from the
     norms of A^4 ... A^10.  Returns a non-finite matrix where e^A overflows;
     callers check.
+
+    A known limit: for the nilpotent A = b*[[1, 1], [-1, -1]] (A^2 = 0, so
+    e^A = I + A), ``ell`` bounds the 1-norm of |A|^27, about (2b)^27, although
+    every power of A past the first vanishes.  It then asks for about log2(2b)
+    squarings, which cancel catastrophically: the result is wrong in its
+    leading digit by b = 1e6, and for b >= 1e10 it is non-finite, which
+    ``mat_exp`` rejects as overflowed.  ``scipy.linalg.expm`` returns NaN on
+    the same input.
     """
     ones, abs_a = np.ones(len(a)), np.abs(a)
     col_sums = ones.dot(abs_a)

@@ -1,3 +1,4 @@
+import ast
 import os
 import subprocess
 import sys
@@ -15,6 +16,12 @@ SCENARIO = {
     "controller": {"law": "modified"},
     "engine": {"t_end": 2.0},
 }
+
+
+# modules no run needs at import: PyYAML, hashlib and json load on first use,
+# and the rest is the network chain that xml.sax.saxutils pulls in
+DEFERRED = ("yaml", "hashlib", "json")
+NETWORK_AND_XML = ("xml.sax", "urllib.request", "http.client", "email", "ssl", "socket")
 
 
 def write_scenario(tmp_path, name="case.yaml", body=SCENARIO):
@@ -139,6 +146,23 @@ class TestRunCommand:
             assert err.startswith(f"error: cannot write {path}: ")
             assert "Traceback" not in err
 
+    def test_non_ascii_name_under_an_ascii_stdout(self, tmp_path):
+        # the report escapes what stdout cannot encode, as stderr does; an output
+        # name that the file system encoding cannot hold is a write error
+        path = write_scenario(tmp_path, body=dict(SCENARIO, name="caf\u00e9 \u03c3"))
+        src = str(Path(l1sim.__file__).resolve().parents[1])
+        env = dict(os.environ, PYTHONPATH=src, LC_ALL="C", PYTHONCOERCECLOCALE="0")
+        cmd = [sys.executable, "-X", "utf8=0", "-m", "l1sim.cli", "run", str(path),
+               "--out", str(tmp_path)]
+        proc = subprocess.run(cmd, env=env, capture_output=True, text=True, timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.startswith("scenario: caf\\xe9 \\u03c3\nlaw=modified ")
+        proc = subprocess.run(cmd + ["--csv"], env=env, capture_output=True, text=True, timeout=120)
+        assert proc.returncode == 1
+        target = tmp_path / "caf\\xe9 \\u03c3__modified.csv"
+        assert proc.stderr.startswith(f"error: cannot write {target}: "), proc.stderr
+        assert "Traceback" not in proc.stderr
+
     def test_step_onset_after_horizon_exit_code(self, tmp_path, capsys):
         body = dict(SCENARIO, reference={"kind": "step", "onset": 5.0, "amplitude": 1.0})
         path = write_scenario(tmp_path, "late.yaml", body)
@@ -173,6 +197,38 @@ def test_cli_run_loads_no_scipy(tmp_path):
     assert (tmp_path / "case__modified.csv").exists()
     assert (tmp_path / "case__output.svg").exists()
     assert proc.stdout.splitlines()[-1] == "[]"
+
+
+def watched_modules_loaded(script, *args):
+    """Which of DEFERRED and NETWORK_AND_XML a child interpreter loads running
+    ``script``, beyond what a bare ``import numpy`` loads."""
+    src = str(Path(l1sim.__file__).resolve().parents[1])
+    code = (
+        "import atexit, sys, numpy\n"
+        "base = set(sys.modules)\n"
+        "atexit.register(lambda: print(sorted(set(sys.modules) - base)))\n" + script
+    )
+    proc = subprocess.run([sys.executable, "-c", code, *args], env=dict(os.environ, PYTHONPATH=src),
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    added = ast.literal_eval(proc.stdout.splitlines()[-1])
+    return {name for name in DEFERRED + NETWORK_AND_XML
+            if any(m == name or m.startswith(name + ".") for m in added)}
+
+
+def test_import_loads_no_deferred_or_network_module():
+    assert watched_modules_loaded("import l1sim, l1sim.cli\n") == set()
+
+
+def test_cli_file_run_loads_yaml_but_no_network_module(tmp_path):
+    path = write_scenario(tmp_path)
+    loaded = watched_modules_loaded(
+        "import runpy\nrunpy.run_module('l1sim.cli', run_name='__main__', alter_sys=True)\n",
+        "run", str(path), "--csv", "--plots", "--out", str(tmp_path),
+    )
+    assert (tmp_path / "case__output.svg").exists()
+    assert "yaml" in loaded
+    assert loaded.isdisjoint(NETWORK_AND_XML)
 
 
 def test_csv_bytes_do_not_follow_the_blas_thread_count(tmp_path):

@@ -8,8 +8,8 @@ import numpy as np
 import pytest
 
 import l1sim
-from l1sim import emit_plots
-from l1sim.plots import line_chart_svg
+from l1sim import emit_csv, emit_plots, load_csv
+from l1sim.plots import _escape, line_chart_svg
 from oracle import reference_polylines
 from test_metrics import make_trace
 
@@ -131,6 +131,24 @@ class TestPlatformBytes:
             root = ET.fromstring(data)  # no declaration: XML reads it as UTF-8
             assert "régime β" in [el.text for el in root.iter(f"{SVG}text")]
             assert "essai-µ:" in data.decode("utf-8")
+
+    def test_markup_characters_in_label_and_stem_round_trip(self, tmp_path):
+        # a label taken from a CSV file stem can hold a double quote, which
+        # ends a data-label attribute unless escaped
+        label = 'we"ird&<x>'
+        emit_csv(make_labeled_trace("demo"), tmp_path / f"{label}.csv")
+        paths = emit_plots([load_csv(tmp_path / f"{label}.csv")], tmp_path, 'st"em')
+        for path in paths:
+            assert label in series_labels(path)
+            texts = text_contents(path)
+            assert label in texts  # legend entry
+            assert any(text.startswith('st"em: ') for text in texts)
+
+    @pytest.mark.parametrize("text", ["a & b", "x<y>z", "&amp; &lt;", "régime β → ∞", ""])
+    def test_escape_matches_saxutils_without_quotes(self, text):
+        from xml.sax.saxutils import escape
+
+        assert _escape(text) == escape(text)
 
     def test_bytes_do_not_follow_the_locale(self, tmp_path):
         # the same chart written under an ASCII locale, without UTF-8 mode
