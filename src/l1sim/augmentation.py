@@ -5,18 +5,17 @@ and recomputes it at every boundary from the prediction error.  Two variants
 of the unmatched compensation path are provided:
 
 * ``original``  - runs the unmatched estimate through the inverted matched
-  dynamics, ``C2(s) H1(s)^-1 H2(s)``, the observer-canonical row
-  ``w num2_j(s) / ((s + w) num1(s))`` per unmatched channel j.  Requires every
-  transmission zero of the matched path to lie in the open left half plane;
-  otherwise the inverse is unstable and construction is rejected.
+  dynamics, ``C2(s) H1(s)^-1 H2(s)``: the plant's output-zeroing inverse.
+  Requires every transmission zero of the matched path (the path's poles) to
+  lie in the open left half plane and a relative degree of at most 2.
 * ``modified``  - replaces the dynamic inverse by the constant inverse DC
-  gain, ``C2(s) H1(0)^-1 H2(s)``, realized from the state space as a copy
-  (A, B2, C) of the plant in series with ``w k_ff / (s + w)``: n + 1 states
-  and no polynomial.  Identical at DC, slightly slower in the transient, and
-  usable on non-minimum-phase plants.
+  gain, ``C2(s) H1(0)^-1 H2(s)``: a copy (A, B2, C) of the plant.  Identical
+  at DC, slightly slower in the transient, and usable on non-minimum-phase
+  plants.
 
-``matched_only`` drops the unmatched path entirely and ``off`` disables the
-augmentation.
+Both paths are a core system in series with ``w / (s + w)``, built by one
+assembly.  ``matched_only`` drops the unmatched path entirely and ``off``
+disables the augmentation.
 
 ``compile_loop`` checks a tuning against its plant and precomputes everything
 a run needs into one immutable ``LoopModel``, with one matrix exponential:
@@ -149,76 +148,70 @@ def low_pass_model(bandwidth: float, channels: int = 1) -> StateSpaceModel:
     return StateSpaceModel._of(-bandwidth * eye, bandwidth * eye, eye, 0.0 * eye)
 
 
-def _numerator(a: np.ndarray, b_col: np.ndarray, c: np.ndarray, char: np.ndarray) -> np.ndarray:
-    """Numerator polynomial of c (sI - A)^-1 b for one input column, trimmed.
-
-    ``char`` is det(sI - A); c (sI - A)^-1 b = (det(sI - A + b c) - char) / char.
-    """
-    coeffs = np.poly(a - b_col @ c) - char
-    mag = np.abs(coeffs)
-    nz = np.flatnonzero(mag > max(mag.max(), 1.0) * 1e-9)
-    return coeffs[nz[0] :] if nz.size else np.zeros(1)
-
-
-def _row_realization(nums: list[np.ndarray], den: np.ndarray) -> StateSpaceModel:
-    """Observer-canonical realization of the proper 1 x k row [num_j(s) / den(s)].
-
-    The channels share the denominator, so the order is deg den whatever k
-    is.  ``den[0]`` must be nonzero and no numerator longer than ``den``.
-    """
-    q = den.size - 1
-    rows = np.zeros((len(nums), q + 1))
-    for row, num in zip(rows, nums):
-        row[q + 1 - num.size :] = num / den[0]
-    den = den / den[0]
-    a = np.eye(q, k=1)
-    a[:, 0] = -den[1:]
-    b = (rows[:, 1:] - np.outer(rows[:, 0], den[1:])).T
-    return StateSpaceModel._of(a, b, np.eye(1, q), rows[np.newaxis, :, 0])
-
-
-def _zeros(num: np.ndarray) -> np.ndarray:
-    """Roots of a trimmed numerator; none for a constant."""
-    return np.roots(num) if num.size > 1 else np.zeros(0)
+def _zero_dynamics(plant: UncertainPlant):
+    """Rows C, CA, ..., C A^r of the matched path (A, B1, C) to its relative
+    degree r, gamma = C A^(r-1) B1, an orthonormal basis V of the kernel of
+    C ... C A^(r-1), and the zero-dynamics matrix V^T P A V, with
+    P = I - B1 C A^(r-1) / gamma.  The input that holds the output at 0 keeps
+    x = V xi, moving by that matrix, whose eigenvalues are the transmission
+    zeros (Silverman, IEEE TAC 14(3), 1969).  C A^k B1 counts as 0 below
+    1e-12 |C A^k| |B1|, which no rescaling of input or output moves."""
+    a, b1 = plant.A, plant.B1[:, 0]
+    rows = [plant.C[0]]
+    while abs(gamma := rows[-1] @ b1) <= 1e-12 * np.linalg.norm(rows[-1]) * np.linalg.norm(b1):
+        if len(rows) == plant.n:
+            raise ConfigError("the matched path is zero to rounding; it has no inverse")
+        rows.append(rows[-1] @ a)
+    r = len(rows)
+    rows = np.array(rows + [rows[-1] @ a])
+    basis = np.linalg.svd(rows[:r])[2][r:].T
+    return rows, gamma, basis, basis.T @ (a - np.outer(b1, rows[r] / gamma)) @ basis
 
 
 def matched_transmission_zeros(plant: UncertainPlant) -> np.ndarray:
     """Transmission zeros of the matched path (output over the control input)."""
     if plant.m != 1:
         raise ConfigError("transmission-zero analysis supports a single control input")
-    return _zeros(_numerator(plant.A, plant.B1, plant.C, np.poly(plant.A)))
+    return np.linalg.eigvals(_zero_dynamics(plant)[3])
+
+
+def _low_pass_path(a, b, c, d, g, w: float) -> StateSpaceModel:
+    """The core dxi/dt = a xi + b v, output z = (c xi + d v) / w + g dv/dt, in
+    series with w/(s + w): the path output is phi + w g v, where the filter
+    state moves by dphi/dt = -w phi + c xi + (d - w^2 g) v."""
+    q = a.shape[0]
+    path_a = np.zeros((q + 1, q + 1))
+    path_a[:q, :q], path_a[q, :q], path_a[q, q] = a, c, -w
+    path_b = np.vstack([b, d - w * w * g])
+    return StateSpaceModel._of(path_a, path_b, np.eye(1, q + 1, q), w * g[np.newaxis])
 
 
 def unmatched_path_model(plant: UncertainPlant, cfg: AugmentationConfig) -> StateSpaceModel | None:
     """Continuous realization of the unmatched compensation path for the law.
 
-    Maps the unmatched disturbance estimate to its control contribution,
-    ``g w H2_j(s) / (s + w)`` for channel j, where H1 = num1/det(sI - A) and
-    H2_j = num2_j/det(sI - A) are the plant's matched and unmatched paths and
-    g is H1(s)^-1 under ``original`` (the observer-canonical row over num1)
-    and k_ff = H1(0)^-1 under ``modified`` (the plant copy (A, B2, C) in
-    series with w k_ff/(s + w)).  None when the law or the plant has no path.
+    Maps the unmatched estimate v to ``w H1^-1 H2(s) v / (s + w)``, H1 and H2
+    the plant's matched and unmatched paths, with H1^-1 = k_ff = H1(0)^-1
+    under ``modified``: a plant copy (A, B2, C) as the core, n + 1 states.
+    Under ``original`` H1^-1 = H1(s)^-1, and the core is the input that holds
+    y at 0 against v: x = V xi - B1 g v on the zero dynamics, g = C B2 / gamma
+    at relative degree r = 2 and 0 at r = 1; n - r + 1 states with the
+    transmission zeros and -w as poles.  It is improper for r > 2, as C B1 =
+    C B2 = 0 would make C zero.  None when the law or the plant has no path.
     """
     if cfg.law in ("off", "matched_only") or plant.n_unmatched == 0:
         return None
     if plant.m != 1:
         raise ConfigError("the unmatched compensation path supports a single control input")
-    w = cfg.bandwidth_unmatched
+    w, k = cfg.bandwidth_unmatched, plant.n_unmatched
     if cfg.law == "modified":
         # H1(0)^-1 is the feedforward gain; reject |H1(0)| = 1/|k_ff| < 1e-12
         if abs(1.0 / plant.k_ff) < 1e-12:
             raise ConfigError(
                 "the matched path has zero DC gain; the inverse-DC-gain law is undefined"
             )
-        n, k = plant.n, plant.n_unmatched
-        a = np.zeros((n + 1, n + 1))
-        a[:n, :n], a[n, :n], a[n, n] = plant.A, w * plant.k_ff * plant.C[0], -w
-        b = np.vstack([plant.B2, np.zeros((1, k))])
-        return StateSpaceModel._of(a, b, np.eye(1, n + 1, n), np.zeros((1, k)))
-    char = np.poly(plant.A)
-    nums = [_numerator(plant.A, col[:, np.newaxis], plant.C, char) for col in plant.B2.T]
-    den = _numerator(plant.A, plant.B1, plant.C, char)
-    zeros = _zeros(den)
+        return _low_pass_path(plant.A, plant.B2, w * plant.k_ff * plant.C[0], 0.0, np.zeros(k), w)
+    rows, gamma, basis, zero_dynamics = _zero_dynamics(plant)
+    zeros = np.linalg.eigvals(zero_dynamics)  # the path's poles but -w
     unstable = zeros[zeros.real >= 0.0]
     if unstable.size:
         raise ConfigError(
@@ -227,15 +220,20 @@ def unmatched_path_model(plant: UncertainPlant, cfg: AugmentationConfig) -> Stat
             "The dynamics-inverting law requires a minimum-phase plant; "
             "use the inverse-DC-gain law instead"
         )
-    if max(num.size for num in nums) > den.size + 1:
+    r = len(rows) - 1
+    if r > 2:
         raise ConfigError(
             "the dynamics-inverting unmatched path is improper even with the "
             "low-pass filter; increase the filter order of the plant model"
         )
-    model = _row_realization([w * num for num in nums], np.convolve([1.0, w], den))
-    if np.max(np.linalg.eigvals(model.A).real) >= 0.0:
-        raise ConfigError("the realized unmatched compensation path is internally unstable")
-    return model
+    b1 = plant.B1[:, 0]
+    g = rows[0] @ plant.B2 / gamma if r == 2 else np.zeros(k)
+    # x + B1 g v = V xi moves by P (A V xi + shifted v); the input that zeroes y
+    # is -(C A^r V xi / gamma + d v + g dv/dt), and P shifted = shifted - B1 d
+    shifted = plant.B2 - np.outer(plant.A @ b1, g)
+    d = rows[r - 1] @ shifted / gamma
+    core_b = basis.T @ (shifted - np.outer(b1, d))
+    return _low_pass_path(zero_dynamics, core_b, w / gamma * rows[r] @ basis, w * d, g, w)
 
 
 def build_control_law(
@@ -328,9 +326,9 @@ def compile_loop(
 
     The only place a tuning is checked: an onset off the sample grid, Hurwitz
     error dynamics, a singular update gain, the transmission-zero gate of the
-    dynamics-inverting law and improper or unstable path realizations all
-    raise ``ConfigError`` here.  ``substeps_per_sample`` is the engine's
-    ``substeps_per_sample``: the command is held over steps of
+    dynamics-inverting law (also its path's stability check) and an improper
+    path all raise ``ConfigError`` here.  ``substeps_per_sample`` is the
+    engine's ``substeps_per_sample``: the command is held over steps of
     ``sample_period / substeps_per_sample``.
     """
     T = cfg.sample_period

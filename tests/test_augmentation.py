@@ -27,7 +27,7 @@ from l1sim import (
     unmatched_path_model,
 )
 from l1sim import statespace
-from l1sim.augmentation import LAWS, _row_realization, error_dynamics_matrix
+from l1sim.augmentation import LAWS, error_dynamics_matrix
 from conftest import canonical_plant, make_nmp_plant, seeded_canonical_plants
 
 
@@ -222,31 +222,6 @@ class TestUnmatchedPath:
             s_m, y_m = filter_step(mod, s_m, u)
         np.testing.assert_allclose(y_o, y_m, atol=1e-12)
 
-    def test_canonical_realization_textbook_form(self):
-        # (s^2 + 3 s + 3) / (s^2 + 2 s + 1) in observer-canonical form
-        num, den = np.array([1.0, 3.0, 3.0]), np.array([1.0, 2.0, 1.0])
-        model = _row_realization([num], den)
-        np.testing.assert_array_equal(model.A, [[-2.0, 1.0], [-1.0, 0.0]])
-        np.testing.assert_array_equal(model.B, [[1.0], [2.0]])
-        np.testing.assert_array_equal(model.C, [[1.0, 0.0]])
-        np.testing.assert_array_equal(model.D, [[1.0]])
-        for s in [0.0, 1j, 3.0 + 1j]:
-            assert model_response(model, s) == pytest.approx(tf_response(num, den, s), rel=1e-12)
-
-    def test_canonical_realization_normalises_and_pads(self):
-        # [(2 s^2 + 6 s + 6), (2 s + 8)] / (2 s^2 + 6 s + 4): normalised by the
-        # leading denominator coefficient, the strictly proper channel padded
-        nums = [np.array([2.0, 6.0, 6.0]), np.array([2.0, 8.0])]
-        den = np.array([2.0, 6.0, 4.0])
-        model = _row_realization(nums, den)
-        np.testing.assert_array_equal(model.A, [[-3.0, 1.0], [-2.0, 0.0]])
-        np.testing.assert_array_equal(model.B, [[0.0, 1.0], [1.0, 4.0]])
-        np.testing.assert_array_equal(model.C, [[1.0, 0.0]])
-        np.testing.assert_array_equal(model.D, [[1.0, 0.0]])
-        for s in [0.0, 1j, 3.0 + 1j]:
-            expect = [tf_response(num, den, s) for num in nums]
-            assert channel_responses(model, s) == pytest.approx(expect, rel=1e-12)
-
     @pytest.mark.parametrize("law", ["original", "modified"])
     def test_multi_channel_polynomial_oracle(self, law):
         # channel j is w g num2_j / ((s + w) den): with H1 = num1/det(sI - A) and
@@ -255,39 +230,51 @@ class TestUnmatchedPath:
         rng = np.random.default_rng(3)
         w = 40.0
         cfg = AugmentationConfig(law=law, bandwidth_unmatched=w)
+        plants = []
         for order in (3, 4, 5):
             for _ in range(3):
                 poles = -rng.uniform(1.0, 20.0, order)
                 zeros = -rng.uniform(0.5, 15.0, order - 1)
-                p = canonical_plant(poles, zeros, rng.uniform(0.5, 5.0))
-                model = unmatched_path_model(p, cfg)
-                den = np.convolve([1.0, w], np.poly(zeros if law == "original" else poles))
-                assert model.n_inputs == order - 1
-                assert model.order == den.size - 1
-                for s in [0.0, 1j, 5j, 50j, 1.0 + 2j]:
-                    resolvent = np.linalg.inv(s * np.eye(order) - p.A)
-                    h1 = (p.C @ resolvent @ p.B1)[0, 0]
-                    h2 = (p.C @ resolvent @ p.B2)[0]
-                    scale = 1.0 / h1 if law == "original" else p.k_ff
-                    expect = w / (s + w) * scale * h2
-                    assert channel_responses(model, s) == pytest.approx(expect, rel=1e-9)
+                plants.append((canonical_plant(poles, zeros, rng.uniform(0.5, 5.0)), poles, zeros))
+        # relative degree 2 in rotated coordinates, where C B1 is rounding noise,
+        # in output units as given and scaled by 1e-13 (C A B1 = 3e-13 there)
+        poles, zeros = np.array([-1.0, -2.0, -3.0, -4.0]), np.array([-50.0, -60.0])
+        p = canonical_plant(poles, zeros, 3.0)
+        q = np.linalg.qr(rng.standard_normal((4, 4)))[0]
+        for units in (1.0, 1e-13):
+            rotated = UncertainPlant.from_matrices(q.T @ p.A @ q, q.T @ p.B1, units * p.C @ q)
+            assert 0.0 < abs((rotated.C @ rotated.B1).item()) < 1e-15 * np.linalg.norm(rotated.C)
+            plants.append((rotated, poles, zeros))
+        for p, poles, zeros in plants:
+            order = p.n
+            model = unmatched_path_model(p, cfg)
+            den = np.convolve([1.0, w], np.poly(zeros if law == "original" else poles))
+            assert model.n_inputs == order - 1
+            assert model.order == den.size - 1
+            for s in [0.0, 1j, 5j, 50j, 1.0 + 2j]:
+                resolvent = np.linalg.inv(s * np.eye(order) - p.A)
+                h1 = (p.C @ resolvent @ p.B1)[0, 0]
+                h2 = (p.C @ resolvent @ p.B2)[0]
+                scale = 1.0 / h1 if law == "original" else p.k_ff
+                expect = w / (s + w) * scale * h2
+                assert channel_responses(model, s) == pytest.approx(expect, rel=1e-9)
 
-    @pytest.mark.parametrize("law, extra", [("original", 2), ("modified", None)])
-    def test_characteristic_polynomials_computed_once(self, monkeypatch, law, extra):
-        # original: det(sI - A), one numerator per unmatched channel and num1;
-        # modified realizes its path from the state space, with no polynomial
-        calls = []
-        poly = np.poly
-        monkeypatch.setattr(np, "poly", lambda a: calls.append(1) or poly(a))
+    @pytest.mark.parametrize("law", ["original", "modified"])
+    def test_characteristic_polynomials_computed_once(self, monkeypatch, law):
+        # both laws realize their path from the state space, with no polynomial
         rng = np.random.default_rng(8)
+        plants = []
         for order in (2, 3, 4):
             poles, zeros = -rng.uniform(1.0, 20.0, order), -rng.uniform(0.5, 15.0, order - 1)
-            p = canonical_plant(poles, zeros, 2.0)
-            expected = 0 if extra is None else p.n_unmatched + extra
+            plants.append(canonical_plant(poles, zeros, 2.0))
+        calls = []
+        for name in ("poly", "roots"):
+            func = getattr(np, name)
+            monkeypatch.setattr(np, name, lambda a, func=func: calls.append(1) or func(a))
+        for p in plants:
             for build in (unmatched_path_model, compile_loop):
-                calls.clear()
                 build(p, AugmentationConfig(law=law))
-                assert len(calls) == expected, (order, build.__name__)
+                assert calls == [], (p.n, build.__name__)
 
     def test_no_unmatched_directions_gives_none(self):
         p = UncertainPlant.from_matrices([[-1.0]], [[1.0]], [[1.0]])
@@ -312,18 +299,20 @@ class TestOnePassCompile:
             compile_loop(plant, AugmentationConfig(law=law), substeps)
             assert len(calls) == 1
 
-    def test_modified_path_is_well_scaled(self):
-        # an observer-canonical realization of this path reaches ~1e12 entries here
+    @pytest.mark.parametrize("law", ["original", "modified"])
+    def test_unmatched_path_is_well_scaled(self, law):
+        # observer-canonical realizations of these paths reach ~1e10 (original)
+        # and ~1e12 (modified) entries here
         for p in seeded_canonical_plants(5, 10):
             for period, bandwidth in itertools.product((1e-3, 5e-3), (10.0, 80.0)):
                 cfg = AugmentationConfig(
-                    law="modified",
+                    law=law,
                     sample_period=period,
                     bandwidth_matched=bandwidth,
                     bandwidth_unmatched=bandwidth,
                 )
                 loop = compile_loop(p, cfg)
-                assert loop.unmatched.order == p.n + 1
+                assert loop.unmatched.order == p.n + (law == "modified")
                 assert np.abs(loop.transition).max() <= 1e6, p.n
 
     @pytest.mark.parametrize("substeps", [1, 2, 4])
@@ -370,6 +359,31 @@ class TestNonMinimumPhaseGate:
         assert unmatched is not None
         eigs = np.linalg.eigvals(unmatched.A)
         assert np.all(np.abs(eigs) < 1.0)  # stable discrete realization
+
+    @pytest.mark.parametrize("side", [1.0, -1.0])
+    @pytest.mark.parametrize("pair", [False, True])
+    def test_zeros_near_the_imaginary_axis(self, side, pair):
+        # an order-5 plant with zeros of real part +-1e-6: the right-half-plane
+        # ones are rejected and the left-half-plane ones accepted
+        near = [side * 1e-6 + 5j, side * 1e-6 - 5j] if pair else [side * 1e-6, -4.0]
+        p = canonical_plant([-1.0, -2.5, -5.0, -10.0, -20.0], near + [-2.0, -3.0], 2.0)
+        cfg = AugmentationConfig(law="original")
+        if side > 0.0:
+            with pytest.raises(ConfigError, match="open left half plane"):
+                compile_loop(p, cfg)
+        else:
+            assert compile_loop(p, cfg).unmatched is not None
+
+    def test_matched_path_zero_to_rounding_rejected(self):
+        # H1 = 1e-11 / (s + 1) read through C = [1e-11, 1e8]: C B1 and C A B1 are
+        # 1e-19 of |C| |B1|, below the relative-degree tolerance
+        p = UncertainPlant.from_matrices(-np.eye(2), [[1.0], [0.0]], [[1e-11, 1e8]])
+        message = "^the matched path is zero to rounding; it has no inverse$"
+        with pytest.raises(ConfigError, match=message):
+            matched_transmission_zeros(p)
+        with pytest.raises(ConfigError, match=message):
+            compile_loop(p, AugmentationConfig(law="original"))
+        assert compile_loop(p, AugmentationConfig(law="modified")).unmatched is not None
 
     def test_benchmark_plant_accepted_by_original(self, bench_plant):
         _matched, unmatched = build_control_law(bench_plant, AugmentationConfig(law="original"))

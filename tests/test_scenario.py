@@ -286,6 +286,13 @@ REJECTIONS = {
         partial(adaptation_gain, -np.eye(2), np.array([[1.0, 1.0], [1.0, 1.0]]), 0.01),
         "[B1 B2] is singular; the update law cannot separate the channels",
     ),
+    "relative degree 3 under original": (
+        # 2 / ((s + 1)(s + 2)(s + 3)): its inverse needs s^3, the filter gives 1/s
+        build_short({"A": [[-6.0, -11.0, -6.0], [1.0, 0.0, 0.0], [0.0, 1.0, 0.0]],
+                     "B1": E1, "C": [[0.0, 0.0, 2.0]]}, law="original"),
+        "the dynamics-inverting unmatched path is improper even with the "
+        "low-pass filter; increase the filter order of the plant model",
+    ),
 }
 
 
@@ -297,6 +304,16 @@ def test_rejection_messages_unchanged(case):
     with pytest.raises(ConfigError) as info:
         reject()
     assert str(info.value) == message
+
+
+@pytest.mark.parametrize("scale", [1e-13, 1e-12, 1.0, 1e6])
+def test_original_law_independent_of_output_units(scale):
+    """Scaling C and the command alike scales y alone under the dynamics-inverting law."""
+    document = copy.deepcopy(PRESETS["uncertain-step-compare"]["doc"])
+    document["plant"] = {"A": PAPER_A, "B1": [[2000.0], [0.0]], "C": [[0.0, scale]]}
+    document["reference"]["amplitude"] = scale
+    y = run_scenario(build_scenario(document, law_override="original")).trace.y
+    assert y[-1] / scale == pytest.approx(1.0000200019, abs=1e-10)
 
 
 class TestLoadScenario:
