@@ -12,6 +12,7 @@ import argparse
 import sys
 from pathlib import Path
 
+from .augmentation import LAWS
 from .errors import ConfigError, SimulationDiverged
 from .plots import emit_plots
 from .scenario import (
@@ -39,7 +40,7 @@ def _build_parser() -> argparse.ArgumentParser:
     run.add_argument("--out", default=".", help="output directory (default: current directory)")
     run.add_argument(
         "--law",
-        choices=["original", "modified", "matched-only", "off"],
+        choices=[law.replace("_", "-") for law in LAWS],
         help="override the configured control law",
     )
     run.add_argument("--csv", action="store_true", help="write one trace CSV per run")
@@ -58,12 +59,11 @@ def _cmd_run(args: argparse.Namespace) -> int:
     if (args.scenario is None) == (args.preset is None):
         print("error: give exactly one of a scenario file or --preset", file=sys.stderr)
         return 1
-    law = args.law.replace("-", "_") if args.law else None
     want_csv, want_plots = args.csv, args.plots
     if args.preset:
-        result = run_preset(args.preset, law_override=law)
+        result = run_preset(args.preset, law_override=args.law)
     else:
-        scenario = load_scenario(args.scenario, law_override=law)
+        scenario = load_scenario(args.scenario, law_override=args.law)
         want_csv = want_csv or scenario.write_csv
         want_plots = want_plots or scenario.write_plots
         single: RunResult = run_scenario(scenario)

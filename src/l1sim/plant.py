@@ -21,7 +21,7 @@ class ReferenceSignal:
     """Step or ramp command, zero before its onset time."""
 
     kind: str
-    onset: float
+    onset: float = 0.0
     amplitude: float | None = None  # step size (output units)
     gradient: float | None = None   # ramp slope (output units / s)
 
@@ -54,13 +54,15 @@ def reference_value(sig: ReferenceSignal, t):
 class UncertainPlant:
     """Closed-loop plant with matched (f1) and unmatched (f2) disturbance inputs.
 
-    A is the desired closed-loop system matrix, B1 the control input matrix,
-    B2 the orthonormal complement of B1 and C the (single row) output map.
+    A is the desired closed-loop system matrix, B1 the (single column) control
+    input matrix, B2 the orthonormal complement of B1 and C the (single row)
+    output map.
     f1 and f2 are constant disturbance vectors that act from ``onset`` on.
     ``None`` for B2, x0, f1 or f2 derives the complement, a zero initial
-    state and zero disturbances.  A flat B1 is read as one column.  k_ff,
-    the feedforward gain that gives the reference model unit DC gain, is
-    derived from (A, B1, C).
+    state and zero disturbances.  A flat B1 is read as one column.  k_ff =
+    H1(0)^-1, the feedforward gain that gives the reference model unit DC
+    gain, is derived from (A, B1, C), so a matched path with zero DC gain is
+    rejected here, under every law.
     """
 
     A: np.ndarray
@@ -113,6 +115,8 @@ class UncertainPlant:
             sv = np.linalg.svd(np.hstack([B1, B2]), compute_uv=False)
         if not full_rank(sv, n):
             raise ConfigError("plant input directions [B1 B2] do not span the state space")
+        if m != 1:
+            raise ConfigError(f"plant.B1 must be one column (one control input), got {B1.shape}")
         for attr, key, size in (("f1", "matched", m), ("f2", "unmatched", B2.shape[1])):
             value = getattr(self, attr)
             f = np.zeros(size) if value is None else as_vector(value, f"uncertainty.{key}")
@@ -126,11 +130,10 @@ class UncertainPlant:
         vars(self).update(A=A, B1=B1, B2=B2, C=C, x0=x0, onset=onset, k_ff=k_ff)
 
     @classmethod
-    def from_matrices(
-        cls, A, B1, C, B2=None, x0=None, f1=None, f2=None, onset=0.0
-    ) -> "UncertainPlant":
-        """Build a plant, deriving B2 (orthogonal complement) and k_ff."""
-        return cls(A=A, B1=B1, C=C, B2=B2, x0=x0, f1=f1, f2=f2, onset=onset)
+    def from_matrices(cls, A, B1, C, **optional) -> "UncertainPlant":
+        """Build a plant from (A, B1, C) and any of B2, x0, f1, f2 and onset,
+        deriving B2 (orthogonal complement) when not given, and k_ff."""
+        return cls(A=A, B1=B1, C=C, **optional)
 
     @property
     def n(self) -> int:

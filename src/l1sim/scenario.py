@@ -19,13 +19,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .augmentation import (
-    DEFAULT_BANDWIDTH,
-    DEFAULT_SAMPLE_PERIOD,
-    AugmentationConfig,
-    LoopModel,
-    compile_loop,
-)
+from .augmentation import AugmentationConfig, LoopModel, compile_loop
 from .engine import EngineConfig, SimTrace, _sample_count, run_closed_loop
 from .errors import ConfigError
 from .metrics import Metrics, compute_metrics, steady_mask
@@ -94,8 +88,14 @@ def _require_keys(section: dict, allowed: tuple, where: str) -> None:
             raise ConfigError(f"unknown key {where}.{key}; expected one of {sorted(allowed)}")
 
 
+# document keys whose dataclass field has another name
+_FIELDS = {"matched": "f1", "unmatched": "f2", "L_p": "predictor_gain"}
+
+
 def _section(cfg: dict, name: str, allowed: tuple, required: bool) -> dict:
-    """A section of the document, checked to be a mapping of known keys."""
+    """A section of the document, checked to be a mapping of known keys, as
+    keyword arguments of its dataclass.  Null entries are dropped, so an
+    explicit null and an omitted key both take the dataclass's default."""
     section = cfg.get(name)
     if section is None and not required:
         return {}
@@ -104,17 +104,11 @@ def _section(cfg: dict, name: str, allowed: tuple, required: bool) -> dict:
     if not isinstance(section, dict):
         raise ConfigError(f"{name} section must be a mapping")
     _require_keys(section, allowed, name)
-    return section
-
-
-def _get(section: dict, key: str, default=None):
-    """Value of a key, with a missing key and an explicit null both giving the default."""
-    value = section.get(key)
-    return default if value is None else value
+    return {_FIELDS.get(key, key): value for key, value in section.items() if value is not None}
 
 
 def _flag(section: dict, key: str, where: str) -> bool:
-    value = _get(section, key, False)
+    value = section.get(key, False)
     if not isinstance(value, bool):
         raise ConfigError(f"{where}.{key} must be true or false, got {value!r}")
     return value
@@ -124,64 +118,52 @@ def build_scenario(cfg: dict, name: str | None = None, law_override: str | None 
     """Validate a scenario document and construct every runtime object.
 
     Every validation failure is a ``ConfigError`` naming the offending key,
-    raised by the object that owns the fact.  The loop is compiled here, once,
-    so tuning errors (unstable predictor dynamics, non-minimum-phase plant
-    under the dynamics-inverting law, ...) surface at load time rather than
-    mid-run.
+    raised by the object that owns the fact, and each default lives in that
+    object alone.  The loop is compiled here, once, so tuning errors (unstable
+    predictor dynamics, non-minimum-phase plant under the dynamics-inverting
+    law, ...) surface at load time rather than mid-run.  ``cfg`` is left as it
+    was.
     """
     if not isinstance(cfg, dict):
         raise ConfigError(f"scenario document must be a mapping, got {type(cfg).__name__}")
     _require_keys(cfg, _SECTIONS, "scenario")
+    stem = (name or "scenario") if cfg.get("name") is None else str(cfg["name"])
+    # output files are named after it
+    if stem in ("", ".", "..") or any(c in stem for c in "/\\\0"):
+        raise ConfigError(
+            f"name {stem!r} must be a file name in the output directory: "
+            "not empty, '.' or '..', and with no '/', '\\' or NUL"
+        )
 
     plant_cfg = _section(cfg, "plant", _PLANT_KEYS, required=True)
-    preset = plant_cfg.get("preset")
+    preset = plant_cfg.pop("preset", None)
     if preset is not None:
         if preset not in PLANT_PRESETS:
             raise ConfigError(
                 f"plant.preset {preset!r} is unknown; available: {sorted(PLANT_PRESETS)}"
             )
-        base = dict(PLANT_PRESETS[preset])
-        base.update({k: v for k, v in plant_cfg.items() if k != "preset" and v is not None})
-        plant_cfg = base
+        plant_cfg = {**PLANT_PRESETS[preset], **plant_cfg}
     for req in ("A", "B1", "C"):
-        if plant_cfg.get(req) is None:
+        if req not in plant_cfg:
             raise ConfigError(f"plant.{req} is required (or use plant.preset)")
     unc_cfg = _section(cfg, "uncertainty", _UNCERTAINTY_KEYS, required=False)
     ref_cfg = _section(cfg, "reference", _REFERENCE_KEYS, required=True)
     ctl_cfg = _section(cfg, "controller", _CONTROLLER_KEYS, required=True)
+    if law_override is not None:
+        ctl_cfg["law"] = law_override
     eng_cfg = _section(cfg, "engine", _ENGINE_KEYS, required=False)
     out_cfg = _section(cfg, "output", _OUTPUT_KEYS, required=False)
 
-    plant = UncertainPlant.from_matrices(
-        **{key: plant_cfg.get(key) for key in ("A", "B1", "C", "B2", "x0")},
-        f1=unc_cfg.get("matched"),
-        f2=unc_cfg.get("unmatched"),
-        onset=_get(unc_cfg, "onset", 0.0),
-    )
-
-    signal = ReferenceSignal(
-        kind=ref_cfg.get("kind"),
-        onset=_get(ref_cfg, "onset", 0.0),
-        amplitude=ref_cfg.get("amplitude"),
-        gradient=ref_cfg.get("gradient"),
-    )
-    augmentation = AugmentationConfig(
-        law=law_override if law_override is not None else ctl_cfg.get("law"),
-        sample_period=_get(ctl_cfg, "sample_period", DEFAULT_SAMPLE_PERIOD),
-        bandwidth_matched=_get(ctl_cfg, "bandwidth_matched", DEFAULT_BANDWIDTH),
-        bandwidth_unmatched=_get(ctl_cfg, "bandwidth_unmatched", DEFAULT_BANDWIDTH),
-        predictor_gain=ctl_cfg.get("L_p"),
-    )
-    engine = EngineConfig(
-        t_end=_get(eng_cfg, "t_end", 10.0),
-        substeps_per_sample=_get(eng_cfg, "substeps_per_sample", 1),
-    )
+    plant = UncertainPlant.from_matrices(**plant_cfg, **unc_cfg)
+    signal = ReferenceSignal(kind=ref_cfg.pop("kind", None), **ref_cfg)
+    augmentation = AugmentationConfig(law=ctl_cfg.pop("law", None), **ctl_cfg)
+    engine = EngineConfig(**eng_cfg)
     # an off-grid horizon, or a step command after it, fails at load
     t_last = _sample_count(engine.t_end, augmentation.sample_period) * augmentation.sample_period
     if signal.kind == "step" and signal.onset > t_last:
         raise ConfigError("reference.onset must not be after engine.t_end for step metrics")
     return Scenario(
-        name=str(cfg.get("name") or name or "scenario"),
+        name=stem,
         plant=plant,
         signal=signal,
         augmentation=augmentation,
@@ -285,7 +267,7 @@ def run_preset(name: str, law_override: str | None = None) -> PresetResult:
     runs: list[RunResult] = []
     fingerprints = set()
     for law in laws:
-        scenario = build_scenario(copy.deepcopy(spec["doc"]), name=name, law_override=law)
+        scenario = build_scenario(spec["doc"], name=name, law_override=law)
         fingerprints.add(scenario_fingerprint(scenario))
         runs.append(run_scenario(scenario))
     if len(fingerprints) != 1:

@@ -292,6 +292,8 @@ def feedforward_gain(a, b1, c) -> float:
     """Reference gain that gives unit DC gain from the command to the output.
 
     Returns -1 / (c A^-1 b1) for a single-input, single-output channel pair.
+    c A^-1 b1 counts as 0 below 1e-12 |c| |A^-1 b1|, a floor that moves with
+    the units of input and output, so rescaling either changes nothing else.
     """
     return _feedforward_gain(_square(a, "A"), as_matrix(b1, "B1"), as_matrix(c, "c"))
 
@@ -300,13 +302,15 @@ def _feedforward_gain(a: np.ndarray, b1: np.ndarray, c: np.ndarray) -> float:
     """``feedforward_gain`` of float matrices."""
     if not full_rank(np.linalg.svd(a, compute_uv=False), a.shape[0]):
         raise ConfigError("A is singular; feedforward gain undefined")
-    g = c @ np.linalg.solve(a, b1)
+    path = np.linalg.solve(a, b1)
+    g = c @ path
     if g.shape != (1, 1):
         raise ConfigError(
             f"feedforward gain is defined per single input/output channel, got {g.shape}"
         )
     val = float(g[0, 0])
-    if abs(val) < 1e-14:
+    # |c| |A^-1 b1| of a few Python floats costs less than numpy's norms
+    if abs(val) <= 1e-12 * math.hypot(*c.ravel().tolist()) * math.hypot(*path.ravel().tolist()):
         raise ConfigError("zero DC path from input to output; feedforward gain undefined")
     return -1.0 / val
 

@@ -375,9 +375,14 @@ class TestNonMinimumPhaseGate:
             assert compile_loop(p, cfg).unmatched is not None
 
     def test_matched_path_zero_to_rounding_rejected(self):
-        # H1 = 1e-11 / (s + 1) read through C = [1e-11, 1e8]: C B1 and C A B1 are
-        # 1e-19 of |C| |B1|, below the relative-degree tolerance
-        p = UncertainPlant.from_matrices(-np.eye(2), [[1.0], [0.0]], [[1e-11, 1e8]])
+        # H1 = 1e-11 / (s + 1) read through C = [1e-11, 1e8]: its DC gain is
+        # 1e-19 of |C| |A^-1 B1|, so the plant itself is rejected
+        with pytest.raises(ConfigError, match="^zero DC path from input to output"):
+            UncertainPlant.from_matrices(-np.eye(2), [[1.0], [0.0]], [[1e-11, 1e8]])
+        # H1 = 1e-13 / (s + 1e-6): C B1 and C A B1 are 1e-13 of |C A^k| |B1|, below
+        # the relative-degree tolerance, while its DC gain, 1e-7 of
+        # |C| |A^-1 B1|, passes the feedforward floor
+        p = UncertainPlant.from_matrices(np.diag([-1.0, -1e-6]), [[1.0], [1e-13]], [[0.0, 1.0]])
         message = "^the matched path is zero to rounding; it has no inverse$"
         with pytest.raises(ConfigError, match=message):
             matched_transmission_zeros(p)

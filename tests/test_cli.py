@@ -54,6 +54,19 @@ class TestRunCommand:
         code = main(["run", str(path), "--law", "matched-only", "--out", str(tmp_path)])
         assert code == 0
         assert "law=matched_only" in capsys.readouterr().out
+        code = main(["run", "--preset", "uncertain-step-off", "--law", "matched-only",
+                     "--out", str(tmp_path), "--csv"])
+        assert code == 0
+        assert (tmp_path / "uncertain-step-off__matched_only.csv").exists()
+
+    def test_name_cannot_leave_the_output_directory(self, tmp_path, capsys):
+        (tmp_path / "in").mkdir()
+        path = write_scenario(tmp_path / "in", body=dict(SCENARIO, name="../escaped"))
+        assert main(["run", str(path), "--csv", "--plots", "--out", str(tmp_path / "out")]) == 1
+        assert capsys.readouterr().err.startswith("error: name '../escaped' must be a file name")
+        assert sorted(p.relative_to(tmp_path) for p in tmp_path.rglob("*")) == [
+            Path("in"), Path("in/case.yaml")
+        ]
 
     def test_scenario_output_section_honored(self, tmp_path):
         body = dict(SCENARIO, output={"csv": True})

@@ -262,9 +262,14 @@ REJECTIONS = {
         build_short({"preset": "paper-siso", "C": [[1.0, 0.0]]}),
         "zero DC path from input to output; feedforward gain undefined",
     ),
-    "DC gain below the modified law's floor": (
+    "DC gain below the floor under every law": (
+        # C A^-1 B1 = -4e-13 is 1e-14 of |C| |A^-1 B1|, whatever the law
         build_short({"preset": "paper-siso", "C": [[1.0, 1e-14]]}),
-        "the matched path has zero DC gain; the inverse-DC-gain law is undefined",
+        "zero DC path from input to output; feedforward gain undefined",
+    ),
+    "B1 two columns": (
+        build_short({"A": DIAG_A, "B1": [[1.0, 0.0], [0.0, 1.0], [0.0, 0.0]], "C": ONES}),
+        "plant.B1 must be one column (one control input), got (3, 2)",
     ),
     "non-minimum phase under original": (
         partial(build_scenario, copy.deepcopy(NMP_DOC)),
@@ -298,22 +303,82 @@ REJECTIONS = {
 
 @pytest.mark.parametrize("case", sorted(REJECTIONS))
 def test_rejection_messages_unchanged(case):
-    """Each input is rejected with the exact message it got before set-up
-    was compiled in one pass."""
+    """Each input is rejected with exactly the message pinned here."""
     reject, message = REJECTIONS[case]
     with pytest.raises(ConfigError) as info:
         reject()
     assert str(info.value) == message
 
 
-@pytest.mark.parametrize("scale", [1e-13, 1e-12, 1.0, 1e6])
-def test_original_law_independent_of_output_units(scale):
-    """Scaling C and the command alike scales y alone under the dynamics-inverting law."""
+@pytest.mark.parametrize("law", ["original", "modified"])
+@pytest.mark.parametrize("scale", [1e-16, 1e-15, 1e-14, 1e-13, 1e-12, 1.0, 1e6])
+def test_both_laws_independent_of_output_units(scale, law):
+    """Scaling C and the command alike scales y alone under either law."""
     document = copy.deepcopy(PRESETS["uncertain-step-compare"]["doc"])
     document["plant"] = {"A": PAPER_A, "B1": [[2000.0], [0.0]], "C": [[0.0, scale]]}
     document["reference"]["amplitude"] = scale
-    y = run_scenario(build_scenario(document, law_override="original")).trace.y
+    y = run_scenario(build_scenario(document, law_override=law)).trace.y
     assert y[-1] / scale == pytest.approx(1.0000200019, abs=1e-10)
+
+
+def test_dc_floor_rejects_under_every_law():
+    document = doc(plant={"preset": "paper-siso", "C": [[1.0, 1e-14]]})
+    for law in ("off", "matched_only", "original", "modified"):
+        with pytest.raises(ConfigError, match="^zero DC path from input to output"):
+            build_scenario(document, law_override=law)
+
+
+# a document with every optional key left out, and those keys by section
+OMITTED = {
+    "plant": {"A": PAPER_A, "B1": [[2000.0], [0.0]], "C": [[0.0, 1.0]]},
+    "reference": {"kind": "step", "amplitude": 1.0},
+    "controller": {"law": "modified"},
+}
+OPTIONAL = {
+    "plant": ("preset", "B2", "x0"),
+    "uncertainty": ("matched", "unmatched", "onset"),
+    "reference": ("onset", "gradient"),
+    "controller": ("sample_period", "bandwidth_matched", "bandwidth_unmatched", "L_p"),
+    "engine": ("t_end", "substeps_per_sample"),
+    "output": ("csv", "plots"),
+}
+PRESET_PLANT = {**OMITTED, "plant": {"preset": "paper-siso"}}
+NULLS = (
+    [(OMITTED, section, key) for section, keys in OPTIONAL.items() for key in keys]
+    + [(OMITTED, section, None) for section in ("uncertainty", "engine", "output")]
+    + [(OMITTED, "name", None)]
+    + [(PRESET_PLANT, "plant", key) for key in ("A", "B1", "C")]
+    + [({**OMITTED, "reference": {"kind": "ramp", "gradient": 1.0}}, "reference", "amplitude")]
+)
+
+
+@pytest.mark.parametrize(
+    "base, section, key", NULLS, ids=[f"{s}.{k}" if k else s for _, s, k in NULLS]
+)
+def test_explicit_null_equals_omitted_key(base, section, key):
+    """``key: null`` (or a null section) builds the scenario that omitting it builds."""
+    document = copy.deepcopy(base)
+    if key is None:
+        document[section] = None
+    else:
+        document.setdefault(section, {})[key] = None
+    built = [build_scenario(d, name="case") for d in (document, base)]
+    assert len({(scenario_fingerprint(sc), sc.name, sc.augmentation.law,
+                 sc.write_csv, sc.write_plots) for sc in built}) == 1
+
+
+def test_document_left_as_it_was():
+    document = {**doc(plant={"preset": "paper-siso", "x0": None}, controller={"law": None}),
+                "output": {"csv": None}}
+    before = copy.deepcopy(document)
+    build_scenario(document, law_override="matched-only")
+    assert document == before
+
+
+@pytest.mark.parametrize("bad", ["", ".", "..", "../escaped", "out/case", "out\\case", "a\0b"])
+def test_name_must_be_a_file_name(bad):
+    with pytest.raises(ConfigError, match="^name .* must be a file name in the output directory"):
+        build_scenario(doc(name=bad))
 
 
 class TestLoadScenario:
