@@ -27,6 +27,7 @@ its ``transition``, the per-substep ``command_maps``, the per-sample
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -35,6 +36,7 @@ from .errors import ConfigError
 from .plant import UncertainPlant
 from .statespace import (
     StateSpaceModel,
+    _square,
     as_matrix,
     as_scalar,
     filter_step,
@@ -43,6 +45,10 @@ from .statespace import (
 )
 
 LAWS = ("off", "matched_only", "original", "modified")
+
+# what sets the loop's rates, each taken times the sample period by its one exponential
+_RATE_KEYS = ("controller.sample_period, plant.A, controller.L_p, "
+              "controller.bandwidth_matched or controller.bandwidth_unmatched")
 
 # Default pole location for the prediction-error dynamics when no explicit
 # shaping matrix is configured.  A slow error pole keeps the sampled
@@ -77,10 +83,7 @@ class AugmentationConfig:
             raise ConfigError(f"controller.law must be one of {LAWS}, got {self.law!r}")
         object.__setattr__(self, "law", law)
         for key in ("sample_period", "bandwidth_matched", "bandwidth_unmatched"):
-            value = as_scalar(getattr(self, key), f"controller.{key}")
-            if not value > 0.0:
-                raise ConfigError(f"controller.{key} must be > 0, got {value}")
-            object.__setattr__(self, key, value)
+            object.__setattr__(self, key, as_scalar(getattr(self, key), f"controller.{key}", "> 0"))
         if self.predictor_gain is not None:
             lp = as_matrix(self.predictor_gain, "controller.L_p")
             object.__setattr__(self, "predictor_gain", lp)
@@ -99,8 +102,9 @@ def error_dynamics_matrix(plant: UncertainPlant, cfg: AugmentationConfig) -> np.
     n = plant.n
     if cfg.predictor_gain is None:
         return DEFAULT_ERROR_POLE * np.eye(n)  # Hurwitz by construction
-    if cfg.predictor_gain.shape != (n, n):
-        raise ConfigError(f"controller.L_p must be {n}x{n}, got {cfg.predictor_gain.shape}")
+    if cfg.predictor_gain.shape != (n, n):  # coerced by the config, sized by the plant
+        raise ConfigError(f"controller.L_p must be a {n}x{n} matrix to match plant.A, "
+                          f"got shape {cfg.predictor_gain.shape}")
     a_err = cfg.predictor_gain + plant.A
     eigs = np.linalg.eigvals(a_err)
     if np.max(eigs.real) >= 0.0:
@@ -119,11 +123,9 @@ def adaptation_gain(a_err: np.ndarray, b_full: np.ndarray, sample_period: float)
     configuration; the estimate is then a single matrix-vector product per
     sample.
     """
-    a_err = as_matrix(a_err, "error dynamics matrix")
-    b_full = as_matrix(b_full, "input matrix")
+    a_err = _square(a_err, "error dynamics matrix")
     n = a_err.shape[0]
-    if b_full.shape != (n, n):
-        raise ConfigError(f"[B1 B2] must be {n}x{n}, got {b_full.shape}")
+    b_full = as_matrix(b_full, "[B1 B2]", (n, n))
     if not full_rank(np.linalg.svd(b_full, compute_uv=False), n):
         raise ConfigError("[B1 B2] is singular; the update law cannot separate the channels")
     return _estimator_gain(*zoh_maps(a_err, b_full, sample_period))
@@ -134,8 +136,7 @@ def _estimator_gain(exp_at: np.ndarray, held_input: np.ndarray) -> np.ndarray:
     period and the map ``Phi(T) B`` of an input held over it."""
     if not full_rank(np.linalg.svd(held_input, compute_uv=False), held_input.shape[0]):
         raise ConfigError(
-            "the exponential integral over one sample period is singular; "
-            "adjust controller.sample_period or controller.L_p"
+            f"the exponential integral over one sample period is singular; adjust {_RATE_KEYS}"
         )
     return -np.linalg.solve(held_input, exp_at)
 
@@ -212,8 +213,9 @@ def unmatched_path_model(plant: UncertainPlant, cfg: AugmentationConfig) -> Stat
     r = len(rows) - 1
     if r > 2:
         raise ConfigError(
-            "the dynamics-inverting unmatched path is improper even with the "
-            "low-pass filter; increase the filter order of the plant model"
+            f"controller.law 'original' inverts the matched path, whose relative degree {r} "
+            "is above 2, so its unmatched path is improper even with the low-pass filter; "
+            "the 'modified' law has no such limit"
         )
     b1 = plant.B1[:, 0]
     g = rows[0] @ plant.B2 / gamma if r == 2 else np.zeros(k)
@@ -289,11 +291,15 @@ class LoopModel:
 PiecewiseConstantLaw = LoopModel
 
 
-def grid_index(t: float, sample_period: float) -> int | None:
-    """Number of sample periods in t, or None when t is off the sample grid
-    (relative tolerance 1e-9)."""
-    n = round(t / sample_period)
-    return n if abs(n * sample_period - t) <= 1e-9 * max(1.0, abs(t)) else None
+def grid_index(t: float, sample_period: float, name: str) -> int:
+    """Number of sample periods in t, the value of key ``name``, which must be a
+    whole number of them (relative tolerance 1e-9)."""
+    periods = t / sample_period  # inf past the float range: off every grid
+    n = round(periods) if math.isfinite(periods) else None
+    if n is None or abs(n * sample_period - t) > 1e-9 * max(1.0, abs(t)):
+        raise ConfigError(f"{name} = {t} must be a whole number of sample periods "
+                          f"(controller.sample_period = {sample_period})")
+    return n
 
 
 def _step_maps(a_d: np.ndarray, b_d: np.ndarray, substeps: int) -> tuple[np.ndarray, np.ndarray]:
@@ -315,23 +321,19 @@ def compile_loop(
 
     The only place a tuning is checked: an onset off the sample grid, Hurwitz
     error dynamics, a singular update gain, the transmission-zero gate of the
-    dynamics-inverting law (also its path's stability check) and an improper
-    path all raise ``ConfigError`` here.  ``substeps_per_sample`` is the
-    engine's ``substeps_per_sample``: the command is held over steps of
-    ``sample_period / substeps_per_sample``.
+    dynamics-inverting law (also its path's stability check), an improper path
+    and an overflowing loop all raise ``ConfigError`` here.  The command is
+    held over steps of ``sample_period / substeps_per_sample``, the engine's.
     """
     T = cfg.sample_period
-    if grid_index(plant.onset, T) is None:
-        raise ConfigError(
-            f"uncertainty.onset = {plant.onset} must be a whole number of controller "
-            f"sample periods ({T})"
-        )
+    grid_index(plant.onset, T, "uncertainty.onset")
     a_err = error_dynamics_matrix(plant, cfg)
     n, m = plant.n, plant.m
     # each continuous law filter, the estimate channels it reads and its block
     filters, width = [], 2 * n
     if cfg.law != "off":
-        path = unmatched_path_model(plant, cfg)
+        with np.errstate(over="ignore", invalid="ignore"):  # zoh_maps rejects an overflow
+            path = unmatched_path_model(plant, cfg)
         for filt, chans in ((low_pass_model(cfg.bandwidth_matched, m), slice(0, m)),
                             (path, slice(m, n))):
             if filt is not None:
@@ -345,7 +347,8 @@ def compile_loop(
     drive[:n, n:] = drive[n : 2 * n, n:] = np.hstack([plant.B1, plant.B2])
     for filt, chans, block in filters:
         gen[block, block], drive[block, chans] = filt.A, filt.B
-    prop, steps = _step_maps(*zoh_maps(gen, drive, T / substeps_per_sample), substeps_per_sample)
+    maps = zoh_maps(gen, drive, T / substeps_per_sample, f"one of {_RATE_KEYS}")
+    prop, steps = _step_maps(*maps, substeps_per_sample)
     held = steps.sum(axis=0)  # maps of an input held over the whole sample
     plant_prop, plant_input = prop[:n, :n], held[:n, n:]
     err_prop, err_input = prop[n : 2 * n, n : 2 * n], held[n : 2 * n, n:]
@@ -377,8 +380,11 @@ def compile_loop(
     command_maps[:, x_m] = command_maps[:, x]
     f = np.concatenate([plant.f1, plant.f2])
     disturbance_map = np.zeros(d)
-    disturbance_map[x] = plant_input @ f
-    disturbance_map[x_t] = -(err_input @ f)
+    with np.errstate(over="ignore"):  # an overflow is rejected below, by key
+        disturbance_map[x] = plant_input @ f
+        disturbance_map[x_t] = -(err_input @ f)
+    if not np.isfinite(disturbance_map).all():
+        raise ConfigError("uncertainty.matched or uncertainty.unmatched overflows the sampled loop")
     return LoopModel(
         plant=plant,
         config=cfg,

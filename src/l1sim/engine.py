@@ -51,10 +51,7 @@ class EngineConfig:
     substeps_per_sample: int = 1
 
     def __post_init__(self):
-        t_end = as_scalar(self.t_end, "engine.t_end")
-        if not t_end > 0.0:
-            raise ConfigError(f"engine.t_end must be > 0, got {t_end}")
-        object.__setattr__(self, "t_end", t_end)
+        object.__setattr__(self, "t_end", as_scalar(self.t_end, "engine.t_end", "> 0"))
         subs = self.substeps_per_sample
         try:
             whole = not isinstance(subs, bool) and int(subs) == subs and subs >= 1
@@ -91,8 +88,7 @@ class SimTrace:
 
 def rk4_step(deriv, t: float, x: np.ndarray, h: float):
     """One classical 4th-order Runge-Kutta step of size h for dx/dt = deriv(t, x)."""
-    if not (h > 0.0):
-        raise ValueError(f"step size must be > 0, got {h}")
+    h = as_scalar(h, "step size", "> 0")
     k1 = deriv(t, x)
     k2 = deriv(t + 0.5 * h, x + (0.5 * h) * k1)
     k3 = deriv(t + 0.5 * h, x + (0.5 * h) * k2)
@@ -101,12 +97,9 @@ def rk4_step(deriv, t: float, x: np.ndarray, h: float):
 
 
 def _sample_count(t_end: float, sample_period: float) -> int:
-    n = grid_index(t_end, sample_period)
-    if n is None or n < 1:
-        raise ConfigError(
-            f"engine.t_end = {t_end} must be a whole number of controller sample "
-            f"periods ({sample_period})"
-        )
+    n = grid_index(t_end, sample_period, "engine.t_end")
+    if n < 1:  # 0 < t_end <= 1e-9, within the grid's tolerance of 0
+        raise ConfigError(f"engine.t_end = {t_end} must be at least one sample period")
     return n
 
 

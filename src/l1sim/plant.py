@@ -13,7 +13,9 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import ConfigError
-from .statespace import _complement, _feedforward_gain, as_matrix, as_scalar, as_vector, full_rank
+from .statespace import (
+    _complement, _feedforward_gain, _square, as_matrix, as_scalar, as_vector, full_rank,
+)
 
 
 @dataclass(frozen=True)
@@ -28,24 +30,21 @@ class ReferenceSignal:
     def __post_init__(self):
         if self.kind not in ("step", "ramp"):
             raise ConfigError(f"reference.kind must be 'step' or 'ramp', got {self.kind!r}")
-        onset = as_scalar(self.onset, "reference.onset")
-        if onset < 0.0:
-            raise ConfigError(f"reference.onset must be >= 0, got {onset}")
-        object.__setattr__(self, "onset", onset)
-        needed = "amplitude" if self.kind == "step" else "gradient"
+        object.__setattr__(self, "onset", as_scalar(self.onset, "reference.onset", ">= 0"))
         for key in ("amplitude", "gradient"):
             value = getattr(self, key)
-            if value is None and key == needed:
-                raise ConfigError(f"{self.kind} reference requires reference.{key}")
             if value is not None:
                 object.__setattr__(self, key, as_scalar(value, f"reference.{key}"))
+            elif key == ("amplitude" if self.kind == "step" else "gradient"):
+                raise ConfigError(f"{self.kind} reference requires reference.{key}")
 
 
 def reference_value(sig: ReferenceSignal, t):
     """Command value at time t, a float or an array of times (onset included
     in the active interval)."""
     t = np.asarray(t, dtype=float)
-    level = sig.amplitude if sig.kind == "step" else sig.gradient * (t - sig.onset)
+    with np.errstate(over="ignore"):  # steep ramps: masked before onset, diverging after
+        level = sig.amplitude if sig.kind == "step" else sig.gradient * (t - sig.onset)
     value = np.where(t >= sig.onset, level, 0.0)
     return value if value.ndim else float(value)
 
@@ -59,10 +58,10 @@ class UncertainPlant:
     output map.
     f1 and f2 are constant disturbance vectors that act from ``onset`` on.
     ``None`` for B2, x0, f1 or f2 derives the complement, a zero initial
-    state and zero disturbances.  A flat B1 is read as one column.  k_ff =
-    H1(0)^-1, the feedforward gain that gives the reference model unit DC
-    gain, is derived from (A, B1, C), so a matched path with zero DC gain is
-    rejected here, under every law.
+    state and zero disturbances.  A flat B1 or B2 is read as one column, a
+    flat C as one row.  k_ff = H1(0)^-1, the feedforward gain that gives the
+    reference model unit DC gain, is derived from (A, B1, C), so a matched
+    path with zero DC gain is rejected here, under every law.
     """
 
     A: np.ndarray
@@ -76,37 +75,17 @@ class UncertainPlant:
     k_ff: float = field(init=False)
 
     def __post_init__(self):
-        A = as_matrix(self.A, "plant.A")
-        if A.shape[0] != A.shape[1]:
-            raise ConfigError(f"plant.A must be square, got {A.shape}")
+        A = _square(self.A, "plant.A")
         n = A.shape[0]
-        B1 = as_matrix(self.B1, "plant.B1")
-        if np.ndim(self.B1) == 1:
-            B1 = B1.T
-        if B1.shape[0] != n:
-            raise ConfigError(f"plant.B1 must have {n} rows, got {B1.shape}")
-        m = B1.shape[1]
+        B1 = as_matrix(self.B1, "plant.B1", (n, 1), "plant.A and one control input", column=True)
         sv = None  # the singular values of [B1 B2], when deriving B2 gives them
         if self.B2 is None:
-            B2, sv = _complement(B1) if m < n else (np.zeros((n, 0)), None)
+            B2, sv = _complement(B1) if n > 1 else (np.zeros((1, 0)), None)
         else:
-            try:
-                B2 = np.asarray(self.B2, dtype=float).reshape(n, -1)
-            except (TypeError, ValueError) as exc:
-                raise ConfigError(f"plant.B2 must be a matrix with {n} rows: {exc}") from None
-            if not np.isfinite(B2).all():
-                raise ConfigError("plant.B2 has non-finite entries")
-        C = as_matrix(self.C, "plant.C")
-        if m + B2.shape[1] != n:
-            raise ConfigError(
-                f"plant.B2 must have {n - m} columns to complete B1, got {B2.shape}"
-            )
-        if C.shape != (1, n):
-            raise ConfigError(f"plant.C must map the state to one output (1x{n}), got {C.shape}")
-        x0 = np.zeros(n) if self.x0 is None else as_vector(self.x0, "plant.x0")
-        if x0.shape != (n,):
-            raise ConfigError(f"plant.x0 must have length {n}, got {x0.shape}")
-        if sv is None:  # B2 given, or B1 square
+            B2 = as_matrix(self.B2, "plant.B2", (n, n - 1), "plant.A", column=True)
+        C = as_matrix(self.C, "plant.C", (1, n), "plant.A")
+        x0 = np.zeros(n) if self.x0 is None else as_vector(self.x0, "plant.x0", n, "plant.A")
+        if sv is None:  # B2 given, or a one-state plant
             if B2.shape[1] > 0 and np.abs(B1.T @ B2).max() > 1e-9 * max(1.0, np.abs(B1).max()):
                 raise ConfigError(
                     "plant.B2 is not orthogonal to plant.B1 (B1^T B2 != 0); "
@@ -115,19 +94,12 @@ class UncertainPlant:
             sv = np.linalg.svd(np.hstack([B1, B2]), compute_uv=False)
         if not full_rank(sv, n):
             raise ConfigError("plant input directions [B1 B2] do not span the state space")
-        if m != 1:
-            raise ConfigError(f"plant.B1 must be one column (one control input), got {B1.shape}")
-        for attr, key, size in (("f1", "matched", m), ("f2", "unmatched", B2.shape[1])):
-            value = getattr(self, attr)
-            f = np.zeros(size) if value is None else as_vector(value, f"uncertainty.{key}")
-            if f.shape != (size,):
-                raise ConfigError(f"uncertainty.{key} must have {size} entries, got {f.shape}")
-            object.__setattr__(self, attr, f)
-        onset = as_scalar(self.onset, "uncertainty.onset")
-        if onset < 0.0:
-            raise ConfigError(f"uncertainty.onset must be >= 0, got {onset}")
-        k_ff = _feedforward_gain(A, B1, C)
-        vars(self).update(A=A, B1=B1, B2=B2, C=C, x0=x0, onset=onset, k_ff=k_ff)
+        f1, f2 = [np.zeros(k) if f is None else as_vector(f, f"uncertainty.{key}", k, match)
+                  for f, key, k, match in ((self.f1, "matched", 1, "plant.B1"),
+                                           (self.f2, "unmatched", n - 1, "plant.A"))]
+        vars(self).update(A=A, B1=B1, B2=B2, C=C, x0=x0, f1=f1, f2=f2,
+                          onset=as_scalar(self.onset, "uncertainty.onset", ">= 0"),
+                          k_ff=_feedforward_gain(A, B1, C))
 
     @classmethod
     def from_matrices(cls, A, B1, C, **optional) -> "UncertainPlant":

@@ -138,7 +138,7 @@ def build_scenario(cfg: dict, name: str | None = None, law_override: str | None 
     plant_cfg = _section(cfg, "plant", _PLANT_KEYS, required=True)
     preset = plant_cfg.pop("preset", None)
     if preset is not None:
-        if preset not in PLANT_PRESETS:
+        if not isinstance(preset, str) or preset not in PLANT_PRESETS:
             raise ConfigError(
                 f"plant.preset {preset!r} is unknown; available: {sorted(PLANT_PRESETS)}"
             )

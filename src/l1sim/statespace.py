@@ -5,7 +5,9 @@ zero-order-hold discretization and discrete filter stepping.  Everything is
 double precision and sized for systems of order ~30 or less, and needs numpy
 alone: the exponential is Al-Mohy & Higham's scaling and squaring (``_expm``),
 and SciPy is a test dependency only, the reference the tests hold it to.
-Invalid arguments raise ``ConfigError`` naming the quantity.
+Invalid arguments raise ``ConfigError`` naming the quantity.  ``as_scalar``,
+``as_vector`` and ``as_matrix`` hold every rule that turns a document value
+into numbers: each owner calls one once per value, with its bound or shape.
 """
 
 from __future__ import annotations
@@ -18,38 +20,63 @@ import numpy as np
 from .errors import ConfigError
 
 
-def as_scalar(value, name: str) -> float:
-    """Coerce to a finite float."""
+def _converted(convert, value, name: str, failure: str, *args):
+    """``convert(value, *args)``; a failure is ``failure`` with ``{name}``, ``{value}``
+    and ``{exc}`` filled in."""
     try:
-        out = float(value)
-    except (TypeError, ValueError):
-        raise ConfigError(f"{name} must be a number, got {value!r}") from None
+        if isinstance(value, bool):  # an int to Python, but `sample_period: true` is a slip
+            raise TypeError("a bool is not a number")
+        return convert(value, *args)
+    except OverflowError:  # an integer past the float range, such as YAML's 10**400
+        raise ConfigError(f"{name} is beyond the float range") from None
+    except (TypeError, ValueError) as exc:
+        raise ConfigError(failure.format(name=name, value=value, exc=exc)) from None
+
+
+def _finite_array(value, name: str, kind: str) -> np.ndarray:
+    """``value`` as a float array of finite entries; ``kind`` names it in messages."""
+    out = _converted(np.asarray, value, name, "{name} is not a numeric " + kind + ": {exc}", float)
+    # a finite sum proves every entry finite, for less than numpy's test costs on
+    # these small arrays; only a sum that overflows needs numpy's test
+    if not (math.isfinite(sum(out.ravel().tolist())) or np.isfinite(out).all()):
+        raise ConfigError(f"{name} has non-finite entries")
+    return out
+
+
+def as_scalar(value, name: str, bound: str | None = None) -> float:
+    """Coerce to a finite float; ``bound`` is ``"> 0"`` or ``">= 0"``."""
+    out = _converted(float, value, name, "{name} must be a number, got {value!r}")
     if not math.isfinite(out):
         raise ConfigError(f"{name} must be finite, got {value!r}")
+    if bound is not None and not (out > 0.0 if bound == "> 0" else out >= 0.0):
+        raise ConfigError(f"{name} must be {bound}, got {out}")
     return out
 
 
-def as_vector(v, name: str) -> np.ndarray:
-    """Coerce a scalar or (nested) list to a flat float array and require finite entries."""
-    try:
-        out = np.asarray(v, dtype=float).reshape(-1)
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(f"{name} is not a numeric vector: {exc}") from None
-    if not np.isfinite(out).all():
-        raise ConfigError(f"{name} has non-finite entries")
+def as_vector(v, name: str, size: int | None = None, match: str = "") -> np.ndarray:
+    """Coerce to a flat float array of finite entries, ``size`` of them if given
+    (``match`` as for ``as_matrix``)."""
+    out = _finite_array(v, name, "vector").reshape(-1)
+    if size is not None and out.shape != (size,):
+        match = f" to match {match}" if match else ""
+        raise ConfigError(f"{name} must have {size} entries{match}, got {out.size}")
     return out
 
 
-def as_matrix(a, name: str = "matrix") -> np.ndarray:
-    """Coerce to a 2-D float array and require finite entries."""
-    try:
-        m = np.atleast_2d(np.asarray(a, dtype=float))
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(f"{name} is not a numeric matrix: {exc}") from None
-    if m.ndim != 2 or m.shape[0] < 1 or m.shape[1] < 1:
-        raise ConfigError(f"{name} must be a non-empty 2-D matrix, got shape {m.shape}")
-    if not np.isfinite(m).all():
-        raise ConfigError(f"{name} has non-finite entries")
+def as_matrix(a, name: str = "matrix", shape: tuple = (None, None), match: str = "",
+              column: bool = False) -> np.ndarray:
+    """Coerce to a 2-D float array of finite entries: a flat list is one row, or
+    one column when ``column`` (an empty one is no column).  Each dimension of
+    ``shape`` is the size required, or ``None`` for any size but 0, and
+    ``match`` names, for the message, what sets the sizes."""
+    m = _finite_array(a, name, "matrix")
+    if m.ndim < 2:
+        m = m.reshape((-1, 1) if column and m.size else (1, -1))
+    if m.ndim != 2 or any(size != want if want is not None else size < 1
+                          for size, want in zip(m.shape, shape)):
+        want = "x".join("*" if size is None else str(size) for size in shape)
+        match = f" to match {match}" if match else ""
+        raise ConfigError(f"{name} must be a {want} matrix{match}, got shape {m.shape}")
     return m
 
 
@@ -74,16 +101,10 @@ class StateSpaceModel:
 
     def __post_init__(self):
         A = _square(self.A, "A")
-        B = as_matrix(self.B, "B")
-        C = as_matrix(self.C, "C")
-        n = A.shape[0]
-        if B.shape[0] != n:
-            raise ConfigError(f"B must have {n} rows to match A, got {B.shape}")
-        if C.shape[1] != n:
-            raise ConfigError(f"C must have {n} columns to match A, got {C.shape}")
-        D = as_matrix(np.zeros((C.shape[0], B.shape[1])) if self.D is None else self.D, "D")
-        if D.shape != (C.shape[0], B.shape[1]):
-            raise ConfigError(f"D must be {C.shape[0]}x{B.shape[1]}, got {D.shape}")
+        B = as_matrix(self.B, "B", (A.shape[0], None), "A")
+        C = as_matrix(self.C, "C", (None, A.shape[0]), "A")
+        shape = (C.shape[0], B.shape[1])
+        D = as_matrix(np.zeros(shape) if self.D is None else self.D, "D", shape, "C and B")
         vars(self).update(A=A, B=B, C=C, D=D)  # frozen: set past __setattr__
 
     @classmethod
@@ -212,9 +233,7 @@ def mat_exp(a, t: float) -> np.ndarray:
     Pade approximant of degree 3 to 13, in numpy alone; SciPy's ``expm`` is
     only the tests' reference.  t = 0 returns the identity exactly.
     """
-    a = _square(a, "A")
-    if not np.isfinite(t):
-        raise ConfigError(f"t must be finite, got {t}")
+    a, t = _square(a, "A"), as_scalar(t, "t")
     if t == 0.0:
         return np.eye(a.shape[0])
     with np.errstate(over="ignore", invalid="ignore"):
@@ -232,9 +251,7 @@ def mat_exp_integral(a, t: float) -> np.ndarray:
     (where the A^-1 (e^(At) - I) form breaks).
     """
     a = _square(a, "A")
-    if not (t > 0.0):
-        raise ConfigError(f"t must be > 0, got {t}")
-    return zoh_maps(a, np.eye(a.shape[0]), t)[1]
+    return zoh_maps(a, np.eye(a.shape[0]), as_scalar(t, "t", "> 0"))[1]
 
 
 def null_complement(b1) -> np.ndarray:
@@ -295,35 +312,32 @@ def feedforward_gain(a, b1, c) -> float:
     c A^-1 b1 counts as 0 below 1e-12 |c| |A^-1 b1|, a floor that moves with
     the units of input and output, so rescaling either changes nothing else.
     """
-    return _feedforward_gain(_square(a, "A"), as_matrix(b1, "B1"), as_matrix(c, "c"))
+    a = _square(a, "A")
+    n = a.shape[0]
+    return _feedforward_gain(a, as_matrix(b1, "B1", (n, 1), "A"), as_matrix(c, "c", (1, n), "A"))
 
 
 def _feedforward_gain(a: np.ndarray, b1: np.ndarray, c: np.ndarray) -> float:
-    """``feedforward_gain`` of float matrices."""
+    """``feedforward_gain`` of an n x n A, an n x 1 b1 and a 1 x n c."""
     if not full_rank(np.linalg.svd(a, compute_uv=False), a.shape[0]):
         raise ConfigError("A is singular; feedforward gain undefined")
     path = np.linalg.solve(a, b1)
-    g = c @ path
-    if g.shape != (1, 1):
-        raise ConfigError(
-            f"feedforward gain is defined per single input/output channel, got {g.shape}"
-        )
-    val = float(g[0, 0])
+    val = float((c @ path)[0, 0])
     # |c| |A^-1 b1| of a few Python floats costs less than numpy's norms
     if abs(val) <= 1e-12 * math.hypot(*c.ravel().tolist()) * math.hypot(*path.ravel().tolist()):
         raise ConfigError("zero DC path from input to output; feedforward gain undefined")
     return -1.0 / val
 
 
-def zoh_maps(a: np.ndarray, b: np.ndarray, step: float) -> tuple[np.ndarray, np.ndarray]:
+def zoh_maps(a: np.ndarray, b: np.ndarray, step: float,
+             scale: str = "A*step") -> tuple[np.ndarray, np.ndarray]:
     """Zero-order-hold maps of dx/dt = A x + B u over one step h.
 
     A_d = e^(A h) and B_d = (integral of e^(A tau) over [0, h]) B, obtained
     from one augmented exponential.  A (n x n) and B (n x m) must already be
-    float arrays.
+    float arrays.  ``scale`` names what is too large when the exponential overflows.
     """
-    if not (step > 0.0):
-        raise ConfigError(f"step must be > 0, got {step}")
+    step = as_scalar(step, "step", "> 0")
     n, m = b.shape
     aug = np.zeros((n + m, n + m))
     aug[:n, :n] = a
@@ -331,7 +345,7 @@ def zoh_maps(a: np.ndarray, b: np.ndarray, step: float) -> tuple[np.ndarray, np.
     with np.errstate(over="ignore", invalid="ignore"):
         big = _expm(aug * step)
     if not np.isfinite(big).all():
-        raise ConfigError("discretization overflowed; A*step is too large")
+        raise ConfigError(f"discretization overflowed; {scale} is too large")
     return big[:n, :n], big[:n, n:]
 
 
@@ -346,8 +360,6 @@ def filter_step(sys: StateSpaceModel, state: np.ndarray, u) -> tuple[np.ndarray,
 
     Returns the next state and the output computed from it.
     """
-    u = np.atleast_1d(np.asarray(u, dtype=float))
-    if u.shape != (sys.n_inputs,):
-        raise ConfigError(f"filter input must have length {sys.n_inputs}, got {u.shape}")
+    u = as_vector(u, "filter input", sys.n_inputs)
     state = sys.A @ state + sys.B @ u
     return state, sys.C @ state + sys.D @ u

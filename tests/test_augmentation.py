@@ -6,6 +6,7 @@ import pytest
 import scipy.linalg
 
 from l1sim import (
+    PRESETS,
     AugmentationConfig,
     ConfigError,
     DisturbanceEstimate,
@@ -14,6 +15,7 @@ from l1sim import (
     UncertainPlant,
     adaptation_gain,
     build_control_law,
+    build_scenario,
     compile_loop,
     control_update,
     dc_gain_discrete,
@@ -338,6 +340,47 @@ class TestOnePassCompile:
                     assert (got is None) == (want is None)
                     if got is not None:
                         assert np.array_equal(got.A, want.A) and np.array_equal(got.B, want.B)
+
+
+def lifted_loops(law: str):
+    """The loops of the preset plant and of the seeded plants under ``law``, each
+    also with a random Hurwitz prediction-error matrix A + L_p."""
+    rng = np.random.default_rng(16)
+    preset = build_scenario(PRESETS["uncertain-step-compare"]["doc"], law_override=law).plant
+    for plant in [preset, *seeded_canonical_plants(5, 3)]:
+        yield compile_loop(plant, AugmentationConfig(law=law))
+        r = rng.standard_normal((plant.n, plant.n))
+        a_err = r - (np.linalg.eigvals(r).real.max() + rng.uniform(0.5, 5.0)) * np.eye(plant.n)
+        yield compile_loop(plant, AugmentationConfig(law=law, predictor_gain=a_err - plant.A))
+
+
+class TestLiftedLoopStructure:
+    """The sampled loop is a cascade: the prediction error is deadbeat, only the
+    plant reads the plant state, and the reference model runs apart."""
+
+    @staticmethod
+    def check(loop, deadbeat_eps: float) -> None:
+        m, n = loop.transition, loop.plant.n
+        x, x_m, x_t = slice(0, n), slice(n, 2 * n), slice(2 * n, 3 * n)
+        eps = np.finfo(float).eps
+        assert np.abs(m[x_t, x_t]).max() <= deadbeat_eps * eps * np.abs(m).max()
+        off = np.ones(m.shape, bool)
+        off[x_t, x_t] = False
+        assert not m[x_t][off[x_t]].any()  # the error reads nothing but itself
+        assert not m[n:, x].any() and not loop.input_map[:, x].any()
+        off = np.ones(m.shape, bool)
+        off[x_m, x_m] = False
+        assert not m[x_m][off[x_m]].any()  # x_m reads only x_m
+
+    @pytest.mark.parametrize("law", LAWS)
+    def test_presets_hold_exactly(self, law):
+        for spec in PRESETS.values():
+            self.check(build_scenario(spec["doc"], law_override=law).loop, deadbeat_eps=0.0)
+
+    @pytest.mark.parametrize("law", LAWS)
+    def test_seeded_plants_and_random_error_dynamics(self, law):
+        for loop in lifted_loops(law):
+            self.check(loop, deadbeat_eps=4.0)
 
 
 class TestNonMinimumPhaseGate:

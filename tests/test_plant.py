@@ -111,6 +111,29 @@ class TestPlantConstruction:
         p = UncertainPlant.from_matrices(BENCH_A, [2000.0, 0.0], BENCH_C)
         np.testing.assert_array_equal(p.B1, BENCH_B1)
 
+    def test_b2_read_as_b1_is(self):
+        # a flat B2 is one column, a flat C one row; any other B2 layout must be n x (n - 1)
+        p = UncertainPlant.from_matrices(BENCH_A, BENCH_B1, [0.0, 1.0], B2=[0.0, 1.0])
+        np.testing.assert_array_equal(p.B2, [[0.0], [1.0]])
+        np.testing.assert_array_equal(p.C, BENCH_C)
+        message = r"^plant.B2 must be a 2x1 matrix to match plant.A, got shape \(1, 2\)$"
+        with pytest.raises(ConfigError, match=message):
+            UncertainPlant.from_matrices(BENCH_A, BENCH_B1, BENCH_C, B2=[[0.0, 1.0]])
+        single = UncertainPlant.from_matrices([[-1.0]], [[1.0]], [[1.0]], B2=[], f2=[])
+        assert single.B2.shape == (1, 0) and single.f2.shape == (0,)
+
+    def test_sizes_name_what_sets_them(self):
+        cases = [
+            (dict(A=[[-1.0]]), r"^plant.B1 must be a 1x1 matrix to match plant.A and one control "
+                               r"input, got shape \(2, 1\)$"),
+            (dict(C=[[0.0, 1.0, 0.0]]), r"^plant.C must be a 1x2 matrix to match plant.A"),
+            (dict(x0=[0.0]), "^plant.x0 must have 2 entries to match plant.A, got 1$"),
+            (dict(f2=[0.0, 0.0]), "^uncertainty.unmatched must have 1 entries to match plant.A, got 2$"),
+        ]
+        for override, message in cases:
+            with pytest.raises(ConfigError, match=message):
+                UncertainPlant(**{"A": BENCH_A, "B1": BENCH_B1, "C": BENCH_C, **override})
+
     def test_array_holders_compare_by_identity(self):
         def pair(make):
             return make(), make()

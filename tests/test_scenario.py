@@ -143,10 +143,24 @@ class TestBuildScenario:
             (doc(controller={"law": "modified", "sample_period": "fast"}),
              "^controller.sample_period must be a number"),
             (doc(engine={"t_end": float("inf")}), "^engine.t_end must be finite"),
+            (doc(plant={"preset": ["paper-siso"]}), r"^plant.preset \['paper-siso'\] is unknown"),
+            (doc(plant={"preset": {"name": "paper-siso"}}), "^plant.preset {'name': 'paper-siso'}"),
+            (doc(controller={"law": "modified", "sample_period": True}),
+             "^controller.sample_period must be a number, got True$"),
+            (doc(uncertainty={"matched": [10**400]}), "^uncertainty.matched is beyond the float range$"),
+            (doc(engine={"t_end": 10**400}), "^engine.t_end is beyond the float range$"),
+            (doc(plant={"preset": "paper-siso", "A": 10**400}), "^plant.A is beyond the float range$"),
         ]
         for bad, pattern in cases:
             with pytest.raises(ConfigError, match=pattern):
                 build_scenario(bad)
+
+    @pytest.mark.parametrize("section, key", [("uncertainty", "onset"), ("engine", "t_end")])
+    def test_time_past_the_float_range_in_periods_is_off_the_grid(self, section, key):
+        # 1e308 / 1e-3 overflows to inf, which no whole number of periods equals
+        with pytest.raises(ConfigError, match=rf"^{section}.{key} = 1e\+308 must be a whole number "
+                                              r"of sample periods \(controller.sample_period = "):
+            build_scenario(doc(**{section: {key: 1e308}}))
 
     def test_omitted_uncertainty_is_zero(self):
         sc = build_scenario({**doc(), "uncertainty": {}})
@@ -236,15 +250,19 @@ REJECTIONS = {
     ),
     "B1 square singular": (
         build_short({"A": PAPER_A, "B1": [[1.0, 1.0], [1.0, 1.0]], "C": [[0.0, 1.0]]}),
-        NO_SPAN,
+        "plant.B1 must be a 2x1 matrix to match plant.A and one control input, got shape (2, 2)",
     ),
     "B1 rank deficient": (
         build_short({"A": DIAG_A, "B1": [[1.0, 2.0], [2.0, 4.0], [3.0, 6.0]], "C": ONES}),
+        "plant.B1 must be a 3x1 matrix to match plant.A and one control input, got shape (3, 2)",
+    ),
+    "B1 zero column": (
+        build_short({"A": DIAG_A, "B1": [[0.0], [0.0], [0.0]], "C": ONES}),
         "B1 is rank deficient; its complement is not well defined",
     ),
     "B2 too few columns": (
         build_short({"A": DIAG_A, "B1": E1, "B2": [[0.0], [1.0], [0.0]], "C": ONES}),
-        "plant.B2 must have 2 columns to complete B1, got (3, 1)",
+        "plant.B2 must be a 3x2 matrix to match plant.A, got shape (3, 1)",
     ),
     "B2 not spanning": (
         build_short({"A": DIAG_A, "B1": E1, "B2": [[0.0, 0.0], [1.0, 1.0], [0.0, 0.0]], "C": ONES}),
@@ -269,7 +287,7 @@ REJECTIONS = {
     ),
     "B1 two columns": (
         build_short({"A": DIAG_A, "B1": [[1.0, 0.0], [0.0, 1.0], [0.0, 0.0]], "C": ONES}),
-        "plant.B1 must be one column (one control input), got (3, 2)",
+        "plant.B1 must be a 3x1 matrix to match plant.A and one control input, got shape (3, 2)",
     ),
     "non-minimum phase under original": (
         partial(build_scenario, copy.deepcopy(NMP_DOC)),
@@ -284,8 +302,9 @@ REJECTIONS = {
     ),
     "exponential integral singular": (
         build_short({"A": DIAG_A, "B1": E1, "C": ONES}, L_p=nyquist_error_dynamics()),
-        "the exponential integral over one sample period is singular; "
-        "adjust controller.sample_period or controller.L_p",
+        "the exponential integral over one sample period is singular; adjust "
+        "controller.sample_period, plant.A, controller.L_p, controller.bandwidth_matched "
+        "or controller.bandwidth_unmatched",
     ),
     "adaptation_gain input singular": (
         partial(adaptation_gain, -np.eye(2), np.array([[1.0, 1.0], [1.0, 1.0]]), 0.01),
@@ -295,8 +314,9 @@ REJECTIONS = {
         # 2 / ((s + 1)(s + 2)(s + 3)): its inverse needs s^3, the filter gives 1/s
         build_short({"A": [[-6.0, -11.0, -6.0], [1.0, 0.0, 0.0], [0.0, 1.0, 0.0]],
                      "B1": E1, "C": [[0.0, 0.0, 2.0]]}, law="original"),
-        "the dynamics-inverting unmatched path is improper even with the "
-        "low-pass filter; increase the filter order of the plant model",
+        "controller.law 'original' inverts the matched path, whose relative degree 3 "
+        "is above 2, so its unmatched path is improper even with the low-pass filter; "
+        "the 'modified' law has no such limit",
     ),
 }
 

@@ -427,15 +427,51 @@ class TestFilterStep:
 
     def test_dimension_mismatch(self):
         f = self._first_order(5.0, 0.01)
-        with pytest.raises(ValueError, match="length"):
+        with pytest.raises(ValueError, match="^filter input must have 1 entries, got 2$"):
             filter_step(f, np.zeros(1), [1.0, 2.0])
+
+
+class TestCoercers:
+    """as_scalar, as_vector and as_matrix hold the number, bound and shape rules."""
+
+    def test_a_bool_is_not_a_number(self):
+        for coerce in (statespace.as_scalar, statespace.as_vector, statespace.as_matrix):
+            with pytest.raises(ConfigError, match="^key must be a number, got True$|^key is not a"):
+                coerce(True, "key")
+        assert statespace.as_scalar("2", "key") == 2.0  # a numeric string still reads
+
+    def test_overflow_names_the_key(self):
+        for coerce in (statespace.as_scalar, statespace.as_vector, statespace.as_matrix):
+            with pytest.raises(ConfigError, match="^key is beyond the float range$"):
+                coerce(10**400 if coerce is statespace.as_scalar else [[1.0, -(10**400)]], "key")
+
+    def test_bounds(self):
+        assert statespace.as_scalar(0.0, "key", ">= 0") == 0.0
+        for value, bound in ((0.0, "> 0"), (-1e-300, ">= 0")):
+            with pytest.raises(ConfigError, match=f"^key must be {bound}, got {value}$"):
+                statespace.as_scalar(value, "key", bound)
+
+    def test_shapes(self):
+        assert statespace.as_matrix([1.0, 2.0], "key", (1, 2)).shape == (1, 2)
+        assert statespace.as_matrix([1.0, 2.0], "key", (2, None), column=True).shape == (2, 1)
+        assert statespace.as_matrix([], "key", (1, 0), column=True).shape == (1, 0)
+        with pytest.raises(ConfigError, match=r"^key must be a \*x\* matrix, got shape \(1, 0\)$"):
+            statespace.as_matrix([], "key")
+        with pytest.raises(ConfigError, match=r"^key must be a 3x\* matrix to match A, got shape"):
+            statespace.as_matrix([[1.0], [2.0]], "key", (3, None), "A")
+        with pytest.raises(ConfigError, match="^key must have 3 entries, got 2$"):
+            statespace.as_vector([[1.0], [2.0]], "key", 3)
+        # large finite entries whose sum overflows are finite
+        assert statespace.as_vector([1e308, 1e308], "key").tolist() == [1e308, 1e308]
+        with pytest.raises(ConfigError, match="^key has non-finite entries$"):
+            statespace.as_vector([1e308, math.nan], "key")
 
 
 class TestStateSpaceModel:
     def test_dimension_validation(self):
-        with pytest.raises(ValueError, match="B must have"):
+        with pytest.raises(ValueError, match=r"^B must be a 2x\* matrix to match A, got shape \(3, 1\)$"):
             StateSpaceModel(A=np.eye(2), B=np.ones((3, 1)), C=np.ones((1, 2)))
-        with pytest.raises(ValueError, match="C must have"):
+        with pytest.raises(ValueError, match=r"^C must be a \*x2 matrix to match A, got shape \(1, 3\)$"):
             StateSpaceModel(A=np.eye(2), B=np.ones((2, 1)), C=np.ones((1, 3)))
 
     def test_default_d_zero(self):
