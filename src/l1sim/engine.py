@@ -10,14 +10,21 @@ recurrence over the stacked state (``LoopModel``),
 
     s[k+1] = M s[k] + f[k],
 
-precomputed by ``compile_loop``.  A run builds the forcing f from the hold
-grid and solves the recurrence for all N samples at once with a log-depth
-scan of ceil(log2(N+1)) whole-trace products (recursive doubling,
-``_doubling_scan``); every recorded signal is a projection of the stacked
-states.  If a state comes out non-finite, the run steps the recurrence again
-one sample at a time, and that sequential pass names the first non-finite
-sample and block in ``SimulationDiverged``.  Identical inputs give
-bit-identical traces, whatever the number of BLAS threads.
+precomputed by ``compile_loop``.  A run splits its N samples into segments
+at the few samples where the form of f changes: the first sample the
+disturbances act over, and for each integrator step the first sample whose
+step starts at or after the command onset.  Within a segment from sample a,
+f[k] = alpha + beta (k - a) (beta = 0 for a step command), so the state
+[s, 1, k - a] follows one autonomous matrix, and power doubling solves it:
+the rows [z, P z, ..., P^(n-1) z] go through P^n to the next n rows, and P^n
+is squared for the next stage.  A run costs about N d^2 multiply-adds and a
+few d x d squarings per segment, and a segment with zero state and zero
+forcing (x0 = 0 before the onsets) is written as zeros.  Every recorded
+signal is a projection of the stacked states.  If a state comes out
+non-finite, the run builds f for every sample and steps the recurrence
+again one sample at a time, and that sequential pass names the first
+non-finite sample and block in ``SimulationDiverged``.  Identical inputs
+give bit-identical traces, whatever the number of BLAS threads.
 
 Exogenous inputs are held over each integrator step at their value at the
 step's start.  So a command or disturbance onset takes effect from the first
@@ -59,6 +66,8 @@ class EngineConfig:
             whole = False
         if not whole:
             raise ConfigError(f"engine.substeps_per_sample must be an integer >= 1, got {subs!r}")
+        if subs > np.iinfo(np.intp).max:  # 10**400 or 1e308: no array has that many rows
+            raise ConfigError("engine.substeps_per_sample is beyond numpy's index range")
         object.__setattr__(self, "substeps_per_sample", int(subs))
 
     def integrator_step(self, sample_period: float) -> float:
@@ -103,68 +112,133 @@ def _sample_count(t_end: float, sample_period: float) -> int:
     return n
 
 
-def _stacked_forcing(model: LoopModel, sig: ReferenceSignal, t: np.ndarray) -> np.ndarray:
-    """Rows [s[0], f[0], ..., f[N-1]]: the initial lifted state, then the
-    forcing of each sample (``LoopModel``) for the boundary times t."""
-    plant, blocks = model.plant, model.blocks
-    # integrator step j of sample i starts at i*T + j*h
-    h = model.config.sample_period / model.substeps
-    t_hold = t[:-1, np.newaxis] + np.arange(model.substeps) * h
-    rows = np.empty((t.shape[0], model.transition.shape[0]))
-    rows[0] = 0.0
-    rows[0, blocks["plant"]] = plant.x0
-    rows[0, blocks["reference model"]] = plant.x0
-    rows[1:] = reference_value(sig, t_hold) @ model.command_maps
-    rows[1:] += np.outer(t[:-1] >= plant.onset, model.disturbance_map)
+def _forcing(model: LoopModel, sig: ReferenceSignal, start: np.ndarray) -> np.ndarray:
+    """Forcing f[k] of ``LoopModel`` for the samples k that start at the times
+    ``start`` = k T: the command held over each integrator step through its
+    map, plus the disturbance map once the disturbances act."""
+    T = model.config.sample_period
+    # integrator step j of sample k starts at k*T + j*h
+    t_hold = start[:, np.newaxis] + np.arange(model.substeps) * (T / model.substeps)
+    rows = reference_value(sig, t_hold) @ model.command_maps
+    rows += (start >= model.plant.onset)[:, np.newaxis] * model.disturbance_map
     return rows
 
 
-def _doubling_scan(rows: np.ndarray, transition: np.ndarray) -> None:
-    """Turn [s[0], f[0], ..., f[N-1]] into [s[0], ..., s[N]] in place, where
-    s[k+1] = M s[k] + f[k] and M is ``transition``.
+def _stacked_forcing(model: LoopModel, sig: ReferenceSignal, initial: np.ndarray,
+                     n_samples: int) -> np.ndarray:
+    """Rows [s[0], f[0], ..., f[n_samples - 1]]: the initial lifted state, then
+    the forcing of each sample."""
+    rows = np.empty((n_samples + 1, initial.shape[0]))
+    rows[0] = initial
+    rows[1:] = _forcing(model, sig, np.arange(n_samples) * model.config.sample_period)
+    return rows
 
-    Recursive doubling (Kogge and Stone 1973; the Hillis-Steele inclusive
-    scan): after the stage of step 2^i, row j holds the sum over the 2^(i+1)
-    rows up to j of M^(j-l) rows[l].  Each stage is one product of the whole
-    trace with the power P = M^step, so the scan takes ceil(log2(N+1))
-    products.  Row j only ever reads rows before it.
+
+def _segment_starts(model: LoopModel, sig: ReferenceSignal, n_samples: int) -> list[int]:
+    """The samples 0 < k < n_samples where the forcing changes form, with 0:
+    the first sample the disturbances act over and, for each integrator step
+    j, the first sample whose step j starts at or after the command onset.
+    Between two of them every held command is off or affine in k."""
+    T = model.config.sample_period
+    h = T / model.substeps
+    starts = [0]
+    for onset, offset in ([(model.plant.onset, 0.0)]
+                          + [(sig.onset, j * h) for j in range(model.substeps)]):
+        periods = (onset - offset) / T
+        if periods < n_samples:  # not inf past the float range
+            # the division rounds, so settle its nearest whole number on the
+            # comparison _forcing makes: the first k with k*T + offset >= onset
+            k = max(0, round(periods))
+            while k > 0 and (k - 1) * T + offset >= onset:
+                k -= 1
+            while k * T + offset < onset:
+                k += 1
+            if k < n_samples:
+                starts.append(k)
+    return sorted(set(starts))
+
+
+def _power_doubling(rows: np.ndarray, power: np.ndarray) -> None:
+    """Fill rows[1:] with rows[j] = rows[0] @ (power^j)^T, where rows[0] and
+    ``power`` are the state and the transition of an autonomous recurrence.
+
+    Each stage maps the rows it has, [z, ..., P^(n-1) z], through P^n to the
+    next n rows, and squares P^n for the next stage, so L rows cost about L
+    row products and ceil(log2 L) squarings.  Row j only ever reads rows
+    before it.
     """
-    power, step = transition, 1
-    while step < rows.shape[0]:
-        # the product is formed from the rows as they were before this stage
-        rows[step:] += rows[:-step] @ power.T
-        step *= 2
-        if step < rows.shape[0]:
-            power = power @ power
+    n, length = 1, rows.shape[0]
+    step = power.T  # the rows are states, so they go through the transposed powers
+    while n < length:
+        m = min(n, length - n)
+        if m == 1 < n:
+            # numpy sends a one-row product to gemv, which rounds differently
+            # from gemm; with two rows a state does not depend on where its
+            # segment ends
+            rows[n] = np.dot(rows[:2], step)[0]
+        else:
+            np.dot(rows[:m], step, out=rows[n : n + m])
+        n *= 2
+        if n < length:
+            step = np.dot(step, step)
 
 
 def lifted_states(model: LoopModel, sig: ReferenceSignal, n_samples: int) -> np.ndarray:
     """Lifted state s[k] of ``model`` at sample boundaries k = 0..n_samples.
 
+    The samples split at the few indices where the forcing changes form
+    (``_segment_starts``): at most one per integrator step and one for the
+    disturbances.  Within a segment starting at sample a the forcing is
+    alpha + beta (k - a), with both taken from ``_forcing`` at the starts
+    and the sample after, so [s, 1, k - a] follows one autonomous matrix
+    [[M, alpha, beta], [0, 1, 0], [0, 1, 1]], solved by ``_power_doubling``:
+    about N d^2 multiply-adds over the run.  A segment with zero state and
+    zero forcing (x0 = 0 before the onsets) is written as zeros.
+
     Raises ``SimulationDiverged`` at the first boundary whose state is not
-    finite.  The powers of the scan can overflow before the states do, and
-    its rounding can move an overflow by a sample, so a non-finite scan is
-    stepped again one sample at a time, and that recurrence decides where,
-    and whether, the loop diverged.
+    finite.  The powers can overflow before the states do, and their
+    rounding can move an overflow by a sample, so a non-finite result is
+    stepped again one sample at a time from the per-sample forcing, and that
+    recurrence decides where, and whether, the loop diverged.
     """
-    T = model.config.sample_period
-    t = np.arange(n_samples + 1) * T
-    states = _stacked_forcing(model, sig, t)
+    T, M = model.config.sample_period, model.transition
+    d = M.shape[0]
+    starts = _segment_starts(model, sig, n_samples)
+    count = len(starts)
+    blocks = model.blocks
+    # columns d and d + 1 carry the 1 and the k - a of a segment's forcing
+    work = np.empty((n_samples + 1, d + 2))
+    work[0] = 0.0
+    work[0, blocks["plant"]] = work[0, blocks["reference model"]] = model.plant.x0
+    power = np.zeros((d + 2, d + 2))
+    power[:d, :d] = M
+    power[d:, d] = power[d + 1, d + 1] = 1.0
     # overflow is detected by the finite checks below, not by numpy warnings
     with np.errstate(over="ignore", invalid="ignore"):
-        _doubling_scan(states, model.transition)
-        if np.isfinite(states).all():
-            return states
-        states = _stacked_forcing(model, sig, t)
+        forcing = _forcing(model, sig, np.array([a * T for a in starts]
+                                                + [(a + 1) * T for a in starts]))
+        alpha, beta = forcing[:count], forcing[count:] - forcing[:count]
+        live = forcing.any(axis=1).tolist()
+        for i, (a, b) in enumerate(zip(starts, starts[1:] + [n_samples])):
+            rows = work[a : b + 1]
+            rows[0, d], rows[0, d + 1] = 1.0, 0.0
+            if live[i] or live[count + i] or rows[0, :d].any():
+                power[:d, d], power[:d, d + 1] = alpha[i], beta[i]
+                _power_doubling(rows, power)
+            else:
+                rows[1:] = 0.0
+        # every column is written, and the last two are finite when the states are
+        if np.isfinite(work).all():
+            return work[:, :d]
+        states = _stacked_forcing(model, sig, work[0, :d], n_samples)
         rows = list(states)  # row views: adding to one writes into states
-        step = model.transition.dot
         for prev, row in zip(rows, rows[1:]):
-            row += step(prev)
+            row += M.dot(prev)
     finite = np.isfinite(states).all(axis=1)
     if finite.all():
         return states
     k = int(np.argmin(finite))
-    block = next(name for name, cols in model.blocks.items()
+    block = next(name for name, cols in blocks.items()
                  if not np.isfinite(states[k, cols]).all())
     raise SimulationDiverged(k * T, k, block, float(np.abs(states[k - 1]).max()))
 

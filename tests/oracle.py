@@ -3,7 +3,7 @@
 ``rk4_closed_loop`` is the closed loop integrated with classical RK4;
 ``lifted_forcing`` and ``sequential_states`` step the lifted recurrence of
 a ``LoopModel`` one sample at a time, the reference for the engine's
-doubling scan; ``reference_csv_text`` and ``reference_polylines`` format
+power doubling; ``reference_csv_text`` and ``reference_polylines`` format
 trace files one value (or point) per Python call, the way the block
 formatters in ``l1sim.traceio`` and ``l1sim.plots`` must reproduce byte for
 byte.

@@ -23,9 +23,10 @@ BAD = [
     [["a", "b"]], [{"a": 1.0}], [None], [10**400], [[math.inf, 0.0]], [math.nan],
     10**400, -(10**400), math.inf, -math.inf, math.nan, 1e308, -1e308,
 ]
-# a large finite horizon or integrator-step count allocates memory in proportion
-# (N + 1 lifted states, N x S held commands), so neither is drawn
-LARGE = {("engine", "t_end"): (1e308,), ("engine", "substeps_per_sample"): (10**400, 1e308)}
+# a large finite horizon allocates memory in proportion (N + 1 lifted states),
+# so it is not drawn; an integrator-step count of 10**400 or 1e308 is rejected
+# before anything is allocated
+LARGE = {("engine", "t_end"): (1e308,)}
 HORIZON = 10  # samples run of whatever builds
 
 

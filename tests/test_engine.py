@@ -19,6 +19,7 @@ from l1sim import (
     rk4_step,
     run_closed_loop,
 )
+from l1sim.engine import lifted_states
 from l1sim.statespace import StateSpaceModel
 from conftest import BENCH_A, BENCH_B1, BENCH_C, canonical_plant
 from oracle import TRACE_FIELDS, lifted_forcing, max_deviation, rk4_closed_loop, sequential_states
@@ -58,6 +59,13 @@ class TestEngineConfig:
                 EngineConfig(substeps_per_sample=bad)
         assert EngineConfig(substeps_per_sample=3.0).substeps_per_sample == 3
 
+    @pytest.mark.parametrize("count", [10**400, 1e308], ids=["int-10e400", "float-1e308"])
+    def test_step_count_past_the_index_range_names_its_key(self, count):
+        # numpy refuses either count as an array dimension before it allocates;
+        # a large count it accepts would allocate that many step maps, so none is tried
+        with pytest.raises(ConfigError, match="engine.substeps_per_sample"):
+            EngineConfig(substeps_per_sample=count)
+
     def test_integrator_step_divides_sample(self):
         eng = EngineConfig(t_end=1.0, substeps_per_sample=4)
         assert eng.integrator_step(1e-3) == pytest.approx(2.5e-4)
@@ -96,6 +104,30 @@ class TestClosedLoop:
         t2 = run_closed_loop(bench_uncertain_plant, cfg, sig, eng)
         for name in ("t", "r", "y", "y_m", "u_a", "sigma1", "sigma2", "x", "x_hat", "x_tilde"):
             assert np.array_equal(getattr(t1, name), getattr(t2, name)), name
+
+    def test_states_do_not_depend_on_the_horizon(self):
+        # the segment from the onset at sample 5 has 2^i + 1 rows at these
+        # horizons, so its last power-doubling stage maps a single row
+        p = UncertainPlant.from_matrices(BENCH_A, BENCH_B1, BENCH_C, x0=[0.3, -0.7],
+                                         f1=[0.05], f2=[0.001], onset=5e-3)
+        model = compile_loop(p, AugmentationConfig(law="modified"))
+        for kind in ("step", "ramp"):
+            sig = ReferenceSignal(kind=kind, onset=0.0, amplitude=1.0, gradient=1.0)
+            longest = lifted_states(model, sig, 300)
+            for n in (6, 7, 9, 13, 21, 37, 69, 133, 261):
+                assert np.array_equal(lifted_states(model, sig, n), longest[: n + 1]), (kind, n)
+
+    @pytest.mark.parametrize("period, onset", [(0.3, 1226.7), (0.1, 1653.7000000000003)])
+    def test_segments_start_where_the_hold_grid_switches(self, period, onset):
+        # onset / period rounds to one side of the sample whose start time
+        # compares the other way, so a segment placed by the quotient alone
+        # would be off by a sample
+        p = UncertainPlant.from_matrices([[-1.0]], [[1.0]], [[1.0]])
+        model = compile_loop(p, AugmentationConfig(law="off", sample_period=period))
+        sig = ReferenceSignal(kind="step", onset=onset, amplitude=1.0)
+        n = round(onset / period) + 3
+        ref = sequential_states(model, lifted_forcing(model, sig, n))
+        assert np.array_equal(lifted_states(model, sig, n), ref)
 
     def test_law_off_matches_zoh_exact_propagation(self, bench_uncertain_plant):
         # constant command from t = 0 and constant disturbances: the sampled
@@ -218,6 +250,19 @@ class TestExactEngine:
         exact = run_closed_loop(sc.plant, sc.augmentation, sc.signal, sc.engine)
         oracle = rk4_closed_loop(sc.plant, sc.augmentation, sc.signal, sc.engine)
         assert max_deviation(exact, oracle) <= 1e-9
+
+    @pytest.mark.parametrize(
+        "preset, law", [(name, law) for name in sorted(PRESETS) for law in PRESETS[name]["laws"]]
+    )
+    def test_full_length_states_match_sequential_recurrence(self, preset, law):
+        # the powers of M^n are formed by repeated squaring, whose error grows
+        # with the horizon: check it at the presets' full length
+        sc = build_scenario(copy.deepcopy(PRESETS[preset]["doc"]), law_override=law)
+        n = round(sc.engine.t_end / sc.augmentation.sample_period)
+        states = lifted_states(sc.loop, sc.signal, n)
+        ref = sequential_states(sc.loop, lifted_forcing(sc.loop, sc.signal, n))
+        assert states.shape[0] == 10_001
+        assert np.abs(states - ref).max() <= 1e-12 * np.abs(ref).max()
 
     def test_rk4_oracle_converges_at_fourth_order(self):
         # stiff for the sample period: poles up to |22| at T = 5 ms, so one

@@ -1,5 +1,8 @@
 """Property tests over random stable, controllable plants of order 2-5."""
 
+import math
+from fractions import Fraction
+
 import numpy as np
 from hypothesis import assume, given
 from hypothesis import strategies as st
@@ -18,7 +21,9 @@ from l1sim.engine import lifted_states
 from conftest import canonical_plant
 from oracle import TRACE_FIELDS, lifted_forcing, rk4_closed_loop, sequential_states
 
-# horizons at the edges of the doubling scan's stages (N + 1 rows)
+# horizons at the edges of the power-doubling stages of a segment from sample
+# 0: N + 1 rows at a power of two or one or two past it, where the last stage
+# maps all of the rows it has, one or two
 SCAN_HORIZONS = (1, 2, 3, 7, 8, 9, 1023, 1024, 1025)
 
 
@@ -98,10 +103,18 @@ def test_exact_engine_matches_rk4_oracle_under_every_law(case):
 @given(scenarios(), st.data())
 def test_doubling_scan_matches_sequential_recurrence(case, data):
     plant, T, bandwidths, sig = case
-    # a nonzero initial state reaches the last row only through the last stage
+    # the command onset on or off the sample grid (at 2.5 T a sample has only
+    # its later integrator steps on), and the disturbance onset before, at or
+    # after it
+    onset = data.draw(st.sampled_from([0.0, 2.5, 3.0]), "command onset / T")
+    sig = ReferenceSignal(kind=sig.kind, onset=onset * T,
+                          amplitude=sig.amplitude, gradient=sig.gradient)
+    dist = data.draw(st.sampled_from([0, 2, 3, 5]), "disturbance onset / T")
+    # a nonzero initial state starts the first segment, and reaches the last
+    # row only through the last stage
     x0 = data.draw(st.lists(st.floats(-1.0, 1.0), min_size=plant.n, max_size=plant.n))
     plant = UncertainPlant.from_matrices(
-        plant.A, plant.B1, plant.C, x0=x0, f1=plant.f1, f2=plant.f2, onset=plant.onset
+        plant.A, plant.B1, plant.C, x0=x0, f1=plant.f1, f2=plant.f2, onset=dist * T
     )
     for law in LAWS:
         cfg = AugmentationConfig(law=law, sample_period=T, **bandwidths)
@@ -111,10 +124,15 @@ def test_doubling_scan_matches_sequential_recurrence(case, data):
             except ConfigError:
                 assert law == "original"  # a non-minimum-phase plant
                 break
+            # the segments start where the disturbances or a step's command come on
+            edges = {dist} | {math.ceil(Fraction(onset) - Fraction(j, substeps))
+                              for j in range(substeps)}
+            horizons = sorted({*SCAN_HORIZONS, *(n for e in edges for n in (e - 1, e, e + 1)
+                                                 if n >= 1)})
             # a row depends only on the rows before it, so every horizon's
             # reference is a prefix of the longest one
-            ref = sequential_states(model, lifted_forcing(model, sig, max(SCAN_HORIZONS)))
-            for n in SCAN_HORIZONS:
+            ref = sequential_states(model, lifted_forcing(model, sig, max(horizons)))
+            for n in horizons:
                 states = lifted_states(model, sig, n)
                 scale = float(np.abs(ref[: n + 1]).max())
                 assert np.abs(states - ref[: n + 1]).max() <= 1e-12 * scale, (law, substeps, n)
