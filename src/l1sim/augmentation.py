@@ -21,7 +21,7 @@ disables the augmentation.
 ``compile_loop`` checks a tuning against its plant and precomputes everything
 a run needs into one immutable ``LoopModel``, with one matrix exponential:
 the exact lifted recurrence of the whole sampled loop that the engine steps,
-its ``transition``, the per-substep ``command_maps``, the per-sample
+its ``transition``, the level and slope ``command_maps``, the per-sample
 ``disturbance_map`` and the ``input_map`` of the adaptive input.
 """
 
@@ -248,12 +248,14 @@ class LoopModel:
     the matched and unmatched law-filter states (``blocks`` names the
     slices).  Between boundaries every input is held, so one sample is
 
-        s[k+1] = transition @ s[k] + r[k] @ command_maps + on[k] * disturbance_map
+        s[k+1] = transition @ s[k] + [r(kT), g] @ command_maps + on[k] * disturbance_map
 
-    where r[k, j] is the command held over integrator step j of sample k and
-    on[k] is 1 once the disturbances act over sample k (the onset is on the
-    sample grid, so the switch is constant within a sample).  The adaptive
-    input held over sample k is ``input_map @ s[k]``.
+    where g is a ramp's gradient from the command's switch sample on (0 for a
+    step) and on[k] is 1 once the disturbances act over sample k; both onsets
+    lie on the sample grid.  The command is held over each of the ``substeps``
+    integrator steps at its step-start value, and ``command_maps`` folds them
+    into the level map of r(kT) and the slope map of a ramp's rise within the
+    sample.  The adaptive input held over sample k is ``input_map @ s[k]``.
     """
 
     plant: UncertainPlant
@@ -264,7 +266,7 @@ class LoopModel:
     unmatched: StateSpaceModel | None
     substeps: int
     transition: np.ndarray        # (d, d)
-    command_maps: np.ndarray      # (substeps, d)
+    command_maps: np.ndarray      # (2, d): level, slope
     disturbance_map: np.ndarray   # (d,)
     input_map: np.ndarray         # (m, d)
 
@@ -302,18 +304,6 @@ def grid_index(t: float, sample_period: float, name: str) -> int:
     return n
 
 
-def _step_maps(a_d: np.ndarray, b_d: np.ndarray, substeps: int) -> tuple[np.ndarray, np.ndarray]:
-    """Propagator over ``substeps`` steps of the ZOH maps (a_d, b_d) of one
-    step, and for each step j the map of an input held over step j alone."""
-    maps = np.empty((substeps, *b_d.shape))
-    maps[-1] = b_d
-    prop = a_d
-    for j in range(substeps - 2, -1, -1):
-        maps[j] = a_d @ maps[j + 1]
-        prop = prop @ a_d
-    return prop, maps
-
-
 def compile_loop(
     plant: UncertainPlant, cfg: AugmentationConfig, substeps_per_sample: int = 1
 ) -> LoopModel:
@@ -323,7 +313,8 @@ def compile_loop(
     error dynamics, a singular update gain, the transmission-zero gate of the
     dynamics-inverting law (also its path's stability check), an improper path
     and an overflowing loop all raise ``ConfigError`` here.  The command is
-    held over steps of ``sample_period / substeps_per_sample``, the engine's.
+    held over S = ``substeps_per_sample`` steps of h = T / S, the engine's,
+    and the S steps fold into the sample's maps by one matrix power.
     """
     T = cfg.sample_period
     grid_index(plant.onset, T, "uncertainty.onset")
@@ -347,9 +338,16 @@ def compile_loop(
     drive[:n, n:] = drive[n : 2 * n, n:] = np.hstack([plant.B1, plant.B2])
     for filt, chans, block in filters:
         gen[block, block], drive[block, chans] = filt.A, filt.B
-    maps = zoh_maps(gen, drive, T / substeps_per_sample, f"one of {_RATE_KEYS}")
-    prop, steps = _step_maps(*maps, substeps_per_sample)
-    held = steps.sum(axis=0)  # maps of an input held over the whole sample
+    # One step of h = T / S advances [z, u, j]: z under the ZOH maps (a_h, b_h), the
+    # held input u, and a constant j = 1 that adds one to u's command column (B1's,
+    # n) per step.  So the S-th power (the step itself at S = 1, O(log S) products)
+    # holds the propagator, the held-input maps and sum_j j a_h^(S-1-j) b_h[:, n].
+    h = T / substeps_per_sample
+    a_h, b_h = zoh_maps(gen, drive, h, f"one of {_RATE_KEYS}")
+    step = np.eye(width + 2 * n + 1)
+    step[:width, :width], step[:width, width:-1], step[width + n, -1] = a_h, b_h, 1.0
+    power = np.linalg.matrix_power(step, substeps_per_sample)
+    prop, held, staircase = power[:width, :width], power[:width, width:-1], power[:n, -1]
     plant_prop, plant_input = prop[:n, :n], held[:n, n:]
     err_prop, err_input = prop[n : 2 * n, n : 2 * n], held[n : 2 * n, n:]
     gain = _estimator_gain(err_prop, err_input)
@@ -374,9 +372,11 @@ def compile_loop(
     transition[x_m, x_m] = plant_prop
     transition[x_t, x_t] = err_prop + err_input @ gain
 
-    # the command enters plant and reference model alike and cancels in x_tilde
-    command_maps = np.zeros((substeps_per_sample, d))
-    command_maps[:, x] = steps[:, :n, n : n + m] @ np.full(m, plant.k_ff)
+    # the command enters plant and reference model alike and cancels in x_tilde;
+    # a ramp of gradient g is g j h above its value at the sample's start at step j
+    command_maps = np.zeros((2, d))
+    command_maps[0, x] = held[:n, n : n + m] @ np.full(m, plant.k_ff)
+    command_maps[1, x] = staircase * (plant.k_ff * h)
     command_maps[:, x_m] = command_maps[:, x]
     f = np.concatenate([plant.f1, plant.f2])
     disturbance_map = np.zeros(d)

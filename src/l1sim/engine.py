@@ -2,35 +2,35 @@
 
 Between two sample boundaries the whole loop is linear and time invariant:
 the disturbance estimate and the adaptive input are held, the command r is
-held over each integrator step, the on/off state of the constant
-disturbances f1/f2 over the whole sample (their onset is on the sample
-grid), and the estimator and both law filters are linear maps of the
-boundary state.  So the sampled loop is one exact zero-order-hold
-recurrence over the stacked state (``LoopModel``),
+held over each integrator step at its value at the step's start, and the
+estimator and both law filters are linear maps of the boundary state.  So
+the sampled loop is one exact zero-order-hold recurrence over the stacked
+state (``LoopModel``),
 
     s[k+1] = M s[k] + f[k],
 
-precomputed by ``compile_loop``.  A run splits its N samples into segments
-at the few samples where the form of f changes: the first sample the
-disturbances act over, and for each integrator step the first sample whose
-step starts at or after the command onset.  Within a segment from sample a,
-f[k] = alpha + beta (k - a) (beta = 0 for a step command), so the state
-[s, 1, k - a] follows one autonomous matrix, and power doubling solves it:
-the rows [z, P z, ..., P^(n-1) z] go through P^n to the next n rows, and P^n
-is squared for the next stage.  A run costs about N d^2 multiply-adds and a
-few d x d squarings per segment, and a segment with zero state and zero
-forcing (x0 = 0 before the onsets) is written as zeros.  Every recorded
-signal is a projection of the stacked states.  If a state comes out
-non-finite, the run builds f for every sample and steps the recurrence
-again one sample at a time, and that sequential pass names the first
-non-finite sample and block in ``SimulationDiverged``.  Identical inputs
-give bit-identical traces, whatever the number of BLAS threads.
+precomputed by ``compile_loop``, which folds the integrator steps of a
+sample into two command maps: f[k] is r(kT) through the level map plus a
+ramp's gradient through the slope map, from the command's switch sample on,
+plus the disturbance map once the disturbances act.  Both onsets (``reference``
+and ``uncertainty``) must lie on the sample grid, and each acts over whole
+samples from the first boundary k T at or after it, the comparison
+``reference_value`` and ``compute_metrics`` make; no sample at or before an
+onset sees it.  Step traces are the same as with a per-step hold grid.
 
-Exogenous inputs are held over each integrator step at their value at the
-step's start.  So a command or disturbance onset takes effect from the first
-integrator step that starts at or after it, and no sample at or before the
-onset sees it.  ``substeps_per_sample`` sets that hold grid; the solution
-between its points is exact, not integrated.
+A run splits its N samples into segments at the two switch samples.  Within
+a segment from sample a, f[k] = alpha + beta (k - a) (beta = 0 for a step
+command), so the state [s, 1, k - a] follows one autonomous matrix, and
+power doubling solves it: the rows [z, P z, ..., P^(n-1) z] go through P^n
+to the next n rows, and P^n is squared for the next stage.  A run costs
+about N d^2 multiply-adds and a few d x d squarings per segment, and a
+segment with zero state and zero forcing (x0 = 0 before the onsets) is
+written as zeros.  Every recorded signal is a projection of the stacked
+states.  If a state comes out non-finite, the run builds f for every sample
+and steps the recurrence again one sample at a time, and that sequential
+pass names the first non-finite sample and block in ``SimulationDiverged``.
+Identical inputs give bit-identical traces, whatever the number of BLAS
+threads.
 """
 
 from __future__ import annotations
@@ -47,11 +47,11 @@ from .statespace import as_scalar
 
 @dataclass(frozen=True)
 class EngineConfig:
-    """Time horizon and hold grid.
+    """Time horizon and the integrator steps per sample.
 
-    The integrator step, over which the command and the disturbance switch
-    are held, is the controller sample period divided by
-    ``substeps_per_sample``, so it always divides the sample period exactly.
+    The command is held over each of the ``substeps_per_sample`` integrator
+    steps of a sample, at its value at the step's start; ``compile_loop``
+    folds them into the loop model, so only a ramp's trace depends on them.
     """
 
     t_end: float = 10.0
@@ -66,12 +66,11 @@ class EngineConfig:
             whole = False
         if not whole:
             raise ConfigError(f"engine.substeps_per_sample must be an integer >= 1, got {subs!r}")
-        if subs > np.iinfo(np.intp).max:  # 10**400 or 1e308: no array has that many rows
-            raise ConfigError("engine.substeps_per_sample is beyond numpy's index range")
+        # compile_loop raises the rounded step propagator to the S-th power, which
+        # drifts from e^(A T) by about S eps: 2**22 eps is 1e-9, the grid's tolerance
+        if subs > 2**22:
+            raise ConfigError("engine.substeps_per_sample must be at most 2**22 = 4194304")
         object.__setattr__(self, "substeps_per_sample", int(subs))
-
-    def integrator_step(self, sample_period: float) -> float:
-        return sample_period / self.substeps_per_sample
 
 
 @dataclass
@@ -112,14 +111,22 @@ def _sample_count(t_end: float, sample_period: float) -> int:
     return n
 
 
+def _onset_sample(onset: float, sample_period: float, name: str) -> int:
+    """First sample k whose start k T is at or after ``onset``, the value of
+    key ``name``, which must lie on the sample grid."""
+    k = grid_index(onset, sample_period, name)
+    return k + (k * sample_period < onset)  # the grid's tolerance can leave k T short
+
+
 def _forcing(model: LoopModel, sig: ReferenceSignal, start: np.ndarray) -> np.ndarray:
     """Forcing f[k] of ``LoopModel`` for the samples k that start at the times
-    ``start`` = k T: the command held over each integrator step through its
-    map, plus the disturbance map once the disturbances act."""
-    T = model.config.sample_period
-    # integrator step j of sample k starts at k*T + j*h
-    t_hold = start[:, np.newaxis] + np.arange(model.substeps) * (T / model.substeps)
-    rows = reference_value(sig, t_hold) @ model.command_maps
+    ``start`` = k T: the command at the sample's start through the level map,
+    a ramp's gradient through the slope map once it is on, and the
+    disturbance map once the disturbances act."""
+    level, slope = model.command_maps
+    rows = np.outer(reference_value(sig, start), level)
+    if sig.kind == "ramp":
+        rows += np.outer((start >= sig.onset) * sig.gradient, slope)
     rows += (start >= model.plant.onset)[:, np.newaxis] * model.disturbance_map
     return rows
 
@@ -135,27 +142,12 @@ def _stacked_forcing(model: LoopModel, sig: ReferenceSignal, initial: np.ndarray
 
 
 def _segment_starts(model: LoopModel, sig: ReferenceSignal, n_samples: int) -> list[int]:
-    """The samples 0 < k < n_samples where the forcing changes form, with 0:
-    the first sample the disturbances act over and, for each integrator step
-    j, the first sample whose step j starts at or after the command onset.
-    Between two of them every held command is off or affine in k."""
+    """Sample 0 and the switch samples of the command and the disturbances
+    before ``n_samples``: between two of them the forcing is affine in k."""
     T = model.config.sample_period
-    h = T / model.substeps
-    starts = [0]
-    for onset, offset in ([(model.plant.onset, 0.0)]
-                          + [(sig.onset, j * h) for j in range(model.substeps)]):
-        periods = (onset - offset) / T
-        if periods < n_samples:  # not inf past the float range
-            # the division rounds, so settle its nearest whole number on the
-            # comparison _forcing makes: the first k with k*T + offset >= onset
-            k = max(0, round(periods))
-            while k > 0 and (k - 1) * T + offset >= onset:
-                k -= 1
-            while k * T + offset < onset:
-                k += 1
-            if k < n_samples:
-                starts.append(k)
-    return sorted(set(starts))
+    onsets = (_onset_sample(sig.onset, T, "reference.onset"),
+              _onset_sample(model.plant.onset, T, "uncertainty.onset"))
+    return sorted({0, *(k for k in onsets if k < n_samples)})
 
 
 def _power_doubling(rows: np.ndarray, power: np.ndarray) -> None:
@@ -186,9 +178,9 @@ def _power_doubling(rows: np.ndarray, power: np.ndarray) -> None:
 def lifted_states(model: LoopModel, sig: ReferenceSignal, n_samples: int) -> np.ndarray:
     """Lifted state s[k] of ``model`` at sample boundaries k = 0..n_samples.
 
-    The samples split at the few indices where the forcing changes form
-    (``_segment_starts``): at most one per integrator step and one for the
-    disturbances.  Within a segment starting at sample a the forcing is
+    The samples split where the command or the disturbances switch on
+    (``_segment_starts``; ``ConfigError`` names an onset off the sample
+    grid).  Within a segment starting at sample a the forcing is
     alpha + beta (k - a), with both taken from ``_forcing`` at the starts
     and the sample after, so [s, 1, k - a] follows one autonomous matrix
     [[M, alpha, beta], [0, 1, 0], [0, 1, 1]], solved by ``_power_doubling``:

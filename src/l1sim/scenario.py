@@ -20,7 +20,7 @@ from pathlib import Path
 import numpy as np
 
 from .augmentation import AugmentationConfig, LoopModel, compile_loop
-from .engine import EngineConfig, SimTrace, _sample_count, run_closed_loop
+from .engine import EngineConfig, SimTrace, _onset_sample, _sample_count, run_closed_loop
 from .errors import ConfigError
 from .metrics import Metrics, compute_metrics, steady_mask
 from .plant import ReferenceSignal, UncertainPlant
@@ -158,9 +158,10 @@ def build_scenario(cfg: dict, name: str | None = None, law_override: str | None 
     signal = ReferenceSignal(kind=ref_cfg.pop("kind", None), **ref_cfg)
     augmentation = AugmentationConfig(law=ctl_cfg.pop("law", None), **ctl_cfg)
     engine = EngineConfig(**eng_cfg)
-    # an off-grid horizon, or a step command after it, fails at load
-    t_last = _sample_count(engine.t_end, augmentation.sample_period) * augmentation.sample_period
-    if signal.kind == "step" and signal.onset > t_last:
+    # an off-grid horizon or command onset, or a step command after t_end, fails at load
+    T = augmentation.sample_period
+    _onset_sample(signal.onset, T, "reference.onset")
+    if signal.kind == "step" and signal.onset > _sample_count(engine.t_end, T) * T:
         raise ConfigError("reference.onset must not be after engine.t_end for step metrics")
     return Scenario(
         name=stem,

@@ -16,6 +16,8 @@ dynamics (``plant_deriv``, ``reference_model_deriv`` and
 each boundary.  It holds the estimate and the adaptive input over a sample,
 and the command and the disturbance switch over an integrator step at their
 step-start values, so it converges to the engine at 4th order in the step.
+``lifted_forcing`` likewise holds the command over each integrator step
+through maps of its own, not through the loop model's folded command maps.
 """
 
 from __future__ import annotations
@@ -34,15 +36,16 @@ from l1sim import (
     rk4_step,
 )
 from l1sim.plots import HEIGHT, MARGIN_B, MARGIN_L, MARGIN_R, MARGIN_T, WIDTH
+from l1sim.statespace import zoh_maps
 
 TRACE_FIELDS = ("r", "y", "y_m", "u_a", "sigma1", "sigma2", "x", "x_hat", "x_tilde")
 
 
 def rk4_closed_loop(plant, cfg, sig, eng) -> SimTrace:
-    """Simulate the closed loop with RK4 steps of ``eng.integrator_step``."""
+    """Simulate the closed loop with ``eng.substeps_per_sample`` RK4 steps per sample."""
     model = compile_loop(plant, cfg, eng.substeps_per_sample)
     T = cfg.sample_period
-    h = eng.integrator_step(T)
+    h = T / eng.substeps_per_sample
     n, m, k = plant.n, plant.m, plant.n_unmatched
     rows = round(eng.t_end / T) + 1
     out = SimTrace(
@@ -94,15 +97,24 @@ def rk4_closed_loop(plant, cfg, sig, eng) -> SimTrace:
 
 
 def lifted_forcing(model, sig, n_samples: int) -> np.ndarray:
-    """f[k] of the lifted recurrence for samples k < n_samples: each integrator
-    step's held command through its command map, plus the disturbance map
-    once the disturbances act."""
-    T = model.config.sample_period
-    h = T / model.substeps
+    """f[k] of the lifted recurrence for samples k < n_samples: the command
+    held over each integrator step j at r(kT + jh), from the first sample
+    that starts at or after its onset, through that step's map into the plant
+    and the reference model, plus the disturbance map once the disturbances
+    act.  The step maps are the plant's own: the ZOH maps (a_h, b_h) of
+    (A, B1 k_ff) over one step h, and a_h^(S-1-j) b_h for step j."""
+    plant, T, substeps = model.plant, model.config.sample_period, model.substeps
+    h = T / substeps
+    a_h, b_h = zoh_maps(plant.A, plant.B1 * plant.k_ff, h)
     start = np.arange(n_samples) * T
-    forcing = np.outer(start >= model.plant.onset, model.disturbance_map)
-    for j, command_map in enumerate(model.command_maps):
-        forcing += np.outer(reference_value(sig, start + j * h), command_map)
+    forcing = np.outer(start >= plant.onset, model.disturbance_map)
+    on = start >= sig.onset
+    step_map = b_h[:, 0]
+    for j in range(substeps - 1, -1, -1):
+        command = np.outer(on * reference_value(sig, start + j * h), step_map)
+        forcing[:, model.blocks["plant"]] += command
+        forcing[:, model.blocks["reference model"]] += command
+        step_map = a_h @ step_map
     return forcing
 
 

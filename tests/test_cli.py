@@ -123,6 +123,14 @@ class TestRunCommand:
         assert err.startswith("error: engine.substeps_per_sample must be an integer")
         assert "Traceback" not in err
 
+    def test_off_grid_command_onset_exit_code(self, tmp_path, capsys):
+        body = dict(SCENARIO, reference={"kind": "step", "onset": 0.0025, "amplitude": 1.0})
+        path = write_scenario(tmp_path, "onset.yaml", body)
+        assert main(["run", str(path)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: reference.onset = 0.0025 must be a whole number")
+        assert "Traceback" not in err
+
     def test_unreadable_scenario_file_exit_code(self, tmp_path, capsys):
         not_utf8 = tmp_path / "latin1.yaml"
         not_utf8.write_bytes(

@@ -24,8 +24,8 @@ BAD = [
     10**400, -(10**400), math.inf, -math.inf, math.nan, 1e308, -1e308,
 ]
 # a large finite horizon allocates memory in proportion (N + 1 lifted states),
-# so it is not drawn; an integrator-step count of 10**400 or 1e308 is rejected
-# before anything is allocated
+# so it is not drawn; an integrator-step count of 10**400 or 1e308 is past its
+# precision bound of 2**22, and no count allocates in proportion to itself
 LARGE = {("engine", "t_end"): (1e308,)}
 HORIZON = 10  # samples run of whatever builds
 

@@ -1,5 +1,6 @@
 import copy
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -18,6 +19,7 @@ from l1sim import (
     mat_exp,
     rk4_step,
     run_closed_loop,
+    run_scenario,
 )
 from l1sim.engine import lifted_states
 from l1sim.statespace import StateSpaceModel
@@ -61,14 +63,31 @@ class TestEngineConfig:
 
     @pytest.mark.parametrize("count", [10**400, 1e308], ids=["int-10e400", "float-1e308"])
     def test_step_count_past_the_index_range_names_its_key(self, count):
-        # numpy refuses either count as an array dimension before it allocates;
-        # a large count it accepts would allocate that many step maps, so none is tried
-        with pytest.raises(ConfigError, match="engine.substeps_per_sample"):
+        # far past the precision bound below, and past numpy's index range too
+        with pytest.raises(ConfigError, match=r"engine\.substeps_per_sample must be at most"):
             EngineConfig(substeps_per_sample=count)
 
-    def test_integrator_step_divides_sample(self):
-        eng = EngineConfig(t_end=1.0, substeps_per_sample=4)
-        assert eng.integrator_step(1e-3) == pytest.approx(2.5e-4)
+    def test_step_count_past_the_precision_bound_names_its_key(self):
+        # the sample's propagator drifts by about S eps: 2**22 eps is the grid's 1e-9
+        assert EngineConfig(substeps_per_sample=2**22).substeps_per_sample == 2**22
+        with pytest.raises(ConfigError, match=r"engine\.substeps_per_sample must be at most 2\*\*22"):
+            EngineConfig(substeps_per_sample=2**22 + 1)
+
+    def test_largest_step_count_compiles_without_allocating_per_step(self, bench_plant):
+        # the steps fold by one matrix power: 2**22 of them cost 22 squarings
+        eng = EngineConfig(t_end=0.01, substeps_per_sample=2**22)
+        cfg = AugmentationConfig(law="modified")
+        tracemalloc.start()
+        try:
+            model = compile_loop(bench_plant, cfg, eng.substeps_per_sample)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20
+        # and the propagator is still e^(A T) to the grid's tolerance
+        prop = model.transition[model.blocks["plant"], model.blocks["plant"]]
+        exact = compile_loop(bench_plant, cfg).transition[model.blocks["plant"], model.blocks["plant"]]
+        assert np.abs(prop - exact).max() <= 1e-9 * np.abs(exact).max()
 
     def test_t_end_must_align_with_sample_grid(self, bench_plant):
         sig = ReferenceSignal(kind="step", onset=0.0, amplitude=1.0)
@@ -128,6 +147,16 @@ class TestClosedLoop:
         n = round(onset / period) + 3
         ref = sequential_states(model, lifted_forcing(model, sig, n))
         assert np.array_equal(lifted_states(model, sig, n), ref)
+
+    @pytest.mark.parametrize("substeps", [1, 4, 1024])
+    def test_ramp_lag_matches_the_staircase_closed_form(self, substeps):
+        # paper-siso lags a ramp by 2 zeta / omega_n = 0.2 s, and a ramp held
+        # over steps of h = T / S lags itself by h / 2 on average
+        doc = copy.deepcopy(PRESETS["nominal-ramp"]["doc"])
+        doc["engine"]["substeps_per_sample"] = substeps
+        sc = build_scenario(doc)
+        lag = run_scenario(sc).metrics.tracking_lag
+        assert abs(lag - 0.2 - sc.augmentation.sample_period / (2 * substeps)) <= 1e-9
 
     def test_law_off_matches_zoh_exact_propagation(self, bench_uncertain_plant):
         # constant command from t = 0 and constant disturbances: the sampled
@@ -290,8 +319,8 @@ class TestExactEngine:
 
 
 class TestOnsetTiming:
-    """A disturbance onset takes effect from the first integrator step that
-    starts at or after it, so no sample at or before the onset sees it."""
+    """A disturbance onset on the sample grid takes effect from the first
+    sample that starts at or after it, so no sample at or before it sees it."""
 
     @pytest.mark.parametrize("substeps", [1, 4])
     @pytest.mark.parametrize("period, onset", [(2.0**-10, 32 * 2.0**-10), (1e-3, 0.05)])
@@ -314,7 +343,7 @@ class TestOnsetTiming:
         assert a.t[upto][-1] == pytest.approx(onset, abs=1e-12)
         for name in TRACE_FIELDS:
             assert np.array_equal(getattr(a, name)[upto], getattr(b, name)[upto]), name
-        # it acts from the step that starts at the onset
+        # it acts from the sample that starts at the onset
         first_after = int(np.argmin(upto))
         assert not np.array_equal(a.x[first_after], b.x[first_after])
 

@@ -155,7 +155,15 @@ class TestBuildScenario:
             with pytest.raises(ConfigError, match=pattern):
                 build_scenario(bad)
 
-    @pytest.mark.parametrize("section, key", [("uncertainty", "onset"), ("engine", "t_end")])
+    def test_command_onset_off_the_sample_grid_rejected(self):
+        # 2.5 T: the command, like the disturbances, acts over whole samples
+        with pytest.raises(ConfigError, match=r"^reference\.onset = 0\.0025 must be a whole number "
+                                              r"of sample periods \(controller\.sample_period = 0\.001\)"):
+            build_scenario(doc(reference={"onset": 0.0025}))
+        assert build_scenario(doc(reference={"onset": 0.003})).signal.onset == 0.003
+
+    @pytest.mark.parametrize("section, key",
+                             [("uncertainty", "onset"), ("engine", "t_end"), ("reference", "onset")])
     def test_time_past_the_float_range_in_periods_is_off_the_grid(self, section, key):
         # 1e308 / 1e-3 overflows to inf, which no whole number of periods equals
         with pytest.raises(ConfigError, match=rf"^{section}.{key} = 1e\+308 must be a whole number "
