@@ -141,10 +141,10 @@ def _estimator_gain(exp_at: np.ndarray, held_input: np.ndarray) -> np.ndarray:
     return -np.linalg.solve(held_input, exp_at)
 
 
-def low_pass_model(bandwidth: float, channels: int = 1) -> StateSpaceModel:
-    """First-order unit-DC-gain low-pass filter w/(s+w), replicated per channel."""
-    eye = np.eye(channels)
-    return StateSpaceModel._of(-bandwidth * eye, bandwidth * eye, eye, 0.0 * eye)
+def low_pass_model(bandwidth: float) -> StateSpaceModel:
+    """First-order unit-DC-gain low-pass filter w/(s+w) of the one matched channel."""
+    return StateSpaceModel._of(np.array([[-bandwidth]]), np.array([[bandwidth]]), np.eye(1),
+                               np.zeros((1, 1)))
 
 
 def _zero_dynamics(plant: UncertainPlant):
@@ -268,7 +268,7 @@ class LoopModel:
     transition: np.ndarray        # (d, d)
     command_maps: np.ndarray      # (2, d): level, slope
     disturbance_map: np.ndarray   # (d,)
-    input_map: np.ndarray         # (m, d)
+    input_map: np.ndarray         # (1, d)
 
     @property
     def blocks(self) -> dict[str, slice]:
@@ -284,8 +284,7 @@ class LoopModel:
     def update(self, x_tilde: np.ndarray) -> DisturbanceEstimate:
         """Disturbance estimate from the prediction error at a sample boundary."""
         sig = self.gain @ x_tilde
-        m = self.plant.m
-        return DisturbanceEstimate(matched=sig[:m].copy(), unmatched=sig[m:].copy())
+        return DisturbanceEstimate(matched=sig[:1].copy(), unmatched=sig[1:].copy())
 
 
 # Alias read by the benchmark (perfbench/): it counts gain builds per run as
@@ -319,14 +318,14 @@ def compile_loop(
     T = cfg.sample_period
     grid_index(plant.onset, T, "uncertainty.onset")
     a_err = error_dynamics_matrix(plant, cfg)
-    n, m = plant.n, plant.m
+    n = plant.n
     # each continuous law filter, the estimate channels it reads and its block
     filters, width = [], 2 * n
     if cfg.law != "off":
         with np.errstate(over="ignore", invalid="ignore"):  # zoh_maps rejects an overflow
             path = unmatched_path_model(plant, cfg)
-        for filt, chans in ((low_pass_model(cfg.bandwidth_matched, m), slice(0, m)),
-                            (path, slice(m, n))):
+        for filt, chans in ((low_pass_model(cfg.bandwidth_matched), slice(0, 1)),
+                            (path, slice(1, n))):
             if filt is not None:
                 filters.append((filt, chans, slice(width, width + filt.order)))
                 width += filt.order
@@ -355,7 +354,7 @@ def compile_loop(
     # the lifted state is the generator's with x_m after x (LoopModel.blocks)
     d = n + width
     x, x_m, x_t = slice(0, n), slice(n, 2 * n), slice(2 * n, 3 * n)
-    transition, input_map = np.zeros((d, d)), np.zeros((m, d))
+    transition, input_map = np.zeros((d, d)), np.zeros((1, d))
     discrete = []
     for filt, chans, block in filters:
         filt = StateSpaceModel._of(prop[block, block], held[block, chans], filt.C, filt.D)
@@ -368,14 +367,14 @@ def compile_loop(
         input_map[:, block] = -filt.C @ filt.A
     matched, unmatched = discrete + [None] * (2 - len(discrete))
     transition[x, x] = plant_prop
-    transition[x] += plant_input[:, :m] @ input_map
+    transition[x] += plant_input[:, :1] @ input_map
     transition[x_m, x_m] = plant_prop
     transition[x_t, x_t] = err_prop + err_input @ gain
 
     # the command enters plant and reference model alike and cancels in x_tilde;
     # a ramp of gradient g is g j h above its value at the sample's start at step j
     command_maps = np.zeros((2, d))
-    command_maps[0, x] = held[:n, n : n + m] @ np.full(m, plant.k_ff)
+    command_maps[0, x] = held[:n, n] * plant.k_ff
     command_maps[1, x] = staircase * (plant.k_ff * h)
     command_maps[:, x_m] = command_maps[:, x]
     f = np.concatenate([plant.f1, plant.f2])
@@ -426,7 +425,7 @@ def control_update(model: LoopModel, est: DisturbanceEstimate, xf_m, xf_u):
     filter states.
     """
     if model.matched is None:
-        return np.zeros(model.plant.m), xf_m, xf_u
+        return np.zeros(1), xf_m, xf_u
     xf_m, y = filter_step(model.matched, xf_m, est.matched)
     u = -y
     if model.unmatched is not None:

@@ -81,17 +81,21 @@ class SimTrace:
     r: np.ndarray
     y: np.ndarray
     y_m: np.ndarray
-    u_a: np.ndarray      # (samples, m)
-    sigma1: np.ndarray   # (samples, m)
-    sigma2: np.ndarray   # (samples, n - m)
+    u_a: np.ndarray      # (samples, 1)
+    sigma1: np.ndarray   # (samples, 1)
+    sigma2: np.ndarray   # (samples, n - 1)
     x: np.ndarray        # (samples, n)
     x_hat: np.ndarray    # (samples, n)
-    x_tilde: np.ndarray  # (samples, n)
     label: str = ""
 
     @property
     def n_samples(self) -> int:
         return self.t.shape[0]
+
+    @property
+    def x_tilde(self) -> np.ndarray:
+        """Prediction error x_hat - x, (samples, n)."""
+        return self.x_hat - self.x
 
 
 def rk4_step(deriv, t: float, x: np.ndarray, h: float):
@@ -261,19 +265,16 @@ def run_closed_loop(
     blocks = model.blocks
 
     x = states[:, blocks["plant"]]
-    x_hat = x + states[:, blocks["predictor"]]
     sigma = states[:, blocks["predictor"]] @ model.gain.T
-    m = plant.m
     return SimTrace(
         t=t,
         r=reference_value(sig, t),
         y=x @ plant.C[0],
         y_m=states[:, blocks["reference model"]] @ plant.C[0],
         u_a=states @ model.input_map.T + 0.0,  # + 0.0 normalizes -0.0
-        sigma1=sigma[:, :m],
-        sigma2=sigma[:, m:],
+        sigma1=sigma[:, :1],
+        sigma2=sigma[:, 1:],
         x=x,
-        x_hat=x_hat,
-        x_tilde=x_hat - x,
+        x_hat=x + states[:, blocks["predictor"]],
         label=label,
     )

@@ -62,7 +62,7 @@ def compute_metrics(trace: SimTrace, sig: ReferenceSignal) -> Metrics:
     dt = np.diff(t)
     sq = err * err
     tracking_error_l2 = float(np.sum(0.5 * (sq[1:] + sq[:-1]) * dt))
-    peak_u_a = float(np.abs(trace.u_a).max()) if trace.u_a.size else 0.0
+    peak_u_a = float(np.abs(trace.u_a).max())
 
     if sig.kind == "ramp":
         tracking_lag = float(np.mean(r[mask] - y[mask]))

@@ -112,10 +112,6 @@ class UncertainPlant:
         return self.A.shape[0]
 
     @property
-    def m(self) -> int:
-        return self.B1.shape[1]
-
-    @property
     def n_unmatched(self) -> int:
         return self.B2.shape[1]
 
@@ -137,4 +133,4 @@ def plant_deriv(p: UncertainPlant, x: np.ndarray, u_a: np.ndarray, r: float, t: 
 
 def reference_model_deriv(p: UncertainPlant, x_m: np.ndarray, r: float) -> np.ndarray:
     """State derivative of the undisturbed reference model."""
-    return p.A @ x_m + p.B1 @ np.full(p.m, p.k_ff * r)
+    return p.A @ x_m + p.B1[:, 0] * (p.k_ff * r)

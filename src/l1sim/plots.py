@@ -154,7 +154,7 @@ def emit_plots(traces: Sequence[SimTrace], out_dir, stem: str) -> list[Path]:
     """Write the output and adaptive charts; returns the written paths.
 
     ``output`` overlays the command and every trace's output; ``adaptive``
-    overlays the adaptive control signals.
+    overlays every trace's adaptive input.
     """
     if not traces:
         raise ValueError("at least one trace is required")
@@ -162,13 +162,7 @@ def emit_plots(traces: Sequence[SimTrace], out_dir, stem: str) -> list[Path]:
     out_dir.mkdir(parents=True, exist_ok=True)
     output = [("command", traces[0].t, traces[0].r)]
     output += [(tr.label or "output", tr.t, tr.y) for tr in traces]
-    adaptive = []
-    for tr in traces:
-        for ch in range(tr.u_a.shape[1]):
-            name = tr.label or "u_a"
-            if tr.u_a.shape[1] > 1:
-                name = f"{name} [{ch + 1}]"
-            adaptive.append((name, tr.t, tr.u_a[:, ch]))
+    adaptive = [(tr.label or "u_a", tr.t, tr.u_a[:, 0]) for tr in traces]
     output_svg = line_chart_svg(output, f"{stem}: output tracking", "time [s]", "output")
     adaptive_svg = line_chart_svg(
         adaptive, f"{stem}: adaptive control signal", "time [s]", "adaptive input"

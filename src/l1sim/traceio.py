@@ -1,5 +1,8 @@
 """CSV serialization of simulation traces.
 
+A trace of an n-state plant has one layout, ``csv_header(n)``, of 3 n + 5
+columns, and ``load_csv`` reads only that layout.
+
 Values are written with 17 significant digits, which round-trips IEEE
 doubles exactly, so metrics recomputed from a re-parsed file match the
 originals bit for bit.  The file is UTF-8 with ``\n`` line ends on every
@@ -22,12 +25,11 @@ from .engine import SimTrace
 BLOCK_ROWS = 256
 
 
-def csv_header(n: int, m: int, k: int) -> str:
-    """Column header for a trace with n states, m inputs and k unmatched channels."""
-    cols = ["t", "r", "y", "y_M"]
-    cols += ["u_a"] if m == 1 else [f"u_a_{i + 1}" for i in range(m)]
-    cols += [f"sigma1_{i + 1}" for i in range(m)]
-    cols += [f"sigma2_{i + 1}" for i in range(k)]
+def csv_header(n: int) -> str:
+    """The trace schema for n states: ``t,r,y,y_M,u_a,sigma1_1``, then
+    ``sigma2_1..n-1``, ``x_1..n`` and ``xhat_1..n``, 3 n + 5 columns."""
+    cols = ["t", "r", "y", "y_M", "u_a", "sigma1_1"]
+    cols += [f"sigma2_{i}" for i in range(1, n)]
     cols += [f"x_{i + 1}" for i in range(n)]
     cols += [f"xhat_{i + 1}" for i in range(n)]
     return ",".join(cols)
@@ -36,13 +38,10 @@ def csv_header(n: int, m: int, k: int) -> str:
 def emit_csv(trace: SimTrace, path) -> Path:
     """Write one row per sample; returns the written path."""
     path = Path(path)
-    n = trace.x.shape[1]
-    m = trace.u_a.shape[1]
-    k = trace.sigma2.shape[1]
     columns = [trace.t, trace.r, trace.y, trace.y_m, trace.u_a, trace.sigma1, trace.sigma2,
                trace.x, trace.x_hat]
     with path.open("w", encoding="utf-8", newline="\n") as fh:
-        fh.write(csv_header(n, m, k) + "\n")
+        fh.write(csv_header(trace.x.shape[1]) + "\n")
         for start in range(0, trace.n_samples, BLOCK_ROWS):
             block = np.column_stack([col[start : start + BLOCK_ROWS] for col in columns])
             row = ",".join(["%.17g"] * block.shape[1]) + "\n"
@@ -51,36 +50,17 @@ def emit_csv(trace: SimTrace, path) -> Path:
 
 
 def load_csv(path, label: str = "") -> SimTrace:
-    """Re-read an emitted trace; the prediction error is rebuilt from x and x_hat."""
+    """Re-read an emitted trace; only the exact ``csv_header`` layout loads."""
     path = Path(path)
     with path.open(encoding="utf-8") as fh:
-        header = fh.readline().strip().split(",")
+        header = fh.readline().strip()
         data = np.loadtxt(fh, delimiter=",", ndmin=2)
-    if data.shape[1] != len(header):
-        raise ValueError(f"{path}: row width {data.shape[1]} does not match header {len(header)}")
-
-    def block(prefix: str) -> list[int]:
-        return [i for i, name in enumerate(header) if name == prefix or name.startswith(prefix + "_")]
-
-    m = len(block("u_a"))
-    sig1 = block("sigma1")
-    sig2 = block("sigma2")
-    xs = block("x")
-    xh = block("xhat")
-    if not (m and sig1 and xs and xh) or len(xs) != len(xh):
+    width = header.count(",") + 1
+    if data.shape[1] != width:
+        raise ValueError(f"{path}: row width {data.shape[1]} does not match header {width}")
+    n = (width - 5) // 3
+    if n < 1 or header != csv_header(n):
         raise ValueError(f"{path}: header does not match the trace schema: {header}")
-    x = data[:, xs]
-    x_hat = data[:, xh]
-    return SimTrace(
-        t=data[:, 0],
-        r=data[:, 1],
-        y=data[:, 2],
-        y_m=data[:, 3],
-        u_a=data[:, block("u_a")],
-        sigma1=data[:, sig1],
-        sigma2=data[:, sig2] if sig2 else np.zeros((data.shape[0], 0)),
-        x=x,
-        x_hat=x_hat,
-        x_tilde=x_hat - x,
-        label=label or path.stem,
-    )
+    return SimTrace(t=data[:, 0], r=data[:, 1], y=data[:, 2], y_m=data[:, 3], u_a=data[:, 4:5],
+                    sigma1=data[:, 5:6], sigma2=data[:, 6 : n + 5], x=data[:, n + 5 : 2 * n + 5],
+                    x_hat=data[:, 2 * n + 5 :], label=label or path.stem)

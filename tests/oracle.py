@@ -46,19 +46,18 @@ def rk4_closed_loop(plant, cfg, sig, eng) -> SimTrace:
     model = compile_loop(plant, cfg, eng.substeps_per_sample)
     T = cfg.sample_period
     h = T / eng.substeps_per_sample
-    n, m, k = plant.n, plant.m, plant.n_unmatched
+    n, k = plant.n, plant.n_unmatched
     rows = round(eng.t_end / T) + 1
     out = SimTrace(
         t=np.arange(rows) * T,
         r=np.zeros(rows),
         y=np.zeros(rows),
         y_m=np.zeros(rows),
-        u_a=np.zeros((rows, m)),
-        sigma1=np.zeros((rows, m)),
+        u_a=np.zeros((rows, 1)),
+        sigma1=np.zeros((rows, 1)),
         sigma2=np.zeros((rows, k)),
         x=np.zeros((rows, n)),
         x_hat=np.zeros((rows, n)),
-        x_tilde=np.zeros((rows, n)),
     )
 
     z = np.concatenate([plant.x0, plant.x0, plant.x0])  # [x, x_m, x_hat]
@@ -66,7 +65,7 @@ def rk4_closed_loop(plant, cfg, sig, eng) -> SimTrace:
         None if f is None else np.zeros(f.order) for f in (model.matched, model.unmatched)
     )
     # u_a, est, r and t_hold are held over each integrator step; deriv reads them
-    u_a, est, r, t_hold = np.zeros(m), None, 0.0, 0.0
+    u_a, est, r, t_hold = np.zeros(1), None, 0.0, 0.0
 
     def deriv(_t: float, state: np.ndarray) -> np.ndarray:
         x, x_m, x_hat = state[:n], state[n : 2 * n], state[2 * n :]
@@ -88,7 +87,6 @@ def rk4_closed_loop(plant, cfg, sig, eng) -> SimTrace:
         out.sigma2[i] = est.unmatched
         out.x[i] = x
         out.x_hat[i] = x_hat
-        out.x_tilde[i] = x_hat - x
         for j in range(eng.substeps_per_sample if i < rows - 1 else 0):
             t_hold = i * T + j * h
             r = reference_value(sig, t_hold)
@@ -138,10 +136,9 @@ def max_deviation(a: SimTrace, b: SimTrace) -> float:
 
 def reference_csv_text(trace: SimTrace) -> str:
     """The trace CSV as text, one ``format(v, ".17g")`` call per value."""
-    n, m, k = trace.x.shape[1], trace.u_a.shape[1], trace.sigma2.shape[1]
     data = np.column_stack([trace.t, trace.r, trace.y, trace.y_m, trace.u_a, trace.sigma1,
                             trace.sigma2, trace.x, trace.x_hat])
-    lines = [csv_header(n, m, k)]
+    lines = [csv_header(trace.x.shape[1])]
     for row in data:
         lines.append(",".join(format(v, ".17g") for v in row))
     return "\n".join(lines) + "\n"

@@ -326,7 +326,7 @@ class TestOnePassCompile:
                     law=law, sample_period=period, bandwidth_matched=80.0, bandwidth_unmatched=10.0
                 )
                 loop = compile_loop(p, cfg, substeps)
-                pairs = [(loop.matched, low_pass_model(80.0, p.m))]
+                pairs = [(loop.matched, low_pass_model(80.0))]
                 if law == "modified":
                     pairs.append((loop.unmatched, unmatched_path_model(p, cfg)))
                 for got, model in pairs:
@@ -441,7 +441,7 @@ class TestNonMinimumPhaseGate:
 def run_law(model, est, samples):
     """Hold est for a number of samples from zero filter states; return the last input."""
     xf_m, xf_u = (None if f is None else np.zeros(f.order) for f in (model.matched, model.unmatched))
-    u = np.zeros(model.plant.m)
+    u = np.zeros(1)
     for _ in range(samples):
         u, xf_m, xf_u = control_update(model, est, xf_m, xf_u)
     return u

@@ -16,7 +16,7 @@ def make_trace(t, y, r, u_a=None):
     return SimTrace(
         t=t, r=r, y=y, y_m=y.copy(), u_a=u,
         sigma1=np.zeros((n, 1)), sigma2=np.zeros((n, 1)),
-        x=z2, x_hat=z2.copy(), x_tilde=np.zeros((n, 2)),
+        x=z2, x_hat=z2.copy(),
     )
 
 

@@ -37,7 +37,7 @@ def polyline_points(svg: str) -> list[str]:
 def chart_series(traces):
     """The output and adaptive series that ``emit_plots`` draws for the traces."""
     output = [("command", traces[0].t, traces[0].r)] + [(tr.label, tr.t, tr.y) for tr in traces]
-    adaptive = [(tr.label, tr.t, tr.u_a[:, ch]) for tr in traces for ch in range(tr.u_a.shape[1])]
+    adaptive = [(tr.label, tr.t, tr.u_a[:, 0]) for tr in traces]
     return output, adaptive
 
 

@@ -553,7 +553,7 @@ class TestPresets:
             y[first] = spike  # inside the metrics window, outside the last 10% of samples
             zeros = np.zeros((n, 1))
             trace = SimTrace(t=t, r=np.zeros(n), y=y, y_m=np.zeros(n), u_a=zeros, sigma1=zeros,
-                             sigma2=zeros, x=zeros, x_hat=zeros, x_tilde=zeros, label=label)
+                             sigma2=zeros, x=zeros, x_hat=zeros, label=label)
             sig = ReferenceSignal(kind="step", onset=0.0, amplitude=1.0)
             runs.append(RunResult(label=label, trace=trace, metrics=compute_metrics(trace, sig)))
         text = format_report(PresetResult(name="window", runs=runs, shared_fingerprint=""))

@@ -20,7 +20,7 @@ from test_metrics import make_trace
 EDGE_VALUES = [0.0, -0.0, 5e-324, -5e-324, 1.797e308, -1.797e308, np.inf, -np.inf, 2.0**53, 1.0]
 
 
-def random_trace(rows: int, n: int, m: int, k: int, seed: int, edge_share: float = 0.0) -> SimTrace:
+def random_trace(rows: int, n: int, seed: int, edge_share: float = 0.0) -> SimTrace:
     """Seeded trace of normal values over 40 decades, a share of them replaced
     by IEEE edge values."""
     rng = np.random.default_rng(seed)
@@ -32,11 +32,9 @@ def random_trace(rows: int, n: int, m: int, k: int, seed: int, edge_share: float
         return values
 
     x, x_hat = draw(rows, n), draw(rows, n)
-    with np.errstate(over="ignore", invalid="ignore"):  # inf - inf and max - (-max)
-        x_tilde = x_hat - x
     return SimTrace(
-        t=np.arange(rows) * 1e-3, r=draw(rows), y=draw(rows), y_m=draw(rows), u_a=draw(rows, m),
-        sigma1=draw(rows, m), sigma2=draw(rows, k), x=x, x_hat=x_hat, x_tilde=x_tilde,
+        t=np.arange(rows) * 1e-3, r=draw(rows), y=draw(rows), y_m=draw(rows), u_a=draw(rows, 1),
+        sigma1=draw(rows, 1), sigma2=draw(rows, n - 1), x=x, x_hat=x_hat,
     )
 
 
@@ -51,13 +49,13 @@ def short_run(bench_uncertain_plant):
 
 class TestSchema:
     def test_header_for_benchmark_dimensions(self):
-        assert csv_header(2, 1, 1) == "t,r,y,y_M,u_a,sigma1_1,sigma2_1,x_1,x_2,xhat_1,xhat_2"
+        assert csv_header(2) == "t,r,y,y_M,u_a,sigma1_1,sigma2_1,x_1,x_2,xhat_1,xhat_2"
 
     def test_column_count_benchmark(self):
-        assert len(csv_header(2, 1, 1).split(",")) == 11
+        assert len(csv_header(2).split(",")) == 11
 
     def test_multi_state_header(self):
-        cols = csv_header(3, 1, 2).split(",")
+        cols = csv_header(3).split(",")
         assert cols == [
             "t", "r", "y", "y_M", "u_a",
             "sigma1_1", "sigma2_1", "sigma2_2",
@@ -122,6 +120,28 @@ class TestRoundTrip:
         with pytest.raises(ValueError, match="schema"):
             load_csv(path)
 
+    @pytest.mark.parametrize("header", [
+        # the right names, x before sigma2
+        "t,r,y,y_M,u_a,sigma1_1,x_1,x_2,sigma2_1,xhat_1,xhat_2",
+        # two inputs
+        "t,r,y,y_M,u_a_1,u_a_2,sigma1_1,sigma1_2,sigma2_1,x_1,x_2,x_3,xhat_1,xhat_2,xhat_3",
+    ])
+    def test_other_layouts_rejected(self, tmp_path, header):
+        path = tmp_path / "other.csv"
+        width = header.count(",") + 1
+        path.write_text(header + "\n" + ",".join(["1"] * width) + "\n")
+        with pytest.raises(ValueError, match="schema"):
+            load_csv(path)
+
+    def test_one_state_round_trip(self, tmp_path):
+        trace = random_trace(40, n=1, seed=3)
+        path = emit_csv(trace, tmp_path / "one.csv")
+        assert path.read_text().split("\n", 1)[0] == "t,r,y,y_M,u_a,sigma1_1,x_1,xhat_1"
+        back = load_csv(path)
+        for name in ("t",) + TRACE_FIELDS:
+            got, want = getattr(back, name), getattr(trace, name)
+            assert got.shape == want.shape and got.tobytes() == want.tobytes(), name
+
 
 class TestByteFormat:
     """The block formatter writes the bytes of the per-value reference writer."""
@@ -133,28 +153,31 @@ class TestByteFormat:
                 want = reference_csv_text(run.trace).encode()
                 assert path.read_bytes() == want, (name, run.label)
 
-    # no rows, one row, one whole 256-row block, a partial third block; two inputs
+    # no rows, one row, one whole 256-row block, a partial third block; n states
+    # give m = 1 input column and k = n - 1 unmatched columns
     @pytest.mark.parametrize("rows, n, m, k", [(0, 4, 1, 3), (1, 4, 1, 3), (256, 4, 1, 3),
-                                               (515, 4, 1, 3), (300, 3, 2, 1)])
+                                               (515, 4, 1, 3)])
     def test_edge_values_match_reference(self, tmp_path, rows, n, m, k):
-        trace = random_trace(rows, n, m, k, seed=rows, edge_share=0.3)
+        trace = random_trace(rows, n, seed=rows, edge_share=0.3)
         data = emit_csv(trace, tmp_path / "edge.csv").read_bytes()
         assert data == reference_csv_text(trace).encode()
+        header = data.split(b"\n", 1)[0].decode().split(",")
+        assert header.count("u_a") == m and sum(c.startswith("sigma2_") for c in header) == k
         if rows > 1:  # every edge value is written
             for token in (b"-0,", b"4.9406564584124654e-324", b"-1.797e+308", b"-inf",
                           b"9007199254740992"):
                 assert token in data, token
 
     def test_edge_trace_round_trip_bit_exact(self, tmp_path):
-        trace = random_trace(515, n=4, m=1, k=3, seed=7, edge_share=0.3)
+        trace = random_trace(515, n=4, seed=7, edge_share=0.3)
+        back = load_csv(emit_csv(trace, tmp_path / "edge.csv"))
         with np.errstate(over="ignore", invalid="ignore"):  # x_tilde of edge values
-            back = load_csv(emit_csv(trace, tmp_path / "edge.csv"))
-        for name in ("t",) + TRACE_FIELDS:
-            got, want = getattr(back, name), getattr(trace, name)
-            assert got.shape == want.shape and got.tobytes() == want.tobytes(), name
+            for name in ("t",) + TRACE_FIELDS:
+                got, want = getattr(back, name), getattr(trace, name)
+                assert got.shape == want.shape and got.tobytes() == want.tobytes(), name
 
     def test_no_carriage_returns_and_ascii(self, tmp_path):
-        path = emit_csv(random_trace(50, n=2, m=1, k=1, seed=1), tmp_path / "essai-µ.csv")
+        path = emit_csv(random_trace(50, n=2, seed=1), tmp_path / "essai-µ.csv")
         data = path.read_bytes()
         assert b"\r" not in data
         assert data.decode("ascii") == reference_csv_text(load_csv(path))
@@ -163,7 +186,7 @@ class TestByteFormat:
 class TestMemory:
     def test_emit_peak_below_quarter_of_file(self, tmp_path):
         # the preset trace shape: 10 001 samples of 11 columns
-        trace = random_trace(10_001, n=2, m=1, k=1, seed=11)
+        trace = random_trace(10_001, n=2, seed=11)
         path = tmp_path / "long.csv"
         tracemalloc.start()
         try:
