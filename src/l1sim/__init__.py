@@ -2,7 +2,6 @@
 
 from .augmentation import (
     AugmentationConfig,
-    DisturbanceEstimate,
     LoopModel,
     PiecewiseConstantLaw,
     adaptation_gain,

@@ -89,14 +89,6 @@ class AugmentationConfig:
             object.__setattr__(self, "predictor_gain", lp)
 
 
-@dataclass(frozen=True)
-class DisturbanceEstimate:
-    """Matched/unmatched disturbance estimate, held for one sample interval."""
-
-    matched: np.ndarray
-    unmatched: np.ndarray
-
-
 def error_dynamics_matrix(plant: UncertainPlant, cfg: AugmentationConfig) -> np.ndarray:
     """Prediction-error system matrix (predictor gain plus plant A), validated Hurwitz."""
     n = plant.n
@@ -281,10 +273,10 @@ class LoopModel:
             "law filter": slice(3 * n, self.transition.shape[0]),
         }
 
-    def update(self, x_tilde: np.ndarray) -> DisturbanceEstimate:
-        """Disturbance estimate from the prediction error at a sample boundary."""
-        sig = self.gain @ x_tilde
-        return DisturbanceEstimate(matched=sig[:1].copy(), unmatched=sig[1:].copy())
+    def update(self, x_tilde: np.ndarray) -> np.ndarray:
+        """Disturbance estimate sigma from the prediction error at a sample
+        boundary, in the [B1 B2] basis: matched sigma[:1], unmatched sigma[1:]."""
+        return self.gain @ x_tilde
 
 
 # Alias read by the benchmark (perfbench/): it counts gain builds per run as
@@ -404,31 +396,32 @@ def predictor_deriv(
     x_hat: np.ndarray,
     u_a: np.ndarray,
     r: float,
-    est: DisturbanceEstimate,
+    sigma: np.ndarray,
     x_tilde: np.ndarray,
 ) -> np.ndarray:
-    """State derivative of the predictor: plant model driven by the estimates
-    plus error feedback."""
+    """State derivative of the predictor: plant model driven by the estimate
+    sigma (``LoopModel.update``) plus error feedback."""
     p = model.plant
     return (
         p.A @ x_hat
-        + p.B1 @ (u_a + est.matched + p.k_ff * r)
-        + p.B2 @ est.unmatched
+        + p.B1 @ (u_a + sigma[:1] + p.k_ff * r)
+        + p.B2 @ sigma[1:]
         + model.predictor_gain @ x_tilde
     )
 
 
-def control_update(model: LoopModel, est: DisturbanceEstimate, xf_m, xf_u):
-    """Advance the law filters one sample from states (xf_m, xf_u).
+def control_update(model: LoopModel, sigma: np.ndarray, xf_m, xf_u):
+    """Advance the law filters one sample from states (xf_m, xf_u) on the
+    estimate sigma (``LoopModel.update``).
 
     Returns the adaptive input to hold until the next boundary and the next
     filter states.
     """
     if model.matched is None:
         return np.zeros(1), xf_m, xf_u
-    xf_m, y = filter_step(model.matched, xf_m, est.matched)
+    xf_m, y = filter_step(model.matched, xf_m, sigma[:1])
     u = -y
     if model.unmatched is not None:
-        xf_u, y = filter_step(model.unmatched, xf_u, est.unmatched)
+        xf_u, y = filter_step(model.unmatched, xf_u, sigma[1:])
         u = u - y
     return u + 0.0, xf_m, xf_u  # + 0.0 normalizes -0.0 so emitted traces read cleanly

@@ -54,57 +54,49 @@ class UncertainPlant:
     """Closed-loop plant with matched (f1) and unmatched (f2) disturbance inputs.
 
     A is the desired closed-loop system matrix, B1 the (single column) control
-    input matrix, B2 the orthonormal complement of B1 and C the (single row)
-    output map.
+    input matrix and C the (single row) output map.
     f1 and f2 are constant disturbance vectors that act from ``onset`` on.
-    ``None`` for B2, x0, f1 or f2 derives the complement, a zero initial
-    state and zero disturbances.  A flat B1 or B2 is read as one column, a
-    flat C as one row.  k_ff = H1(0)^-1, the feedforward gain that gives the
-    reference model unit DC gain, is derived from (A, B1, C), so a matched
-    path with zero DC gain is rejected here, under every law.
+    ``None`` for x0, f1 or f2 gives a zero initial state and zero
+    disturbances.  A flat B1 is read as one column, a flat C as one row.
+    Two fields are derived, not given.  B2 is the orthonormal complement of B1
+    (``null_complement``; n x 0 for a one-state plant): any other unmatched
+    basis is B2 Q for an invertible Q, which only changes the coordinates of
+    f2 and of the unmatched estimate.  k_ff = H1(0)^-1, the feedforward gain
+    that gives the reference model unit DC gain, is derived from (A, B1, C),
+    so a matched path with zero DC gain is rejected here, under every law.
     """
 
     A: np.ndarray
     B1: np.ndarray
     C: np.ndarray
-    B2: np.ndarray | None = None
     x0: np.ndarray | None = None
     f1: np.ndarray | None = None
     f2: np.ndarray | None = None
     onset: float = 0.0
+    B2: np.ndarray = field(init=False)
     k_ff: float = field(init=False)
 
     def __post_init__(self):
         A = _square(self.A, "plant.A")
         n = A.shape[0]
         B1 = as_matrix(self.B1, "plant.B1", (n, 1), "plant.A and one control input", column=True)
-        sv = None  # the singular values of [B1 B2], when deriving B2 gives them
-        if self.B2 is None:
-            B2, sv = _complement(B1) if n > 1 else (np.zeros((1, 0)), None)
-        else:
-            B2 = as_matrix(self.B2, "plant.B2", (n, n - 1), "plant.A", column=True)
+        B2, sv = _complement(B1)
+        if not full_rank(sv, n):  # |B1| against the unit columns of B2
+            raise ConfigError("plant.B1 is zero or out of scale: with its unit-norm "
+                              "complement B2, [B1 B2] does not span the state space")
         C = as_matrix(self.C, "plant.C", (1, n), "plant.A")
         x0 = np.zeros(n) if self.x0 is None else as_vector(self.x0, "plant.x0", n, "plant.A")
-        if sv is None:  # B2 given, or a one-state plant
-            if B2.shape[1] > 0 and np.abs(B1.T @ B2).max() > 1e-9 * max(1.0, np.abs(B1).max()):
-                raise ConfigError(
-                    "plant.B2 is not orthogonal to plant.B1 (B1^T B2 != 0); "
-                    "drop B2 to derive it automatically"
-                )
-            sv = np.linalg.svd(np.hstack([B1, B2]), compute_uv=False)
-        if not full_rank(sv, n):
-            raise ConfigError("plant input directions [B1 B2] do not span the state space")
         f1, f2 = [np.zeros(k) if f is None else as_vector(f, f"uncertainty.{key}", k, match)
                   for f, key, k, match in ((self.f1, "matched", 1, "plant.B1"),
                                            (self.f2, "unmatched", n - 1, "plant.A"))]
         vars(self).update(A=A, B1=B1, B2=B2, C=C, x0=x0, f1=f1, f2=f2,
                           onset=as_scalar(self.onset, "uncertainty.onset", ">= 0"),
-                          k_ff=_feedforward_gain(A, B1, C))
+                          k_ff=_feedforward_gain(A, B1, C, ("plant.A", "plant.B1", "plant.C")))
 
     @classmethod
     def from_matrices(cls, A, B1, C, **optional) -> "UncertainPlant":
-        """Build a plant from (A, B1, C) and any of B2, x0, f1, f2 and onset,
-        deriving B2 (orthogonal complement) when not given, and k_ff."""
+        """Build a plant from (A, B1, C) and any of x0, f1, f2 and onset; B2
+        and k_ff are derived."""
         return cls(A=A, B1=B1, C=C, **optional)
 
     @property

@@ -35,7 +35,7 @@ PLANT_PRESETS: dict[str, dict] = {
 }
 
 _SECTIONS = ("name", "plant", "uncertainty", "reference", "controller", "engine", "output")
-_PLANT_KEYS = ("preset", "A", "B1", "B2", "C", "x0")
+_PLANT_KEYS = ("preset", "A", "B1", "C", "x0")
 _UNCERTAINTY_KEYS = ("matched", "unmatched", "onset")
 _REFERENCE_KEYS = ("kind", "onset", "amplitude", "gradient")
 _CONTROLLER_KEYS = (

@@ -262,19 +262,24 @@ def null_complement(b1) -> np.ndarray:
     sign convention (first non-negligible entry positive) so the output is
     deterministic.
     """
-    return _complement(as_matrix(b1, "B1"))[0]
-
-
-def _complement(b1: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """``null_complement`` of a float matrix, and the singular values of
-    [B1 B2]: those of B1 and, as B2 is orthonormal and orthogonal to B1, ones."""
+    b1 = as_matrix(b1, "B1")
     n, m = b1.shape
     if m >= n:
         raise ConfigError(f"B1 must be a tall matrix (m < n), got {n}x{m}")
+    b2, sv = _complement(b1)
+    if not full_rank(sv[:m], n):
+        raise ConfigError("B1 is rank deficient; its complement is not well defined")
+    return b2
+
+
+def _complement(b1: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """``null_complement`` of an n x m float matrix without its checks (n x 0
+    when m = n), and the singular values of [B1 B2]: those of B1 and, as B2 is
+    orthonormal and orthogonal to B1, ones.  [B1 B2] spans the state space
+    where ``full_rank`` holds of them."""
+    n, m = b1.shape
     # one SVD gives the rank and the complement: the right singular vectors past it
     _, sv, vh = np.linalg.svd(b1.T)
-    if not full_rank(sv, n):
-        raise ConfigError("B1 is rank deficient; its complement is not well defined")
     b2 = vh[m:].T
     lead = b2[(np.abs(b2) > 1e-12).argmax(axis=0), range(n - m)]  # unit columns have one
     return b2 * np.copysign(1.0, lead), np.concatenate([sv, np.ones(n - m)])
@@ -317,15 +322,18 @@ def feedforward_gain(a, b1, c) -> float:
     return _feedforward_gain(a, as_matrix(b1, "B1", (n, 1), "A"), as_matrix(c, "c", (1, n), "A"))
 
 
-def _feedforward_gain(a: np.ndarray, b1: np.ndarray, c: np.ndarray) -> float:
-    """``feedforward_gain`` of an n x n A, an n x 1 b1 and a 1 x n c."""
+def _feedforward_gain(a: np.ndarray, b1: np.ndarray, c: np.ndarray,
+                      names: tuple = ("A", "B1", "c")) -> float:
+    """``feedforward_gain`` of an n x n A, an n x 1 b1 and a 1 x n c, which
+    messages call by ``names``."""
     if not full_rank(np.linalg.svd(a, compute_uv=False), a.shape[0]):
-        raise ConfigError("A is singular; feedforward gain undefined")
+        raise ConfigError(f"{names[0]} is singular; feedforward gain undefined")
     path = np.linalg.solve(a, b1)
     val = float((c @ path)[0, 0])
     # |c| |A^-1 b1| of a few Python floats costs less than numpy's norms
     if abs(val) <= 1e-12 * math.hypot(*c.ravel().tolist()) * math.hypot(*path.ravel().tolist()):
-        raise ConfigError("zero DC path from input to output; feedforward gain undefined")
+        raise ConfigError(f"zero DC path from input to output ({names[1]} to {names[2]}); "
+                          "feedforward gain undefined")
     return -1.0 / val
 
 

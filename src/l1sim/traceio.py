@@ -54,8 +54,11 @@ def load_csv(path, label: str = "") -> SimTrace:
     path = Path(path)
     with path.open(encoding="utf-8") as fh:
         header = fh.readline().strip()
-        data = np.loadtxt(fh, delimiter=",", ndmin=2)
-    width = header.count(",") + 1
+        width = header.count(",") + 1
+        body = fh.tell()
+        empty = not fh.read(1)  # a 0-sample trace is its header alone, which loadtxt warns of
+        fh.seek(body)
+        data = np.empty((0, width)) if empty else np.loadtxt(fh, delimiter=",", ndmin=2)
     if data.shape[1] != width:
         raise ValueError(f"{path}: row width {data.shape[1]} does not match header {width}")
     n = (width - 5) // 3

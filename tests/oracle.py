@@ -64,27 +64,27 @@ def rk4_closed_loop(plant, cfg, sig, eng) -> SimTrace:
     xf_m, xf_u = (
         None if f is None else np.zeros(f.order) for f in (model.matched, model.unmatched)
     )
-    # u_a, est, r and t_hold are held over each integrator step; deriv reads them
-    u_a, est, r, t_hold = np.zeros(1), None, 0.0, 0.0
+    # u_a, sigma, r and t_hold are held over each integrator step; deriv reads them
+    u_a, sigma, r, t_hold = np.zeros(1), None, 0.0, 0.0
 
     def deriv(_t: float, state: np.ndarray) -> np.ndarray:
         x, x_m, x_hat = state[:n], state[n : 2 * n], state[2 * n :]
         return np.concatenate([
             plant_deriv(plant, x, u_a, r, t_hold),
             reference_model_deriv(plant, x_m, r),
-            predictor_deriv(model, x_hat, u_a, r, est, x_hat - x),
+            predictor_deriv(model, x_hat, u_a, r, sigma, x_hat - x),
         ])
 
     for i in range(rows):
         x, x_m, x_hat = z[:n], z[n : 2 * n], z[2 * n :]
-        est = model.update(x_hat - x)
-        u_a, xf_m, xf_u = control_update(model, est, xf_m, xf_u)
+        sigma = model.update(x_hat - x)
+        u_a, xf_m, xf_u = control_update(model, sigma, xf_m, xf_u)
         out.r[i] = reference_value(sig, out.t[i])
         out.y[i] = plant.output(x)
         out.y_m[i] = plant.output(x_m)
         out.u_a[i] = u_a
-        out.sigma1[i] = est.matched
-        out.sigma2[i] = est.unmatched
+        out.sigma1[i] = sigma[:1]
+        out.sigma2[i] = sigma[1:]
         out.x[i] = x
         out.x_hat[i] = x_hat
         for j in range(eng.substeps_per_sample if i < rows - 1 else 0):

@@ -9,7 +9,6 @@ from l1sim import (
     PRESETS,
     AugmentationConfig,
     ConfigError,
-    DisturbanceEstimate,
     EngineConfig,
     ReferenceSignal,
     UncertainPlant,
@@ -60,15 +59,13 @@ class TestAdaptationGain:
     def test_scalar_estimate_value(self):
         p = UncertainPlant.from_matrices([[-1.0]], [[1.0]], [[1.0]])
         cfg = AugmentationConfig(law="off", sample_period=0.1, predictor_gain=np.zeros((1, 1)))
-        est = compile_loop(p, cfg).update(np.array([0.01]))
-        assert est.matched[0] == pytest.approx(-0.0950833, abs=1e-7)
-        assert est.unmatched.shape == (0,)
+        sigma = compile_loop(p, cfg).update(np.array([0.01]))
+        assert sigma.shape == (1,)
+        assert sigma[0] == pytest.approx(-0.0950833, abs=1e-7)
 
     def test_zero_error_zero_estimate(self, bench_plant):
         model = compile_loop(bench_plant, AugmentationConfig(law="modified"))
-        est = model.update(np.zeros(2))
-        np.testing.assert_array_equal(est.matched, [0.0])
-        np.testing.assert_array_equal(est.unmatched, [0.0])
+        np.testing.assert_array_equal(model.update(np.zeros(2)), [0.0, 0.0])
 
     def test_rejects_singular_input_matrix(self):
         with pytest.raises(ConfigError, match="singular"):
@@ -153,9 +150,8 @@ class TestEstimatorFixedPoint:
 
 class TestPredictorDeriv:
     def test_all_zero(self, bench_plant):
-        est = DisturbanceEstimate(np.zeros(1), np.zeros(1))
         model = compile_loop(bench_plant, AugmentationConfig(law="off"))
-        d = predictor_deriv(model, np.zeros(2), np.zeros(1), 0.0, est, np.zeros(2))
+        d = predictor_deriv(model, np.zeros(2), np.zeros(1), 0.0, np.zeros(2), np.zeros(2))
         np.testing.assert_array_equal(d, np.zeros(2))
 
     def test_matches_plant_when_estimates_exact(self, bench_uncertain_plant):
@@ -167,16 +163,15 @@ class TestPredictorDeriv:
             x = rng.standard_normal(2)
             u_a = rng.standard_normal(1)
             r = float(rng.standard_normal())
-            est = DisturbanceEstimate(p.f1, p.f2)
-            d_pred = predictor_deriv(model, x, u_a, r, est, np.zeros(2))
+            sigma = np.concatenate([p.f1, p.f2])
+            d_pred = predictor_deriv(model, x, u_a, r, sigma, np.zeros(2))
             d_plant = plant_deriv(p, x, u_a, r, 5.0)
             np.testing.assert_allclose(d_pred, d_plant, atol=1e-12)
 
     def test_error_feedback_term_isolated(self, bench_plant):
         model = compile_loop(bench_plant, AugmentationConfig(law="off"))
-        est = DisturbanceEstimate(np.zeros(1), np.zeros(1))
         e = np.array([0.3, -0.7])
-        d = predictor_deriv(model, np.zeros(2), np.zeros(1), 0.0, est, e)
+        d = predictor_deriv(model, np.zeros(2), np.zeros(1), 0.0, np.zeros(2), e)
         np.testing.assert_allclose(d, model.predictor_gain @ e, atol=1e-14)
         # the applied error feedback places the error poles at the default
         np.testing.assert_allclose(model.predictor_gain + bench_plant.A, -0.01 * np.eye(2))
@@ -438,44 +433,44 @@ class TestNonMinimumPhaseGate:
         assert unmatched is not None
 
 
-def run_law(model, est, samples):
-    """Hold est for a number of samples from zero filter states; return the last input."""
+def run_law(model, sigma, samples):
+    """Hold sigma for a number of samples from zero filter states; return the last input."""
     xf_m, xf_u = (None if f is None else np.zeros(f.order) for f in (model.matched, model.unmatched))
     u = np.zeros(1)
     for _ in range(samples):
-        u, xf_m, xf_u = control_update(model, est, xf_m, xf_u)
+        u, xf_m, xf_u = control_update(model, sigma, xf_m, xf_u)
     return u
 
 
 class TestControlUpdate:
     def test_off_law_zero(self, bench_plant):
         law = compile_loop(bench_plant, AugmentationConfig(law="off"))
-        est = DisturbanceEstimate(np.array([123.0]), np.array([9.0]))
+        sigma = np.array([123.0, 9.0])
         assert build_control_law(bench_plant, AugmentationConfig(law="off")) == (None, None)
         assert law.matched is None and law.unmatched is None
-        np.testing.assert_array_equal(run_law(law, est, 1), [0.0])
+        np.testing.assert_array_equal(run_law(law, sigma, 1), [0.0])
 
     def test_matched_dc_cancellation(self, bench_plant):
         law = compile_loop(bench_plant, AugmentationConfig(law="matched_only"))
-        est = DisturbanceEstimate(np.array([0.05]), np.array([0.0]))
+        sigma = np.array([0.05, 0.0])
         assert law.unmatched is None
-        assert run_law(law, est, 20000)[0] == pytest.approx(-0.05, abs=1e-9)
+        assert run_law(law, sigma, 20000)[0] == pytest.approx(-0.05, abs=1e-9)
 
     def test_modified_dc_composition(self, bench_plant):
         law = compile_loop(bench_plant, AugmentationConfig(law="modified"))
-        est = DisturbanceEstimate(np.array([0.05]), np.array([0.001]))
+        sigma = np.array([0.05, 0.001])
         # -0.05 - (1/40) * 0.2 * 0.001
-        assert run_law(law, est, 20000)[0] == pytest.approx(-0.050005, abs=1e-9)
+        assert run_law(law, sigma, 20000)[0] == pytest.approx(-0.050005, abs=1e-9)
 
     def test_filters_advance_once_per_call(self, bench_plant):
         law = compile_loop(bench_plant, AugmentationConfig(law="matched_only"))
-        est = DisturbanceEstimate(np.array([1.0]), np.array([0.0]))
+        sigma = np.array([1.0, 0.0])
         xf = np.zeros(law.matched.order)
-        u1, xf1, _ = control_update(law, est, xf, None)
-        u2, xf2, _ = control_update(law, est, xf1, None)
+        u1, xf1, _ = control_update(law, sigma, xf, None)
+        u2, xf2, _ = control_update(law, sigma, xf1, None)
         np.testing.assert_array_equal(xf, np.zeros(law.matched.order))  # inputs not mutated
         assert abs(u2[0]) > abs(u1[0])  # filter state moved exactly one step
-        np.testing.assert_array_equal(u2, control_update(law, est, xf1, None)[0])
+        np.testing.assert_array_equal(u2, control_update(law, sigma, xf1, None)[0])
 
 
 class TestConfigValidation:

@@ -22,6 +22,8 @@ BAD = [
     None, True, False, "abc", "", {"a": 1.0}, [], [[]], [[[1.0]]], [[1.0, 2.0], [3.0]],
     [["a", "b"]], [{"a": 1.0}], [None], [10**400], [[math.inf, 0.0]], [math.nan],
     10**400, -(10**400), math.inf, -math.inf, math.nan, 1e308, -1e308,
+    # well-shaped zero matrices: a singular A, a zero B1, a zero C
+    [[0.0, 0.0], [0.0, 0.0]], [[0.0], [0.0]], [[0.0, 0.0]],
 ]
 # a large finite horizon allocates memory in proportion (N + 1 lifted states),
 # so it is not drawn; an integrator-step count of 10**400 or 1e308 is past its

@@ -1,5 +1,10 @@
+from functools import partial
+
 import numpy as np
 import pytest
+import scipy.linalg
+from hypothesis import given
+from hypothesis import strategies as st
 
 from l1sim import (
     AugmentationConfig,
@@ -9,6 +14,7 @@ from l1sim import (
     StateSpaceModel,
     UncertainPlant,
     compile_loop,
+    null_complement,
     plant_deriv,
     reference_model_deriv,
     reference_value,
@@ -90,37 +96,27 @@ class TestPlantConstruction:
         eigs = np.sort_complex(np.linalg.eigvals(bench_plant.A))
         np.testing.assert_allclose(eigs, [-5.0 - 5.0j, -5.0 + 5.0j], atol=1e-12)
 
-    def test_rejects_non_orthogonal_b2(self):
-        with pytest.raises(ValueError, match="orthogonal"):
-            UncertainPlant.from_matrices(BENCH_A, BENCH_B1, BENCH_C, B2=[[1.0], [1.0]])
-
     def test_k_ff_is_derived(self, bench_plant):
         with pytest.raises(TypeError, match="k_ff"):
             UncertainPlant(A=BENCH_A, B1=BENCH_B1, C=BENCH_C, k_ff=1.0)
         assert UncertainPlant(A=BENCH_A, B1=BENCH_B1, C=BENCH_C).k_ff == bench_plant.k_ff
+
+    def test_b2_is_derived(self, bench_plant):
+        with pytest.raises(TypeError, match="B2"):
+            UncertainPlant(A=BENCH_A, B1=BENCH_B1, C=BENCH_C, B2=[[0.0], [1.0]])
+        assert bench_plant.B2.tobytes() == null_complement(BENCH_B1).tobytes()
 
     def test_rejects_bad_dimensions(self):
         with pytest.raises(ConfigError, match="plant.A must be square"):
             UncertainPlant.from_matrices(np.ones((2, 3)), BENCH_B1, BENCH_C)
         with pytest.raises(ConfigError, match="plant.x0"):
             UncertainPlant.from_matrices(BENCH_A, BENCH_B1, BENCH_C, x0=[0.0, 0.0, 0.0])
-        with pytest.raises(ConfigError, match="plant.B2 has non-finite"):
-            UncertainPlant.from_matrices(BENCH_A, BENCH_B1, BENCH_C, B2=[[0.0], [float("nan")]])
 
     def test_flat_b1_is_one_column(self):
-        p = UncertainPlant.from_matrices(BENCH_A, [2000.0, 0.0], BENCH_C)
+        # and a flat C is one row
+        p = UncertainPlant.from_matrices(BENCH_A, [2000.0, 0.0], [0.0, 1.0])
         np.testing.assert_array_equal(p.B1, BENCH_B1)
-
-    def test_b2_read_as_b1_is(self):
-        # a flat B2 is one column, a flat C one row; any other B2 layout must be n x (n - 1)
-        p = UncertainPlant.from_matrices(BENCH_A, BENCH_B1, [0.0, 1.0], B2=[0.0, 1.0])
-        np.testing.assert_array_equal(p.B2, [[0.0], [1.0]])
         np.testing.assert_array_equal(p.C, BENCH_C)
-        message = r"^plant.B2 must be a 2x1 matrix to match plant.A, got shape \(1, 2\)$"
-        with pytest.raises(ConfigError, match=message):
-            UncertainPlant.from_matrices(BENCH_A, BENCH_B1, BENCH_C, B2=[[0.0, 1.0]])
-        single = UncertainPlant.from_matrices([[-1.0]], [[1.0]], [[1.0]], B2=[], f2=[])
-        assert single.B2.shape == (1, 0) and single.f2.shape == (0,)
 
     def test_sizes_name_what_sets_them(self):
         cases = [
@@ -150,9 +146,33 @@ class TestPlantConstruction:
             assert len({a, b, a}) == 2
 
     def test_single_state_plant_has_empty_complement(self):
-        p = UncertainPlant.from_matrices([[-1.0]], [[1.0]], [[1.0]])
-        assert p.B2.shape == (1, 0)
+        p = UncertainPlant.from_matrices([[-1.0]], [[1.0]], [[1.0]], f2=[])
+        assert p.B2.shape == (1, 0) and p.f2.shape == (0,)
         assert p.n_unmatched == 0
+
+
+B1_OUT_OF_SCALE = ("plant.B1 is zero or out of scale: with its unit-norm complement B2, "
+                   "[B1 B2] does not span the state space")
+
+
+@given(st.integers(1, 5), st.sampled_from([0.0, 1e-20, 1.0, 1e20]), st.integers(0, 2**32 - 1))
+def test_plant_accepts_exactly_the_b1_that_spans_with_its_complement(n, scale, seed):
+    """A B1 builds a plant when [B1 B2] has full rank, B2 an orthonormal basis of
+    the complement (scipy's), and the plant's B2 is then ``null_complement``'s."""
+    b1 = scale * np.random.default_rng(seed).standard_normal((n, 1))
+    ref = scipy.linalg.null_space(b1.T)  # n columns for a zero B1, which spans nothing
+    spans = ref.shape[1] == n - 1 and np.linalg.matrix_rank(np.hstack([b1, ref])) == n
+    build = partial(UncertainPlant.from_matrices, -np.eye(n), b1, b1.T)  # C A^-1 B1 = -|B1|^2
+    if not spans:
+        with pytest.raises(ConfigError) as info:
+            build()
+        assert str(info.value) == B1_OUT_OF_SCALE
+        return
+    b2 = build().B2
+    if n == 1:
+        assert b2.shape == (1, 0)
+    else:
+        assert b2.tobytes() == null_complement(b1).tobytes() and b2.shape == (n, n - 1)
 
 
 class TestDerivatives:

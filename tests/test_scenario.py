@@ -66,11 +66,6 @@ class TestBuildScenario:
         np.testing.assert_allclose(sc.plant.A, [[-10.0, -50.0], [1.0, 0.0]])
         np.testing.assert_allclose(sc.plant.B2, [[0.0], [1.0]], atol=1e-14)
 
-    def test_orthogonality_override_rejected(self):
-        bad = doc(plant={"preset": "paper-siso", "B2": [[1.0], [1.0]]})
-        with pytest.raises(ConfigError, match="orthogonal"):
-            build_scenario(bad)
-
     def test_nmp_plant_gated_by_law(self):
         with pytest.raises(ConfigError, match="open left half plane"):
             build_scenario(copy.deepcopy(NMP_DOC))
@@ -249,12 +244,16 @@ def nyquist_error_dynamics() -> list:
     return (a_err - np.array(DIAG_A)).tolist()
 
 
-NO_SPAN = "plant input directions [B1 B2] do not span the state space"
+B1_OUT_OF_SCALE = ("plant.B1 is zero or out of scale: with its unit-norm complement B2, "
+                   "[B1 B2] does not span the state space")
 REJECTIONS = {
-    "B1 tiny": (build_short({"A": PAPER_A, "B1": [[1e-20], [0.0]], "C": [[0.0, 1.0]]}), NO_SPAN),
+    "B1 tiny": (
+        build_short({"A": PAPER_A, "B1": [[1e-20], [0.0]], "C": [[0.0, 1.0]]}),
+        B1_OUT_OF_SCALE,
+    ),
     "B1 tiny diagonal": (
         build_short({"A": PAPER_A, "B1": [[1e-17], [1e-17]], "C": [[0.0, 1.0]]}),
-        NO_SPAN,
+        B1_OUT_OF_SCALE,
     ),
     "B1 square singular": (
         build_short({"A": PAPER_A, "B1": [[1.0, 1.0], [1.0, 1.0]], "C": [[0.0, 1.0]]}),
@@ -266,32 +265,38 @@ REJECTIONS = {
     ),
     "B1 zero column": (
         build_short({"A": DIAG_A, "B1": [[0.0], [0.0], [0.0]], "C": ONES}),
-        "B1 is rank deficient; its complement is not well defined",
+        B1_OUT_OF_SCALE,
     ),
-    "B2 too few columns": (
-        build_short({"A": DIAG_A, "B1": E1, "B2": [[0.0], [1.0], [0.0]], "C": ONES}),
-        "plant.B2 must be a 3x2 matrix to match plant.A, got shape (3, 1)",
+    "B1 huge": (
+        # |B1| = 1e20 against the unit columns of B2 is out of scale from the other side
+        build_short({"A": PAPER_A, "B1": [[1e20], [0.0]], "C": [[0.0, 1.0]]}),
+        B1_OUT_OF_SCALE,
     ),
-    "B2 not spanning": (
-        build_short({"A": DIAG_A, "B1": E1, "B2": [[0.0, 0.0], [1.0, 1.0], [0.0, 0.0]], "C": ONES}),
-        NO_SPAN,
+    "B1 zero, one state": (
+        build_short({"A": [[-1.0]], "B1": [[0.0]], "C": [[1.0]]}),
+        B1_OUT_OF_SCALE,
     ),
-    "B2 not orthogonal": (
-        build_short({"preset": "paper-siso", "B2": [[1.0], [1.0]]}),
-        "plant.B2 is not orthogonal to plant.B1 (B1^T B2 != 0); drop B2 to derive it automatically",
+    "C zero": (
+        build_short({"preset": "paper-siso", "C": [[0.0, 0.0]]}),
+        "zero DC path from input to output (plant.B1 to plant.C); feedforward gain undefined",
+    ),
+    "B2 in a document": (
+        # B2 is derived from B1, never given
+        build_short({"preset": "paper-siso", "B2": [[0.0], [1.0]]}),
+        "unknown key plant.B2; expected one of ['A', 'B1', 'C', 'preset', 'x0']",
     ),
     "A singular": (
         build_short({"A": [[0.0, 1.0], [0.0, 0.0]], "B1": [[0.0], [1.0]], "C": [[1.0, 0.0]]}),
-        "A is singular; feedforward gain undefined",
+        "plant.A is singular; feedforward gain undefined",
     ),
     "DC path zero": (
         build_short({"preset": "paper-siso", "C": [[1.0, 0.0]]}),
-        "zero DC path from input to output; feedforward gain undefined",
+        "zero DC path from input to output (plant.B1 to plant.C); feedforward gain undefined",
     ),
     "DC gain below the floor under every law": (
         # C A^-1 B1 = -4e-13 is 1e-14 of |C| |A^-1 B1|, whatever the law
         build_short({"preset": "paper-siso", "C": [[1.0, 1e-14]]}),
-        "zero DC path from input to output; feedforward gain undefined",
+        "zero DC path from input to output (plant.B1 to plant.C); feedforward gain undefined",
     ),
     "B1 two columns": (
         build_short({"A": DIAG_A, "B1": [[1.0, 0.0], [0.0, 1.0], [0.0, 0.0]], "C": ONES}),
@@ -363,7 +368,7 @@ OMITTED = {
     "controller": {"law": "modified"},
 }
 OPTIONAL = {
-    "plant": ("preset", "B2", "x0"),
+    "plant": ("preset", "x0"),
     "uncertainty": ("matched", "unmatched", "onset"),
     "reference": ("onset", "gradient"),
     "controller": ("sample_period", "bandwidth_matched", "bandwidth_unmatched", "L_p"),
@@ -459,7 +464,6 @@ class TestPresets:
         changes = {
             "plant.A": [[-10.0, -40.0], [1.0, 0.0]],
             "plant.B1": [[1000.0], [0.0]],
-            "plant.B2": [[0.0], [-1.0]],
             "plant.C": [[0.0, 2.0]],
             "plant.x0": [0.1, 0.0],
             "uncertainty.matched": [0.06],

@@ -350,6 +350,13 @@ class TestFeedforwardGain:
         with pytest.raises(ValueError, match="zero DC path"):
             feedforward_gain(a, [[1.0], [0.0]], [[0.0, 1.0]])
 
+    def test_rejections_name_the_arguments(self):
+        with pytest.raises(ConfigError, match=r"^A is singular; feedforward gain undefined$"):
+            feedforward_gain(np.zeros((2, 2)), [[1.0], [0.0]], [[0.0, 1.0]])
+        message = r"^zero DC path from input to output \(B1 to c\); feedforward gain undefined$"
+        with pytest.raises(ConfigError, match=message):
+            feedforward_gain(-np.eye(2), [[1.0], [0.0]], [[0.0, 0.0]])
+
 
 class TestDiscretizeZoh:
     def test_pure_integrator(self):

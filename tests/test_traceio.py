@@ -159,7 +159,8 @@ class TestByteFormat:
                                                (515, 4, 1, 3)])
     def test_edge_values_match_reference(self, tmp_path, rows, n, m, k):
         trace = random_trace(rows, n, seed=rows, edge_share=0.3)
-        data = emit_csv(trace, tmp_path / "edge.csv").read_bytes()
+        path = emit_csv(trace, tmp_path / "edge.csv")
+        data = path.read_bytes()
         assert data == reference_csv_text(trace).encode()
         header = data.split(b"\n", 1)[0].decode().split(",")
         assert header.count("u_a") == m and sum(c.startswith("sigma2_") for c in header) == k
@@ -167,6 +168,11 @@ class TestByteFormat:
             for token in (b"-0,", b"4.9406564584124654e-324", b"-1.797e+308", b"-inf",
                           b"9007199254740992"):
                 assert token in data, token
+        back = load_csv(path)  # a 0-row file is the header alone, and loads as 0 samples
+        with np.errstate(over="ignore", invalid="ignore"):  # x_tilde of edge values
+            for name in ("t",) + TRACE_FIELDS:
+                got, want = getattr(back, name), getattr(trace, name)
+                assert got.shape == want.shape and got.tobytes() == want.tobytes(), name
 
     def test_edge_trace_round_trip_bit_exact(self, tmp_path):
         trace = random_trace(515, n=4, seed=7, edge_share=0.3)
