@@ -9,6 +9,13 @@ with the same elementwise float64 expressions as the axis ticks, so each
 point is bit-equal to the scalar arithmetic, and all its points are
 formatted by one ``%`` of a repeated ``%.2f,%.2f`` template.
 
+Charts are drawn at display resolution by M4 decimation (Jugel, Jerzak,
+Hackenbroich & Markl, PVLDB 7(10), 2014): of the points that fall in one
+pixel column of the plot, only the first, the last and the first minimum and
+first maximum of y are drawn, which rasterizes as the full line does at that
+width.  A series with at most one point per column is drawn whole.  The axis
+ranges and ticks still come from every point.
+
 Text and attribute values are escaped by ``_escape``, not by ``xml.sax``,
 whose import pulls in ``urllib``, ``http``, ``email`` and ``ssl``.
 """
@@ -51,19 +58,40 @@ def _fmt(v: float) -> str:
     return f"{v:.6g}"
 
 
+def _m4_indices(col: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """Indices of the first, last, first-minimum and first-maximum point of
+    each run of equal non-decreasing ``col``, in index order, each once."""
+    n = col.size
+    starts = np.flatnonzero(np.diff(col, prepend=-1))
+    lengths = np.diff(starts, append=n)
+    index = np.arange(n)
+    keep = np.zeros(n, bool)
+    keep[starts] = keep[starts + lengths - 1] = True
+    for reduce in (np.minimum, np.maximum):
+        hits = y == np.repeat(reduce.reduceat(y, starts), lengths)
+        keep[np.minimum.reduceat(np.where(hits, index, n), starts)] = True
+    return np.flatnonzero(keep)  # not np.unique, whose first call imports numpy.ma
+
+
 def line_chart_svg(
     series: Sequence[tuple[str, np.ndarray, np.ndarray]],
     title: str,
     xlabel: str,
     ylabel: str,
 ) -> str:
-    """Render labeled (x, y) series as one SVG chart with axes and a legend."""
+    """Render labeled (x, y) series as one SVG chart with axes and a legend.
+
+    Each series' x must be non-decreasing, as time is: the M4 decimation
+    takes a pixel column's points to be one run.
+    """
     if not series:
         raise ValueError("at least one series is required")
     for label, sx, sy in series:
         for axis, values in (("x", sx), ("y", sy)):
             if not np.isfinite(values).all():
                 raise ValueError(f"series {label!r} has a non-finite {axis} value")
+        if (sx[1:] < sx[:-1]).any():
+            raise ValueError(f"series {label!r} has a decreasing x value")
     x_lo = min(float(np.min(sx)) for _, sx, _ in series)
     x_hi = max(float(np.max(sx)) for _, sx, _ in series)
     y_lo = min(float(np.min(sy)) for _, _, sy in series)
@@ -124,7 +152,10 @@ def line_chart_svg(
     )
     for idx, (label, sx, sy) in enumerate(series):
         color = PALETTE[idx % len(PALETTE)]
-        xy = np.column_stack((px(np.asarray(sx, float)), py(np.asarray(sy, float))))
+        gx, fy = px(np.asarray(sx, float)), np.asarray(sy, float)
+        col = np.clip(np.floor(gx - MARGIN_L), 0, plot_w - 1)
+        keep = _m4_indices(col, fy)
+        xy = np.column_stack((gx[keep], py(fy[keep])))
         pts = " ".join(["%.2f,%.2f"] * xy.shape[0]) % tuple(xy.ravel().tolist())
         parts.append(
             f'<polyline class="series" data-label="{_escape(str(label))}" points="{pts}" '

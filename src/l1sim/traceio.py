@@ -10,8 +10,13 @@ platform.
 
 The body is formatted in blocks of ``BLOCK_ROWS`` rows: one ``%`` of a
 repeated ``%.17g`` row template over the block's values, which is the same
-conversion as ``format(v, ".17g")`` per value, done in C.  Only one block's
-values and text are held at a time, so memory stays flat in the trace length.
+conversion as ``format(v, ".17g")`` per value, done in C.  A column whose
+values are bit-identical down the block (the command, the piecewise-constant
+estimates, the states before the onset) has its text formatted once and
+written into the template, which is then applied to the other columns only;
+the text of a float never holds a ``%``.  Bits, not ``==``, decide, so a
+block of ``0.0`` with one ``-0.0`` is not constant.  Only one block's values
+and text are held at a time, so memory stays flat in the trace length.
 """
 
 from __future__ import annotations
@@ -44,8 +49,12 @@ def emit_csv(trace: SimTrace, path) -> Path:
         fh.write(csv_header(trace.x.shape[1]) + "\n")
         for start in range(0, trace.n_samples, BLOCK_ROWS):
             block = np.column_stack([col[start : start + BLOCK_ROWS] for col in columns])
-            row = ",".join(["%.17g"] * block.shape[1]) + "\n"
-            fh.write((row * block.shape[0]) % tuple(block.ravel().tolist()))
+            block = block.astype(np.float64, copy=False)  # the bit view needs 8-byte values
+            bits = block.view(np.uint64)
+            constant = (bits == bits[0]).all(axis=0)
+            row = ",".join(["%.17g" % v if c else "%.17g" for v, c in zip(block[0], constant)])
+            values = block[:, ~constant].ravel().tolist()
+            fh.write(((row + "\n") * block.shape[0]) % tuple(values))
     return path
 
 

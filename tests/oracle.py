@@ -6,7 +6,8 @@ a ``LoopModel`` one sample at a time, the reference for the engine's
 power doubling; ``reference_csv_text`` and ``reference_polylines`` format
 trace files one value (or point) per Python call, the way the block
 formatters in ``l1sim.traceio`` and ``l1sim.plots`` must reproduce byte for
-byte.
+byte; ``reference_polylines`` also picks each pixel column's M4 points in a
+per-point loop.
 
 The engine (``run_closed_loop``) solves the sampled loop exactly between
 sample boundaries.  This oracle integrates the same loop numerically, built
@@ -21,6 +22,8 @@ through maps of its own, not through the loop model's folded command maps.
 """
 
 from __future__ import annotations
+
+import math
 
 import numpy as np
 
@@ -146,7 +149,11 @@ def reference_csv_text(trace: SimTrace) -> str:
 
 def reference_polylines(series) -> list[str]:
     """The ``points`` of each series of ``line_chart_svg``, mapped to pixels by
-    scalar Python arithmetic and formatted one f-string per point."""
+    scalar Python arithmetic and formatted one f-string per point.
+
+    Of each pixel column, ``floor(px - MARGIN_L)`` clipped to the plot, the
+    first and last point and the first point of the least and of the greatest
+    y are drawn (M4), found by one pass over the points."""
     x_lo = min(float(np.min(sx)) for _, sx, _ in series)
     x_hi = max(float(np.max(sx)) for _, sx, _ in series)
     y_lo = min(float(np.min(sy)) for _, _, sy in series)
@@ -166,7 +173,21 @@ def reference_polylines(series) -> list[str]:
     def py(y: float) -> float:
         return MARGIN_T + (y_hi - y) / (y_hi - y_lo) * plot_h
 
-    return [
-        " ".join(f"{px(float(a)):.2f},{py(float(b)):.2f}" for a, b in zip(sx, sy))
-        for _, sx, sy in series
-    ]
+    polylines = []
+    for _, sx, sy in series:
+        points = [(px(float(a)), float(b)) for a, b in zip(sx, sy)]
+        columns: dict[int, list[int]] = {}  # column -> [first, last, argmin, argmax]
+        for i, (gx, y) in enumerate(points):
+            col = min(max(math.floor(gx - MARGIN_L), 0), plot_w - 1)
+            if col not in columns:
+                columns[col] = [i, i, i, i]
+                continue
+            kept = columns[col]
+            kept[1] = i
+            if y < points[kept[2]][1]:
+                kept[2] = i
+            if y > points[kept[3]][1]:
+                kept[3] = i
+        drawn = sorted({i for kept in columns.values() for i in kept})
+        polylines.append(" ".join(f"{points[i][0]:.2f},{py(points[i][1]):.2f}" for i in drawn))
+    return polylines

@@ -6,10 +6,12 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 import l1sim
 from l1sim import emit_csv, emit_plots, load_csv
-from l1sim.plots import _escape, line_chart_svg
+from l1sim.plots import MARGIN_L, MARGIN_R, WIDTH, _escape, _m4_indices, line_chart_svg
 from oracle import reference_polylines
 from test_metrics import make_trace
 
@@ -90,9 +92,22 @@ class TestEmitPlots:
         with pytest.raises(ValueError, match=f"series 'spoiled' has a non-finite {axis} value"):
             line_chart_svg(series, "t", "x", "y")
 
+    @pytest.mark.parametrize("sx", [
+        [1.0, 0.0],
+        [0.0, 1.0, 2.0, 2.0, 1.999999],
+        [0.0, 0.0, -5e-324],
+        np.array([3, 4, 4, 2]),
+        np.array([0.0, 1.0, 0.5], dtype=np.float32),
+    ], ids=["two points", "after a repeat", "below zero", "int", "float32"])
+    def test_decreasing_x_rejected(self, sx):
+        sx = np.asarray(sx)
+        series = [("fine", np.arange(3.0), np.arange(3.0)), ("spoiled", sx, np.zeros(sx.size))]
+        with pytest.raises(ValueError, match="series 'spoiled' has a decreasing x value"):
+            line_chart_svg(series, "t", "x", "y")
+
 
 class TestPolylineBytes:
-    """Block-formatted polylines equal the per-point scalar reference."""
+    """Block-formatted M4 polylines equal the per-point scalar reference."""
 
     def test_preset_charts_match_reference(self, preset_results):
         for name, result in preset_results.items():
@@ -120,6 +135,65 @@ class TestPolylineBytes:
         f32 = rng.standard_normal(4000).astype(np.float32)
         series = [("int", t, t * 3), ("f32", t.astype(np.float32), f32)]
         assert polyline_points(line_chart_svg(series, "d", "x", "y")) == reference_polylines(series)
+
+
+PLOT_W = WIDTH - MARGIN_L - MARGIN_R
+
+
+@st.composite
+def monotone_series(draw):
+    """A series non-decreasing in x with repeated x, flat runs of y and tied
+    extremes, of 1 to 5 000 points, scaled by 1e-8 to 1e8, in one dtype."""
+    n = draw(st.integers(1, 5000))
+    dtype = draw(st.sampled_from([np.int64, np.float32, np.float64]))
+    scale = 10.0 ** draw(st.integers(-8, 8))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    x = np.cumsum(rng.choice([0.0, 1.0, 3.0, 400.0], n, p=[0.3, 0.5, 0.15, 0.05]))
+    runs = np.cumsum(rng.random(n) < 0.1)  # flat runs of y at a few shared levels
+    y = rng.integers(-3, 4, runs[-1] + 1)[runs].astype(float)
+    noisy = rng.random(n) < draw(st.sampled_from([0.0, 0.3, 1.0]))
+    y[noisy] += rng.standard_normal(int(noisy.sum()))
+    x, y = x * scale, y * scale
+    if dtype is np.int64:
+        x, y = np.round(x), np.round(y)
+    return x.astype(dtype), y.astype(dtype)
+
+
+class TestM4:
+    """Each pixel column keeps its first, last, least and greatest point."""
+
+    @given(monotone_series())
+    def test_columns_keep_their_extremes(self, xy):
+        x, y = xy
+        svg = line_chart_svg([("s", x, y)], "m4", "x", "y")
+        assert polyline_points(svg) == reference_polylines([("s", x, y)])
+        # any non-decreasing column map: here the columns of x over its own range
+        xf, yf = np.asarray(x, float), np.asarray(y, float)
+        span = xf[-1] - xf[0] if xf[-1] > xf[0] else 1.0
+        col = np.clip(np.floor((xf - xf[0]) / span * PLOT_W), 0, PLOT_W - 1)
+        keep = _m4_indices(col, yf)
+        assert (np.diff(keep) > 0).all() and keep[0] == 0 and keep[-1] == x.size - 1
+        for c in np.unique(col):
+            every = np.flatnonzero(col == c)
+            drawn = keep[col[keep] == c]
+            assert drawn.size <= 4
+            assert drawn[0] == every[0] and drawn[-1] == every[-1]
+            assert yf[drawn].min() == yf[every].min() and yf[drawn].max() == yf[every].max()
+        if np.unique(col).size == x.size:
+            assert keep.tolist() == list(range(x.size))
+
+    @pytest.mark.parametrize("n", [1, 2, 201, PLOT_W // 2])
+    def test_one_point_per_column_is_drawn_whole(self, n):
+        rng = np.random.default_rng(n)
+        x, y = np.linspace(0.0, 0.2, n), rng.standard_normal(n)
+        points = polyline_points(line_chart_svg([("s", x, y)], "whole", "x", "y"))[0]
+        assert len(points.split()) == n
+
+    def test_preset_traces_drawn_at_display_resolution(self, preset_results):
+        trace = preset_results["uncertain-step-compare"].runs[0].trace
+        for sy in (trace.r, trace.y, trace.u_a[:, 0]):
+            points = polyline_points(line_chart_svg([("s", trace.t, sy)], "p", "x", "y"))[0]
+            assert len(points.split()) <= 4 * PLOT_W < trace.n_samples
 
 
 class TestPlatformBytes:

@@ -14,6 +14,7 @@ from l1sim import (
     load_csv,
     run_closed_loop,
 )
+from l1sim.traceio import BLOCK_ROWS
 from oracle import TRACE_FIELDS, reference_csv_text
 from test_metrics import make_trace
 
@@ -187,6 +188,62 @@ class TestByteFormat:
         data = path.read_bytes()
         assert b"\r" not in data
         assert data.decode("ascii") == reference_csv_text(load_csv(path))
+
+
+def _nan_payloads(rows: int) -> np.ndarray:
+    return (np.uint64(0x7FF8000000000001) + np.arange(rows, dtype=np.uint64)).view(np.float64)
+
+
+def _zeros_with_one_negative(rows: int) -> np.ndarray:
+    values = np.zeros(rows)
+    values[rows // 2] = -0.0
+    return values
+
+
+def _constant_but_each_blocks_last(rows: int) -> np.ndarray:
+    values = np.full(rows, 1.5)
+    values[BLOCK_ROWS - 1 :: BLOCK_ROWS] = 2.5
+    values[-1] = 2.5
+    return values
+
+
+# column values that a block holds; the block formatter must write them as the
+# per-value writer does whether or not it takes the column for constant
+COLUMNS = {
+    "all -0.0": lambda rows: np.full(rows, -0.0),
+    "0.0 with one -0.0": _zeros_with_one_negative,
+    "-0.0 with one 0.0": lambda rows: -_zeros_with_one_negative(rows),
+    "all NaN": lambda rows: np.full(rows, np.nan),
+    "NaN of distinct payloads": _nan_payloads,
+    "all inf": lambda rows: np.full(rows, np.inf),
+    "all -inf": lambda rows: np.full(rows, -np.inf),
+    "all subnormal": lambda rows: np.full(rows, 5e-324),
+    "constant but each block's last row": _constant_but_each_blocks_last,
+}
+
+
+class TestConstantColumns:
+    """A column bit-identical down a block is formatted once, to the same bytes."""
+
+    # one row, a whole block and a 1-row block, two blocks and a partial third
+    @pytest.mark.parametrize("rows", [1, 257, 515])
+    @pytest.mark.parametrize("column", COLUMNS.values(), ids=COLUMNS.keys())
+    def test_column_matches_reference(self, tmp_path, rows, column):
+        trace = random_trace(rows, n=2, seed=rows)
+        trace.y = column(rows)
+        trace.x[:, 1] = column(rows)
+        path = emit_csv(trace, tmp_path / "column.csv")
+        assert path.read_bytes() == reference_csv_text(trace).encode()
+
+    @pytest.mark.parametrize("rows", [1, 257, 515])
+    def test_all_constant_blocks_match_reference(self, tmp_path, rows):
+        values = iter(EDGE_VALUES + [np.nan, 0.1, -3.0])
+        trace = random_trace(rows, n=2, seed=rows)
+        for name, value in vars(trace).items():
+            if isinstance(value, np.ndarray):
+                value[...] = next(values)
+        path = emit_csv(trace, tmp_path / "constant.csv")
+        assert path.read_bytes() == reference_csv_text(trace).encode()
 
 
 class TestMemory:
