@@ -175,22 +175,93 @@ def build_scenario(cfg: dict, name: str | None = None, law_override: str | None 
     )
 
 
+# A scenario nests 4 levels deep (document, section, matrix, row).  Deeper
+# documents are rejected before anything recurses over them.
+MAX_DEPTH = 100
+# libyaml composes recursively on the C stack, about 350 bytes a level, with
+# no depth check.  Nesting takes at least one character a level, so text of at
+# most this many characters composes within 1 MB of stack; longer text has
+# its depth counted first, from the parser's events.
+_SHORT_TEXT = 2048
+
+
+def _events_too_deep(events) -> bool:
+    """Whether a YAML event stream opens more than ``MAX_DEPTH`` nested
+    lists or mappings."""
+    from yaml import CollectionEndEvent, CollectionStartEvent
+
+    depth = 0
+    for event in events:
+        if isinstance(event, CollectionStartEvent):
+            depth += 1
+            if depth > MAX_DEPTH:
+                return True
+        elif isinstance(event, CollectionEndEvent):
+            depth -= 1
+    return False
+
+
+def _deepest_key(doc) -> str | None:
+    """The key (``section`` or ``section.key``) under which ``doc`` holds a
+    list or mapping more than ``MAX_DEPTH`` levels deep, or None.
+
+    Iterative, so neither a deep document nor a cyclic one (a YAML alias
+    inside its own anchor) can exhaust the stack.  A container shared through
+    aliases is walked again only where it is reached at a greater depth.
+    """
+    deepest: dict[int, int] = {}
+    stack = [(doc, 1, "")]
+    while stack:
+        node, depth, where = stack.pop()
+        if isinstance(node, dict):
+            children = node.items()
+        elif isinstance(node, (list, tuple)):
+            children = enumerate(node)
+        else:
+            continue
+        if depth > MAX_DEPTH:
+            return where or "the document"
+        if deepest.get(id(node), 0) >= depth:
+            continue
+        deepest[id(node)] = depth
+        named = isinstance(node, dict) and depth <= 2
+        for key, child in children:
+            key_path = (f"{where}.{key}" if where else str(key)) if named else where
+            stack.append((child, depth + 1, key_path))
+    return None
+
+
 def load_scenario(path, law_override: str | None = None) -> Scenario:
-    """Parse and validate a scenario file."""
+    """Parse and validate a scenario file.
+
+    YAML is parsed by libyaml (PyYAML's ``CSafeLoader``), or by PyYAML's own
+    ``SafeLoader`` where PyYAML was built without it; both construct with
+    ``safe_load``'s constructor and resolver.  A document nested more than
+    ``MAX_DEPTH`` levels deep is a ``ConfigError``.
+    """
     import yaml  # here, not at module level: callers that build from dicts never parse YAML
 
+    loader = getattr(yaml, "CSafeLoader", yaml.SafeLoader)
     path = Path(path)
-    if not path.exists():
-        raise ConfigError(f"scenario file not found: {path}")
     try:
         text = path.read_text(encoding="utf-8")
+    except FileNotFoundError:
+        raise ConfigError(f"scenario file not found: {path}") from None
     except (OSError, UnicodeDecodeError) as exc:
         reason = getattr(exc, "strerror", None) or exc  # an OSError's message repeats the path
         raise ConfigError(f"cannot read scenario file {path}: {reason}") from exc
+    too_deep = f"nests lists or mappings more than {MAX_DEPTH} levels deep"
     try:
-        doc = yaml.safe_load(text)
+        if len(text) > _SHORT_TEXT and _events_too_deep(yaml.parse(text, Loader=loader)):
+            raise ConfigError(f"{path} {too_deep}")
+        doc = yaml.load(text, Loader=loader)
     except yaml.YAMLError as exc:
         raise ConfigError(f"{path} is not valid YAML: {exc}") from exc
+    except RecursionError:  # PyYAML's own composer recurses once or twice a level
+        raise ConfigError(f"{path} {too_deep}") from None
+    where = _deepest_key(doc)
+    if where is not None:
+        raise ConfigError(f"{path}: {where} {too_deep}")
     return build_scenario(doc, name=path.stem, law_override=law_override)
 
 

@@ -11,6 +11,20 @@ settings.register_profile(
 )
 settings.load_profile("l1sim")
 
+
+def pytest_report_header(config):
+    """Which YAML parser ``load_scenario`` uses in this run."""
+    import yaml
+
+    if hasattr(yaml, "CSafeLoader"):
+        from yaml._yaml import get_version_string
+
+        parser = f"libyaml {get_version_string()}"
+    else:
+        parser = "no libyaml: scenario files parse with SafeLoader, the loader parity tests skip"
+    return f"PyYAML {yaml.__version__}, {parser}"
+
+
 # second-order SISO benchmark used across the suite
 BENCH_A = np.array([[-10.0, -50.0], [1.0, 0.0]])
 BENCH_B1 = np.array([[2000.0], [0.0]])

@@ -143,6 +143,37 @@ class TestRunCommand:
             assert reason in err
             assert "Traceback" not in err
 
+    def test_over_deep_scenario_file_exit_code(self, tmp_path, capsys):
+        levels = 10_000
+        deep = "[" * levels + "1.0" + "]" * levels
+        bodies = {
+            "name": f"name: {deep}\n",
+            "plant.A": f"plant: {{A: {deep}}}\n",
+            "controller.law": f"controller: {{law: {deep}}}\n",
+            "bogus": f"bogus: {deep}\n",
+        }
+        for where, body in bodies.items():
+            path = tmp_path / "deep.yaml"
+            rest = {key: value for key, value in SCENARIO.items() if key != where.split(".")[0]}
+            path.write_text(body + yaml.safe_dump(rest))
+            assert main(["run", str(path)]) == 1, where
+            err = capsys.readouterr().err
+            assert err == f"error: {path} nests lists or mappings more than 100 levels deep\n"
+
+    def test_nesting_past_the_c_stack_exit_code(self, tmp_path):
+        # libyaml's composer recurses on the C stack with no depth check: at
+        # 100 000 levels it would overrun an 8 MB stack, so the depth is
+        # counted before anything is composed
+        path = tmp_path / "deep.yaml"
+        path.write_text("name: " + "[" * 100_000 + "]" * 100_000 + "\n" + yaml.safe_dump(SCENARIO))
+        src = str(Path(l1sim.__file__).resolve().parents[1])
+        proc = subprocess.run(
+            [sys.executable, "-m", "l1sim.cli", "run", str(path)],
+            env=dict(os.environ, PYTHONPATH=src), capture_output=True, text=True, timeout=120,
+        )
+        assert proc.returncode == 1
+        assert proc.stderr == f"error: {path} nests lists or mappings more than 100 levels deep\n"
+
     def test_scenario_file_read_as_utf8_under_an_ascii_locale(self, tmp_path):
         path = tmp_path / "utf8.yaml"
         path.write_bytes("# \u03c3 and \u00fc\n".encode() + yaml.safe_dump(SCENARIO).encode())

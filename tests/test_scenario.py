@@ -1,5 +1,6 @@
 import copy
 import dataclasses
+import re
 from functools import partial
 
 import numpy as np
@@ -427,6 +428,19 @@ class TestLoadScenario:
     def test_missing_file(self, tmp_path):
         with pytest.raises(ConfigError, match="not found"):
             load_scenario(tmp_path / "nope.yaml")
+
+    def test_file_gone_before_it_is_read(self, tmp_path, monkeypatch):
+        # the file is opened once, so a file removed after any earlier check
+        # is still reported as not found
+        path = tmp_path / "case.yaml"
+        path.write_text("{}\n")
+
+        def vanished(self, *args, **kwargs):
+            raise FileNotFoundError(2, "No such file or directory", str(self))
+
+        monkeypatch.setattr(type(path), "read_text", vanished)
+        with pytest.raises(ConfigError, match=f"^scenario file not found: {re.escape(str(path))}$"):
+            load_scenario(path)
 
     def test_invalid_yaml(self, tmp_path):
         path = tmp_path / "broken.yaml"
