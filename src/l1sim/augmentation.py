@@ -19,10 +19,12 @@ assembly.  ``matched_only`` drops the unmatched path entirely and ``off``
 disables the augmentation.
 
 ``compile_loop`` checks a tuning against its plant and precomputes everything
-a run needs into one immutable ``LoopModel``, with one matrix exponential:
-the exact lifted recurrence of the whole sampled loop that the engine steps,
-its ``transition``, the level and slope ``command_maps``, the per-sample
-``disturbance_map`` and the ``input_map`` of the adaptive input.
+a run needs into one immutable ``LoopModel``: the exact lifted recurrence of
+the whole sampled loop that the engine steps, its ``transition``, the level
+and slope ``command_maps``, the per-sample ``disturbance_map`` and the
+``input_map`` of the adaptive input.  They all come from one preallocated
+step matrix of one integrator step, whose top rows are one matrix
+exponential written in place over the generator blocks it was taken of.
 """
 
 from __future__ import annotations
@@ -34,14 +36,9 @@ import numpy as np
 
 from .errors import ConfigError
 from .plant import UncertainPlant
+from . import statespace
 from .statespace import (
-    StateSpaceModel,
-    _square,
-    as_matrix,
-    as_scalar,
-    filter_step,
-    full_rank,
-    zoh_maps,
+    StateSpaceModel, _square, as_matrix, as_scalar, filter_step, full_rank, zoh_maps,
 )
 
 LAWS = ("off", "matched_only", "original", "modified")
@@ -234,7 +231,9 @@ class LoopModel:
     """One augmentation tuning compiled against one plant; built by ``compile_loop``.
 
     Holds the estimator gain, the error feedback applied in the predictor,
-    the law filters, discretized with the whole loop, and the lifted loop.  The
+    the law filters and the lifted loop, all read from the power of one step
+    matrix (``compile_loop``), so the filters are discretized with the whole
+    loop, by the same exponential.  The
     lifted state at a sample boundary stacks the plant state x, the
     reference-model state x_m, the prediction error x_tilde = x_hat - x and
     the matched and unmatched law-filter states (``blocks`` names the
@@ -303,49 +302,61 @@ def compile_loop(
     The only place a tuning is checked: an onset off the sample grid, Hurwitz
     error dynamics, a singular update gain, the transmission-zero gate of the
     dynamics-inverting law (also its path's stability check), an improper path
-    and an overflowing loop all raise ``ConfigError`` here.  The command is
-    held over S = ``substeps_per_sample`` steps of h = T / S, the engine's,
-    and the S steps fold into the sample's maps by one matrix power.
+    and an overflowing loop all raise ``ConfigError`` here, overflow by key.
+    The command is held over S = ``substeps_per_sample`` steps of h = T / S,
+    the engine's.  The loop's generator and drive are written into the top
+    rows of one preallocated step matrix over [z, u, j] (below), which the
+    top rows of their one exponential then overwrite, and the S steps fold
+    into the sample's maps by one matrix power.
     """
     T = cfg.sample_period
     grid_index(plant.onset, T, "uncertainty.onset")
     a_err = error_dynamics_matrix(plant, cfg)
     n = plant.n
-    # each continuous law filter, the estimate channels it reads and its block
-    filters, width = [], 2 * n
-    if cfg.law != "off":
-        with np.errstate(over="ignore", invalid="ignore"):  # zoh_maps rejects an overflow
-            path = unmatched_path_model(plant, cfg)
-        for filt, chans in ((low_pass_model(cfg.bandwidth_matched), slice(0, 1)),
-                            (path, slice(1, n))):
-            if filt is not None:
-                filters.append((filt, chans, slice(width, width + filt.order)))
-                width += filt.order
-    # One exponential of a block-diagonal generator discretizes the whole loop: x
-    # under A and x_tilde under A_err, both driven through [B1 B2] by the held input
-    # (input columns n:), and each filter, driven by its channels of the estimate (:n).
-    gen, drive = np.zeros((width, width)), np.zeros((width, 2 * n))
-    gen[:n, :n], gen[n : 2 * n, n : 2 * n] = plant.A, a_err
-    drive[:n, n:] = drive[n : 2 * n, n:] = np.hstack([plant.B1, plant.B2])
-    for filt, chans, block in filters:
-        gen[block, block], drive[block, chans] = filt.A, filt.B
-    # One step of h = T / S advances [z, u, j]: z under the ZOH maps (a_h, b_h), the
-    # held input u, and a constant j = 1 that adds one to u's command column (B1's,
-    # n) per step.  So the S-th power (the step itself at S = 1, O(log S) products)
-    # holds the propagator, the held-input maps and sum_j j a_h^(S-1-j) b_h[:, n].
-    h = T / substeps_per_sample
-    a_h, b_h = zoh_maps(gen, drive, h, f"one of {_RATE_KEYS}")
-    step = np.eye(width + 2 * n + 1)
-    step[:width, :width], step[:width, width:-1], step[width + n, -1] = a_h, b_h, 1.0
-    power = np.linalg.matrix_power(step, substeps_per_sample)
-    prop, held, staircase = power[:width, :width], power[:width, width:-1], power[:n, -1]
-    plant_prop, plant_input = prop[:n, :n], held[:n, n:]
-    err_prop, err_input = prop[n : 2 * n, n : 2 * n], held[n : 2 * n, n:]
-    gain = _estimator_gain(err_prop, err_input)
-
-    # the lifted state is the generator's with x_m after x (LoopModel.blocks)
-    d = n + width
     x, x_m, x_t = slice(0, n), slice(n, 2 * n), slice(2 * n, 3 * n)
+    with np.errstate(over="ignore", invalid="ignore"):  # what overflows is rejected by key
+        # each continuous law filter, the estimate channels it reads and its block
+        filters, width = [], 2 * n
+        if cfg.law != "off":
+            for filt, chans in ((low_pass_model(cfg.bandwidth_matched), slice(0, 1)),
+                                (unmatched_path_model(plant, cfg), slice(1, n))):
+                if filt is not None:
+                    filters.append((filt, chans, slice(width, width + filt.order)))
+                    width += filt.order
+        # The step advances [z, u, j]: z (x under A, x_tilde under A_err, both driven
+        # through [B1 B2] by the held input's columns n:, and each filter, driven by its
+        # channels of the estimate, :n), the held input u, and j = 1, which adds one to
+        # u's command column n per step.  So the S-th power (O(log S) products) holds
+        # the propagator, the held-input maps and sum_j j a_h^(S-1-j) b_h[:, n] of the
+        # ZOH maps (a_h, b_h) of one step.
+        size = width + 2 * n
+        step, u = np.zeros((size + 1, size + 1)), slice(width + n, size)
+        step[:n, :n], step[n : 2 * n, n : 2 * n] = plant.A, a_err
+        step[:n, u] = step[n : 2 * n, u] = np.hstack([plant.B1, plant.B2])
+        for filt, chans, block in filters:
+            step[block, block] = filt.A
+            step[block, width + chans.start : width + chans.stop] = filt.B
+        h = T / substeps_per_sample
+        flow = statespace._expm(step[:size, :size] * h)
+        if not np.isfinite(flow).all():
+            raise ConfigError(f"discretization overflowed; one of {_RATE_KEYS} is too large")
+        step[:width, :size] = flow[:width]
+        step.ravel()[width * (size + 2) :: size + 2] = 1.0  # [u, j] held
+        step[width + n, size] = 1.0
+        power = np.linalg.matrix_power(step, substeps_per_sample)
+        prop, held, staircase = power[:width, :width], power[:width, width:-1], power[:n, -1]
+        plant_prop, plant_input = prop[:n, :n], held[:n, n:]
+        err_prop, err_input = prop[n : 2 * n, n : 2 * n], held[n : 2 * n, n:]
+        gain = _estimator_gain(err_prop, err_input)
+        # the lifted state is the generator's with x_m after x (LoopModel.blocks)
+        d = n + width
+        f = np.concatenate([plant.f1, plant.f2])
+        disturbance_map = np.zeros(d)
+        disturbance_map[x], disturbance_map[x_t] = plant_input @ f, -(err_input @ f)
+        if not np.isfinite(disturbance_map).all():
+            raise ConfigError(
+                "uncertainty.matched or uncertainty.unmatched overflows the sampled loop")
+
     transition, input_map = np.zeros((d, d)), np.zeros((1, d))
     discrete = []
     for filt, chans, block in filters:
@@ -369,13 +380,6 @@ def compile_loop(
     command_maps[0, x] = held[:n, n] * plant.k_ff
     command_maps[1, x] = staircase * (plant.k_ff * h)
     command_maps[:, x_m] = command_maps[:, x]
-    f = np.concatenate([plant.f1, plant.f2])
-    disturbance_map = np.zeros(d)
-    with np.errstate(over="ignore"):  # an overflow is rejected below, by key
-        disturbance_map[x] = plant_input @ f
-        disturbance_map[x_t] = -(err_input @ f)
-    if not np.isfinite(disturbance_map).all():
-        raise ConfigError("uncertainty.matched or uncertainty.unmatched overflows the sampled loop")
     return LoopModel(
         plant=plant,
         config=cfg,

@@ -38,13 +38,7 @@ _SECTIONS = ("name", "plant", "uncertainty", "reference", "controller", "engine"
 _PLANT_KEYS = ("preset", "A", "B1", "C", "x0")
 _UNCERTAINTY_KEYS = ("matched", "unmatched", "onset")
 _REFERENCE_KEYS = ("kind", "onset", "amplitude", "gradient")
-_CONTROLLER_KEYS = (
-    "law",
-    "sample_period",
-    "bandwidth_matched",
-    "bandwidth_unmatched",
-    "L_p",
-)
+_CONTROLLER_KEYS = ("law", "sample_period", "bandwidth_matched", "bandwidth_unmatched", "L_p")
 _ENGINE_KEYS = ("t_end", "substeps_per_sample")
 _OUTPUT_KEYS = ("csv", "plots")
 
@@ -127,8 +121,11 @@ def build_scenario(cfg: dict, name: str | None = None, law_override: str | None 
     if not isinstance(cfg, dict):
         raise ConfigError(f"scenario document must be a mapping, got {type(cfg).__name__}")
     _require_keys(cfg, _SECTIONS, "scenario")
-    stem = (name or "scenario") if cfg.get("name") is None else str(cfg["name"])
-    # output files are named after it
+    stem = cfg.get("name")
+    if stem is None:
+        stem = name or "scenario"
+    elif not isinstance(stem, str):  # output files are named after it
+        raise ConfigError(f"name must be a string, got {type(stem).__name__}")
     if stem in ("", ".", "..") or any(c in stem for c in "/\\\0"):
         raise ConfigError(
             f"name {stem!r} must be a file name in the output directory: "
@@ -318,14 +315,8 @@ def preset_names() -> list[str]:
 def run_scenario(scenario: Scenario) -> RunResult:
     """Simulate one scenario and summarize the trace, labelled with its law."""
     law = scenario.augmentation.law
-    trace = run_closed_loop(
-        scenario.plant,
-        scenario.augmentation,
-        scenario.signal,
-        scenario.engine,
-        label=law,
-        model=scenario.loop,
-    )
+    trace = run_closed_loop(scenario.plant, scenario.augmentation, scenario.signal,
+                            scenario.engine, label=law, model=scenario.loop)
     return RunResult(label=law, trace=trace, metrics=compute_metrics(trace, scenario.signal))
 
 

@@ -133,6 +133,7 @@ _PADE = {m: [float(math.factorial(2 * m - j) // (math.factorial(j) * math.factor
 # log2 of 1/|c_(2m+1)| = (2m)! (2m+1)! / m!^2, c_(2m+1) x^(2m+1) leading e^x - r_m(x)
 _LOG2_C = {m: math.log2(math.factorial(2 * m) * math.factorial(2 * m + 1)
                         / math.factorial(m) ** 2) for m in _THETA}
+_EPS = float(np.finfo(float).eps)  # machine epsilon, read by ``full_rank``
 
 
 def _even_powers(a: np.ndarray) -> list[np.ndarray]:
@@ -142,14 +143,15 @@ def _even_powers(a: np.ndarray) -> list[np.ndarray]:
     return [a2, a4, a2.dot(a4)]
 
 
-def _ell(col_sums: np.ndarray, abs_a: np.ndarray, norm: float, m: int) -> int:
+def _ell(chain: list[np.ndarray], abs_a: np.ndarray, norm: float, m: int) -> int:
     """Extra squarings that keep the rounding of r_m(A) below the unit
     roundoff: ell(A, m) of Al-Mohy & Higham (2009), Algorithm 5.1, with the exact
-    ||abs(A)^(2m+1)||_1 from vector-matrix products on ``col_sums`` = 1^T abs(A)."""
-    v = col_sums
-    for _ in range(2 * m):
-        v = v.dot(abs_a)
-    top = float(v.max())
+    ||abs(A)^(2m+1)||_1 from vector-matrix products.  ``chain`` holds 1^T abs(A)^j
+    for j = 1, 2, ... and is extended here to j = 2m + 1, so the degrees tried
+    in turn share it."""
+    while len(chain) <= 2 * m:
+        chain.append(chain[-1].dot(abs_a))
+    top = float(chain[2 * m].max())
     if top == 0.0:
         return 0
     # an overflowed norm is bounded by ||A||^(2m+1)
@@ -187,10 +189,12 @@ def _expm(a: np.ndarray) -> np.ndarray:
     A known limit: for the nilpotent A = b*[[1, 1], [-1, -1]] (A^2 = 0, so
     e^A = I + A), ``ell`` bounds the 1-norm of |A|^27, about (2b)^27, although
     every power of A past the first vanishes.  It then asks for about log2(2b)
-    squarings, which cancel catastrophically: the result is wrong in its
-    leading digit by b = 1e6, and for b >= 1e10 it is non-finite, which
-    ``mat_exp`` rejects as overflowed.  ``scipy.linalg.expm`` returns NaN on
-    the same input.
+    squarings, which cancel catastrophically.  The result is finite and wrong
+    from b ~ 1e5: its (1, 1) entry, 1 + b exactly, is 9.9964e4 at b = 1e5,
+    7.92e7 at b = 1e7 and 3.05e-35 at b = 1e9.  Only from about b = 2.5e9 is
+    it non-finite, which ``mat_exp`` rejects as overflowed, and not at every
+    b above that (b = 4e9 gives 2.2e-152).  ``scipy.linalg.expm`` is wrong
+    on the same inputs too.
     """
     ones, abs_a = np.ones(len(a)), np.abs(a)
     col_sums = ones.dot(abs_a)
@@ -201,23 +205,24 @@ def _expm(a: np.ndarray) -> np.ndarray:
     def root_norm(p: np.ndarray, k: int) -> float:
         return float(ones.dot(np.abs(p)).max()) ** (1 / k)  # ||A^k||_1^(1/k) of p = A^k
 
+    chain = [col_sums]  # 1^T abs(A)^j, shared by the degrees tried
     powers = _even_powers(a)
     d6 = root_norm(powers[2], 6)
     eta = max(root_norm(powers[1], 4), d6)
     for m in (3, 5):
-        if eta <= _THETA[m] and _ell(col_sums, abs_a, norm, m) == 0:
+        if eta <= _THETA[m] and _ell(chain, abs_a, norm, m) == 0:
             return _pade(a, powers, m)
     powers.append(powers[1].dot(powers[1]))
     d8 = root_norm(powers[3], 8)
     eta = max(d6, d8)
     for m in (7, 9):
-        if eta <= _THETA[m] and _ell(col_sums, abs_a, norm, m) == 0:
+        if eta <= _THETA[m] and _ell(chain, abs_a, norm, m) == 0:
             return _pade(a, powers, m)
     # ||A^k||^(1/k) <= ||A|| also bounds powers that overflowed (min keeps its
     # first argument against a NaN)
     eta = min(norm, eta, max(d8, root_norm(powers[1].dot(powers[2]), 10)))
     s = max(math.ceil(math.log2(eta / _THETA[13])), 0) if eta else 0
-    s += _ell(col_sums * 2.0**-s, abs_a * 2.0**-s, norm * 2.0**-s, 13)
+    s += _ell([col_sums * 2.0**-s], abs_a * 2.0**-s, norm * 2.0**-s, 13)
     # scaling by 2^-s is exact: these are the powers of A scaled, without their overflow
     scaled = a * 2.0**-s
     x = _pade(scaled, _even_powers(scaled), 13)
@@ -272,24 +277,25 @@ def null_complement(b1) -> np.ndarray:
     return b2
 
 
-def _complement(b1: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def _complement(b1: np.ndarray) -> tuple[np.ndarray, list[float]]:
     """``null_complement`` of an n x m float matrix without its checks (n x 0
-    when m = n), and the singular values of [B1 B2]: those of B1 and, as B2 is
-    orthonormal and orthogonal to B1, ones.  [B1 B2] spans the state space
-    where ``full_rank`` holds of them."""
+    when m = n), and the singular values of [B1 B2] as a list: those of B1 and,
+    as B2 is orthonormal and orthogonal to B1, ones.  [B1 B2] spans the state
+    space where ``full_rank`` holds of them."""
     n, m = b1.shape
     # one SVD gives the rank and the complement: the right singular vectors past it
     _, sv, vh = np.linalg.svd(b1.T)
     b2 = vh[m:].T
     lead = b2[(np.abs(b2) > 1e-12).argmax(axis=0), range(n - m)]  # unit columns have one
-    return b2 * np.copysign(1.0, lead), np.concatenate([sv, np.ones(n - m)])
+    return b2 * np.copysign(1.0, lead), sv.tolist() + [1.0] * (n - m)
 
 
-def full_rank(sv: np.ndarray, size: int) -> bool:
+def full_rank(sv: np.ndarray | list[float], size: int) -> bool:
     """Full rank of singular values ``sv`` of a matrix of largest side ``size``
     at the tolerance of ``np.linalg.matrix_rank``."""
-    sv = sv.tolist()  # min and max of a few Python floats cost less than numpy's
-    return min(sv) > max(sv) * size * np.finfo(float).eps
+    if isinstance(sv, np.ndarray):
+        sv = sv.tolist()  # min and max of a few Python floats cost less than numpy's
+    return min(sv) > max(sv) * size * _EPS
 
 
 def dc_gain(sys: StateSpaceModel) -> np.ndarray:
@@ -337,13 +343,12 @@ def _feedforward_gain(a: np.ndarray, b1: np.ndarray, c: np.ndarray,
     return -1.0 / val
 
 
-def zoh_maps(a: np.ndarray, b: np.ndarray, step: float,
-             scale: str = "A*step") -> tuple[np.ndarray, np.ndarray]:
+def zoh_maps(a: np.ndarray, b: np.ndarray, step: float) -> tuple[np.ndarray, np.ndarray]:
     """Zero-order-hold maps of dx/dt = A x + B u over one step h.
 
     A_d = e^(A h) and B_d = (integral of e^(A tau) over [0, h]) B, obtained
     from one augmented exponential.  A (n x n) and B (n x m) must already be
-    float arrays.  ``scale`` names what is too large when the exponential overflows.
+    float arrays.
     """
     step = as_scalar(step, "step", "> 0")
     n, m = b.shape
@@ -353,7 +358,7 @@ def zoh_maps(a: np.ndarray, b: np.ndarray, step: float,
     with np.errstate(over="ignore", invalid="ignore"):
         big = _expm(aug * step)
     if not np.isfinite(big).all():
-        raise ConfigError(f"discretization overflowed; {scale} is too large")
+        raise ConfigError("discretization overflowed; A*step is too large")
     return big[:n, :n], big[:n, n:]
 
 

@@ -7,7 +7,11 @@ power doubling; ``reference_csv_text`` and ``reference_polylines`` format
 trace files one value (or point) per Python call, the way the block
 formatters in ``l1sim.traceio`` and ``l1sim.plots`` must reproduce byte for
 byte; ``reference_polylines`` also picks each pixel column's M4 points in a
-per-point loop.
+per-point loop.  ``slice_by_slice_loop`` compiles a loop model the way
+``compile_loop`` did before it wrote its step matrix in place: generator and
+drive copied into ``zoh_maps``' augmented matrix, its blocks copied into an
+identity step matrix, then ``np.linalg.matrix_power``; the two must agree
+bit for bit.
 
 The engine (``run_closed_loop``) solves the sampled loop exactly between
 sample boundaries.  This oracle integrates the same loop numerically, built
@@ -38,8 +42,13 @@ from l1sim import (
     reference_value,
     rk4_step,
 )
+from l1sim.augmentation import (
+    _RATE_KEYS, LoopModel, _estimator_gain, error_dynamics_matrix, grid_index, low_pass_model,
+    unmatched_path_model,
+)
+from l1sim.errors import ConfigError
 from l1sim.plots import HEIGHT, MARGIN_B, MARGIN_L, MARGIN_R, MARGIN_T, WIDTH
-from l1sim.statespace import zoh_maps
+from l1sim.statespace import StateSpaceModel, zoh_maps
 
 TRACE_FIELDS = ("r", "y", "y_m", "u_a", "sigma1", "sigma2", "x", "x_hat", "x_tilde")
 
@@ -130,6 +139,74 @@ def sequential_states(model, forcing: np.ndarray) -> np.ndarray:
         for k, f in enumerate(forcing):
             states[k + 1] = model.transition @ states[k] + f
     return states
+
+
+def slice_by_slice_loop(plant, cfg, substeps_per_sample: int = 1) -> LoopModel:
+    """``compile_loop`` assembled block by block from separate arrays."""
+    T = cfg.sample_period
+    grid_index(plant.onset, T, "uncertainty.onset")
+    a_err = error_dynamics_matrix(plant, cfg)
+    n = plant.n
+    filters, width = [], 2 * n
+    if cfg.law != "off":
+        with np.errstate(over="ignore", invalid="ignore"):
+            path = unmatched_path_model(plant, cfg)
+        for filt, chans in ((low_pass_model(cfg.bandwidth_matched), slice(0, 1)),
+                            (path, slice(1, n))):
+            if filt is not None:
+                filters.append((filt, chans, slice(width, width + filt.order)))
+                width += filt.order
+    gen, drive = np.zeros((width, width)), np.zeros((width, 2 * n))
+    gen[:n, :n], gen[n : 2 * n, n : 2 * n] = plant.A, a_err
+    drive[:n, n:] = drive[n : 2 * n, n:] = np.hstack([plant.B1, plant.B2])
+    for filt, chans, block in filters:
+        gen[block, block], drive[block, chans] = filt.A, filt.B
+    h = T / substeps_per_sample
+    try:
+        a_h, b_h = zoh_maps(gen, drive, h)
+    except ConfigError:
+        raise ConfigError(f"discretization overflowed; one of {_RATE_KEYS} is too large") from None
+    step = np.eye(width + 2 * n + 1)
+    step[:width, :width], step[:width, width:-1], step[width + n, -1] = a_h, b_h, 1.0
+    power = np.linalg.matrix_power(step, substeps_per_sample)
+    prop, held, staircase = power[:width, :width], power[:width, width:-1], power[:n, -1]
+    plant_prop, plant_input = prop[:n, :n], held[:n, n:]
+    err_prop, err_input = prop[n : 2 * n, n : 2 * n], held[n : 2 * n, n:]
+    gain = _estimator_gain(err_prop, err_input)
+
+    d = n + width
+    x, x_m, x_t = slice(0, n), slice(n, 2 * n), slice(2 * n, 3 * n)
+    transition, input_map = np.zeros((d, d)), np.zeros((1, d))
+    discrete = []
+    for filt, chans, block in filters:
+        filt = StateSpaceModel._of(prop[block, block], held[block, chans], filt.C, filt.D)
+        discrete.append(filt)
+        block, g = slice(n + block.start, n + block.stop), gain[chans]
+        transition[block, x_t] = filt.B @ g
+        transition[block, block] = filt.A
+        input_map[:, x_t] -= (filt.C @ filt.B + filt.D) @ g
+        input_map[:, block] = -filt.C @ filt.A
+    matched, unmatched = discrete + [None] * (2 - len(discrete))
+    transition[x, x] = plant_prop
+    transition[x] += plant_input[:, :1] @ input_map
+    transition[x_m, x_m] = plant_prop
+    transition[x_t, x_t] = err_prop + err_input @ gain
+
+    command_maps = np.zeros((2, d))
+    command_maps[0, x] = held[:n, n] * plant.k_ff
+    command_maps[1, x] = staircase * (plant.k_ff * h)
+    command_maps[:, x_m] = command_maps[:, x]
+    f = np.concatenate([plant.f1, plant.f2])
+    disturbance_map = np.zeros(d)
+    with np.errstate(over="ignore"):
+        disturbance_map[x] = plant_input @ f
+        disturbance_map[x_t] = -(err_input @ f)
+    if not np.isfinite(disturbance_map).all():
+        raise ConfigError("uncertainty.matched or uncertainty.unmatched overflows the sampled loop")
+    return LoopModel(plant=plant, config=cfg, gain=gain, predictor_gain=a_err - plant.A,
+                     matched=matched, unmatched=unmatched, substeps=substeps_per_sample,
+                     transition=transition, command_maps=command_maps,
+                     disturbance_map=disturbance_map, input_map=input_map)
 
 
 def max_deviation(a: SimTrace, b: SimTrace) -> float:

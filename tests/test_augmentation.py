@@ -4,6 +4,8 @@ import math
 import numpy as np
 import pytest
 import scipy.linalg
+from hypothesis import assume, example, given, settings
+from hypothesis import strategies as st
 
 from l1sim import (
     PRESETS,
@@ -30,6 +32,7 @@ from l1sim import (
 from l1sim import statespace
 from l1sim.augmentation import LAWS, error_dynamics_matrix
 from conftest import canonical_plant, make_nmp_plant, seeded_canonical_plants
+from oracle import slice_by_slice_loop
 
 
 def tf_response(num, den, s: complex) -> complex:
@@ -335,6 +338,68 @@ class TestOnePassCompile:
                     assert (got is None) == (want is None)
                     if got is not None:
                         assert np.array_equal(got.A, want.A) and np.array_equal(got.B, want.B)
+
+
+def hurwitz(draw, n: int) -> np.ndarray:
+    """A random n x n matrix shifted so its eigenvalues' real parts are at most -0.5."""
+    r = np.array(draw(st.lists(st.floats(-5.0, 5.0), min_size=n * n, max_size=n * n)))
+    r = r.reshape(n, n)
+    return r - (np.linalg.eigvals(r).real.max() + draw(st.floats(0.5, 10.0))) * np.eye(n)
+
+
+@st.composite
+def tunings(draw):
+    """A random stable plant of order 1-5 with a random B1 direction, and a tuning of it."""
+    n = draw(st.integers(1, 5))
+    vector = st.lists(st.floats(-1.0, 1.0), min_size=n, max_size=n)
+    b1, c = np.array(draw(vector)), np.array(draw(vector))
+    assume(np.linalg.norm(b1) > 1e-3)
+    T = draw(st.sampled_from([1e-3, 2e-3, 5e-3]))
+    try:
+        plant = UncertainPlant.from_matrices(
+            hurwitz(draw, n), b1 * draw(st.sampled_from([1.0, 100.0])), c,
+            f1=[draw(st.floats(-0.1, 0.1))],
+            f2=draw(st.lists(st.floats(-0.01, 0.01), min_size=n - 1, max_size=n - 1)),
+            onset=draw(st.sampled_from([0, 5])) * T,
+        )
+    except ConfigError:  # no DC path from input to output
+        assume(False)
+    lp = hurwitz(draw, n) - plant.A if draw(st.booleans()) else None
+    cfg = AugmentationConfig(
+        law=draw(st.sampled_from(LAWS)), sample_period=T, predictor_gain=lp,
+        bandwidth_matched=draw(st.sampled_from([10.0, 40.0, 80.0])),
+        bandwidth_unmatched=draw(st.sampled_from([10.0, 40.0, 80.0])),
+    )
+    return plant, cfg, draw(st.integers(1, 4))
+
+
+@settings(max_examples=200)
+@given(tunings())
+# each keyed overflow: the exponential's, and the disturbance input's
+@example((UncertainPlant.from_matrices([[1e3]], [[1.0]], [[1.0]]),
+          AugmentationConfig(law="off", sample_period=1.0), 1))
+@example((UncertainPlant.from_matrices([[-1e-3, 0.0], [0.0, -2e-3]], [[1.0], [1.0]],
+                                       [[1.0, 0.0]], f1=[1e308], f2=[1e308]),
+          AugmentationConfig(law="modified", sample_period=100.0), 2))
+def test_in_place_compile_equals_the_slice_by_slice_one(case):
+    """Every array of the loop model, bit for bit, or the same rejection."""
+    plant, cfg, substeps = case
+    try:
+        want = slice_by_slice_loop(plant, cfg, substeps)
+    except ConfigError as exc:  # e.g. ``original`` on a plant with a right-half-plane zero
+        with pytest.raises(ConfigError) as info:
+            compile_loop(plant, cfg, substeps)
+        assert str(info.value) == str(exc)
+        return
+    got = compile_loop(plant, cfg, substeps)
+    for name in ("transition", "command_maps", "disturbance_map", "input_map", "gain",
+                 "predictor_gain"):
+        assert np.array_equal(getattr(got, name), getattr(want, name)), name
+    for name in ("matched", "unmatched"):
+        filt, ref = getattr(got, name), getattr(want, name)
+        assert (filt is None) == (ref is None), name
+        for key in ("A", "B", "C", "D") if filt is not None else ():
+            assert np.array_equal(getattr(filt, key), getattr(ref, key)), (name, key)
 
 
 def lifted_loops(law: str):

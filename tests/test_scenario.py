@@ -248,6 +248,10 @@ def nyquist_error_dynamics() -> list:
 B1_OUT_OF_SCALE = ("plant.B1 is zero or out of scale: with its unit-norm complement B2, "
                    "[B1 B2] does not span the state space")
 REJECTIONS = {
+    # output files are named after the name, which only a string may give
+    "name a list": (partial(build_scenario, doc(name=[1.0])), "name must be a string, got list"),
+    "name a number": (partial(build_scenario, doc(name=1e3)), "name must be a string, got float"),
+    "name a bool": (partial(build_scenario, doc(name=True)), "name must be a string, got bool"),
     "B1 tiny": (
         build_short({"A": PAPER_A, "B1": [[1e-20], [0.0]], "C": [[0.0, 1.0]]}),
         B1_OUT_OF_SCALE,

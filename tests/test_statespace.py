@@ -126,6 +126,15 @@ class TestMatExp:
         # A^2 = 0 however large A is
         assert np.array_equal(mat_exp([[0.0, 1e300], [0.0, 0.0]], 1.0), [[1.0, 1e300], [0.0, 1.0]])
 
+    @pytest.mark.xfail(strict=True, reason="known defect (_expm's docstring): ell bounds "
+                       "abs(A)^27, not A^27, and asks for squarings that cancel")
+    @pytest.mark.parametrize("b", [1e5, 1e7, 1e9])
+    def test_nilpotent_exponential_is_first_order(self, b):
+        # A^2 = 0, so e^A = I + A exactly; today's (1, 1) entries are 9.9964e4,
+        # 7.92e7 and 3.05e-35 for 1 + b, and no overflow is reported
+        a = b * np.array([[1.0, 1.0], [-1.0, -1.0]])
+        assert mat_exp(a, 1.0) == pytest.approx(np.eye(2) + a, rel=1e-9)
+
 
 def relative_gap(got: np.ndarray, want: np.ndarray) -> float:
     return float(np.abs(got - want).max() / max(1.0, np.abs(want).max()))

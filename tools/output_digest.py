@@ -1,0 +1,99 @@
+"""Print one sha256 per output artifact of an l1sim checkout.
+
+    python tools/output_digest.py CHECKOUT > digest.txt
+
+The artifacts, each on a line ``<sha256>  <name>``:
+
+* for every preset, the CSV files, the SVG charts and the report text of
+  ``l1sim run --preset NAME --csv --plots`` (8 CSVs, 12 SVGs, 6 reports),
+  and the compiled ``LoopModel`` of each of its 8 runs;
+* for each of the 240 seed-0 sweep documents of ``perfbench/sweepgen.py``,
+  its ``LoopModel``, its trace arrays and its metrics.
+
+A model, trace or metrics digest covers every field: arrays by dtype, shape
+and bytes, nested dataclasses field by field, other values by ``repr``.  So
+two checkouts whose digests ``diff`` equal compile and write the same bits.
+The checkout's ``src/`` and ``perfbench/`` are imported without writing
+bytecode; nothing in the checkout is modified.
+"""
+
+from __future__ import annotations
+
+import contextlib
+import dataclasses
+import hashlib
+import io
+import sys
+import tempfile
+from pathlib import Path
+
+import numpy as np
+
+
+def digest(value) -> str:
+    h = hashlib.sha256()
+    _feed(h, value)
+    return h.hexdigest()
+
+
+def _feed(h, value) -> None:
+    if isinstance(value, np.ndarray):
+        h.update(f"array {value.dtype.str} {value.shape}:".encode())
+        h.update(np.ascontiguousarray(value).tobytes())
+    elif dataclasses.is_dataclass(value):
+        h.update(f"{type(value).__name__}(".encode())
+        for field in dataclasses.fields(value):
+            h.update(f"{field.name}=".encode())
+            _feed(h, getattr(value, field.name))
+        h.update(b")")
+    else:
+        h.update(f"{value!r};".encode())
+
+
+def main(argv: list[str]) -> int:
+    if len(argv) != 1:
+        print("usage: python tools/output_digest.py CHECKOUT", file=sys.stderr)
+        return 2
+    checkout = Path(argv[0]).resolve()
+    sys.dont_write_bytecode = True
+    sys.path[:0] = [str(checkout / "src"), str(checkout / "perfbench")]
+    import l1sim
+    import sweepgen
+    from l1sim.cli import main as cli_main
+
+    if not Path(l1sim.__file__).is_relative_to(checkout):
+        raise SystemExit(f"imported l1sim from {l1sim.__file__}, not from {checkout}")
+
+    lines = []
+    for name in l1sim.preset_names():
+        spec = l1sim.PRESETS[name]
+        for law in spec["laws"]:
+            scenario = l1sim.build_scenario(spec["doc"], name=name, law_override=law)
+            lines.append((digest(scenario.loop), f"preset {name} {law} loop"))
+        with tempfile.TemporaryDirectory() as out:
+            stdout = io.StringIO()
+            with contextlib.redirect_stdout(stdout):
+                status = cli_main(["run", "--preset", name, "--csv", "--plots", "--out", out])
+            if status != 0:
+                raise SystemExit(f"l1sim run --preset {name} exited with {status}")
+            report = [line for line in stdout.getvalue().splitlines()
+                      if not line.startswith("wrote: ")]
+            lines.append((digest("\n".join(report)), f"preset {name} report"))
+            for path in sorted(Path(out).iterdir()):
+                lines.append((hashlib.sha256(path.read_bytes()).hexdigest(), f"file {path.name}"))
+
+    docs, _ = sweepgen.generate(0)
+    for doc in docs:
+        scenario = l1sim.build_scenario(doc)
+        result = l1sim.run_scenario(scenario)
+        lines.append((digest(scenario.loop), f"sweep {doc['name']} loop"))
+        lines.append((digest(result.trace), f"sweep {doc['name']} trace"))
+        lines.append((digest(result.metrics), f"sweep {doc['name']} metrics"))
+
+    for sha, name in lines:
+        print(f"{sha}  {name}")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main(sys.argv[1:]))
