@@ -42,7 +42,6 @@ from .statespace import (
     dc_gain,
     dc_gain_discrete,
     discretize_zoh,
-    feedforward_gain,
     filter_step,
     mat_exp,
     mat_exp_integral,

@@ -26,9 +26,10 @@ to the next n rows, and P^n is squared for the next stage.  A run costs
 about N d^2 multiply-adds and a few d x d squarings per segment, and a
 segment with zero state and zero forcing (x0 = 0 before the onsets) is
 written as zeros.  Every recorded signal is a projection of the stacked
-states.  If a state comes out non-finite, the run builds f for every sample
-and steps the recurrence again one sample at a time, and that sequential
-pass names the first non-finite sample and block in ``SimulationDiverged``.
+states.  If a state comes out non-finite, the run writes f[k] for every
+sample over the states it holds, after s[0], and steps the recurrence there
+again one sample at a time; that sequential pass names the first non-finite
+sample and block in ``SimulationDiverged``.
 Identical inputs give bit-identical traces, whatever the number of BLAS
 threads.
 """
@@ -135,16 +136,6 @@ def _forcing(model: LoopModel, sig: ReferenceSignal, start: np.ndarray) -> np.nd
     return rows
 
 
-def _stacked_forcing(model: LoopModel, sig: ReferenceSignal, initial: np.ndarray,
-                     n_samples: int) -> np.ndarray:
-    """Rows [s[0], f[0], ..., f[n_samples - 1]]: the initial lifted state, then
-    the forcing of each sample."""
-    rows = np.empty((n_samples + 1, initial.shape[0]))
-    rows[0] = initial
-    rows[1:] = _forcing(model, sig, np.arange(n_samples) * model.config.sample_period)
-    return rows
-
-
 def _segment_starts(model: LoopModel, sig: ReferenceSignal, n_samples: int) -> list[int]:
     """Sample 0 and the switch samples of the command and the disturbances
     before ``n_samples``: between two of them the forcing is affine in k."""
@@ -194,8 +185,10 @@ def lifted_states(model: LoopModel, sig: ReferenceSignal, n_samples: int) -> np.
     Raises ``SimulationDiverged`` at the first boundary whose state is not
     finite.  The powers can overflow before the states do, and their
     rounding can move an overflow by a sample, so a non-finite result is
-    stepped again one sample at a time from the per-sample forcing, and that
-    recurrence decides where, and whether, the loop diverged.
+    stepped again one sample at a time, and that recurrence decides where,
+    and whether, the loop diverged.  It runs in place: f[k] is written over
+    row k + 1 of the doubling's states, s[0] stays in row 0, and each row
+    then adds M times the row before it, so no second array is allocated.
     """
     T, M = model.config.sample_period, model.transition
     d = M.shape[0]
@@ -224,9 +217,11 @@ def lifted_states(model: LoopModel, sig: ReferenceSignal, n_samples: int) -> np.
             else:
                 rows[1:] = 0.0
         # every column is written, and the last two are finite when the states are
+        states = work[:, :d]
         if np.isfinite(work).all():
-            return work[:, :d]
-        states = _stacked_forcing(model, sig, work[0, :d], n_samples)
+            return states
+        # s[0] is still in row 0: write f[k] over row k + 1 and step it there
+        states[1:] = _forcing(model, sig, np.arange(n_samples) * T)
         rows = list(states)  # row views: adding to one writes into states
         for prev, row in zip(rows, rows[1:]):
             row += M.dot(prev)

@@ -8,14 +8,13 @@ complement of the input directions.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .errors import ConfigError
-from .statespace import (
-    _complement, _feedforward_gain, _square, as_matrix, as_scalar, as_vector, full_rank,
-)
+from .statespace import _complement, _square, as_matrix, as_scalar, as_vector, full_rank
 
 
 @dataclass(frozen=True)
@@ -91,7 +90,7 @@ class UncertainPlant:
                                            (self.f2, "unmatched", n - 1, "plant.A"))]
         vars(self).update(A=A, B1=B1, B2=B2, C=C, x0=x0, f1=f1, f2=f2,
                           onset=as_scalar(self.onset, "uncertainty.onset", ">= 0"),
-                          k_ff=_feedforward_gain(A, B1, C, ("plant.A", "plant.B1", "plant.C")))
+                          k_ff=_feedforward_gain(A, B1, C))
 
     @classmethod
     def from_matrices(cls, A, B1, C, **optional) -> "UncertainPlant":
@@ -109,6 +108,23 @@ class UncertainPlant:
 
     def output(self, x: np.ndarray) -> float:
         return (self.C @ x).item()
+
+
+def _feedforward_gain(A: np.ndarray, B1: np.ndarray, C: np.ndarray) -> float:
+    """k_ff = -1 / (C A^-1 B1) of a checked n x n A, n x 1 B1 and 1 x n C.
+
+    C A^-1 B1 counts as 0 below 1e-12 |C| |A^-1 B1|, a floor that moves with
+    the units of input and output, so rescaling either changes nothing else.
+    """
+    if not full_rank(np.linalg.svd(A, compute_uv=False), A.shape[0]):
+        raise ConfigError("plant.A is singular; feedforward gain undefined")
+    path = np.linalg.solve(A, B1)
+    val = float((C @ path)[0, 0])
+    # |C| |A^-1 B1| of a few Python floats costs less than numpy's norms
+    if abs(val) <= 1e-12 * math.hypot(*C.ravel().tolist()) * math.hypot(*path.ravel().tolist()):
+        raise ConfigError("zero DC path from input to output (plant.B1 to plant.C); "
+                          "feedforward gain undefined")
+    return -1.0 / val
 
 
 def plant_deriv(p: UncertainPlant, x: np.ndarray, u_a: np.ndarray, r: float, t: float) -> np.ndarray:

@@ -316,33 +316,6 @@ def dc_gain_discrete(sys: StateSpaceModel) -> np.ndarray:
     return sys.C @ np.linalg.solve(eye_minus, sys.B) + sys.D
 
 
-def feedforward_gain(a, b1, c) -> float:
-    """Reference gain that gives unit DC gain from the command to the output.
-
-    Returns -1 / (c A^-1 b1) for a single-input, single-output channel pair.
-    c A^-1 b1 counts as 0 below 1e-12 |c| |A^-1 b1|, a floor that moves with
-    the units of input and output, so rescaling either changes nothing else.
-    """
-    a = _square(a, "A")
-    n = a.shape[0]
-    return _feedforward_gain(a, as_matrix(b1, "B1", (n, 1), "A"), as_matrix(c, "c", (1, n), "A"))
-
-
-def _feedforward_gain(a: np.ndarray, b1: np.ndarray, c: np.ndarray,
-                      names: tuple = ("A", "B1", "c")) -> float:
-    """``feedforward_gain`` of an n x n A, an n x 1 b1 and a 1 x n c, which
-    messages call by ``names``."""
-    if not full_rank(np.linalg.svd(a, compute_uv=False), a.shape[0]):
-        raise ConfigError(f"{names[0]} is singular; feedforward gain undefined")
-    path = np.linalg.solve(a, b1)
-    val = float((c @ path)[0, 0])
-    # |c| |A^-1 b1| of a few Python floats costs less than numpy's norms
-    if abs(val) <= 1e-12 * math.hypot(*c.ravel().tolist()) * math.hypot(*path.ravel().tolist()):
-        raise ConfigError(f"zero DC path from input to output ({names[1]} to {names[2]}); "
-                          "feedforward gain undefined")
-    return -1.0 / val
-
-
 def zoh_maps(a: np.ndarray, b: np.ndarray, step: float) -> tuple[np.ndarray, np.ndarray]:
     """Zero-order-hold maps of dx/dt = A x + B u over one step h.
 

@@ -24,6 +24,8 @@ BAD = [
     10**400, -(10**400), math.inf, -math.inf, math.nan, 1e308, -1e308,
     # well-shaped zero matrices: a singular A, a zero B1, a zero C
     [[0.0, 0.0], [0.0, 0.0]], [[0.0], [0.0]], [[0.0, 0.0]],
+    # a time off the 1 ms sample grid, and one shorter than a sample period
+    0.0105, 1e-10,
 ]
 # a large finite horizon allocates memory in proportion (N + 1 lifted states),
 # so it is not drawn; an integrator-step count of 10**400 or 1e308 is past its

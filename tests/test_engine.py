@@ -219,43 +219,51 @@ class TestClosedLoop:
         assert f"sample {err.value.sample}: the plant state" in str(err.value)
 
     @pytest.mark.parametrize(
-        "a, b1, c, f1, law, t_end, sample",
+        "a, b1, c, f1, law, t_end, sample, kind, block",
         [
-            ([[500.0]], [[1.0]], [[1.0]], None, "off", 3.0, 1420),
-            ([[300.0, 1.0], [0.0, -2.0]], [[1.0], [0.0]], [[1.0, 0.0]], None, "off", 3.0, 2366),
+            ([[500.0]], [[1.0]], [[1.0]], None, "off", 3.0, 1420, "step", "plant"),
+            ([[300.0, 1.0], [0.0, -2.0]], [[1.0], [0.0]], [[1.0, 0.0]], None, "off", 3.0, 2366,
+             "step", "plant"),
             # the doubling scan's own rounding would name sample 11822 here
             ([[100.0, 50.0], [-40.0, 20.0]], [[1.0], [0.5]], [[0.0, 1.0]], [0.1],
-             "modified", 30.0, 11821),
+             "modified", 30.0, 11821, "step", "plant"),
             ([[100.0, 50.0], [-40.0, 20.0]], [[1.0], [0.5]], [[0.0, 1.0]], [0.1],
-             "matched_only", 30.0, 11821),
+             "matched_only", 30.0, 11821, "step", "plant"),
+            # under a unit ramp the reference model's state overflows first,
+            # at the same sample under every law
+            *[([[100.0, 50.0], [-40.0, 20.0]], [[1.0], [0.5]], [[0.0, 1.0]], [0.1],
+               law, 30.0, 11885, "ramp", "reference model")
+              for law in ("off", "matched_only", "modified")],
         ],
     )
-    def test_divergence_matches_sequential_recurrence(self, a, b1, c, f1, law, t_end, sample):
+    def test_divergence_matches_sequential_recurrence(self, a, b1, c, f1, law, t_end, sample,
+                                                      kind, block):
         p = UncertainPlant.from_matrices(a, b1, c, f1=f1)
         cfg = AugmentationConfig(law=law)
-        sig = ReferenceSignal(kind="step", onset=0.0, amplitude=1.0)
+        sig = ReferenceSignal(kind=kind, onset=0.0, amplitude=1.0, gradient=1.0)
         eng = EngineConfig(t_end=t_end)
         model = compile_loop(p, cfg)
         with pytest.raises(SimulationDiverged) as err:
             run_closed_loop(p, cfg, sig, eng, model=model)
         ref = sequential_states(model, lifted_forcing(model, sig, round(t_end / 1e-3)))
         k = int(np.argmin(np.isfinite(ref).all(axis=1)))
-        block = next(name for name, cols in model.blocks.items()
+        first = next(name for name, cols in model.blocks.items()
                      if not np.isfinite(ref[k, cols]).all())
-        assert (err.value.sample, err.value.block) == (k, block) == (sample, "plant")
+        assert (err.value.sample, err.value.block) == (k, first) == (sample, block)
         assert err.value.last_norm == float(np.abs(ref[k - 1]).max())
 
     def test_overflowing_scan_powers_are_not_a_divergence(self):
-        # M^2048 = e^1024 overflows, while a 1e-300 command keeps every state
-        # below 1e157: the sequential pass finds no divergence
+        # M^2048 = e^1024 overflows, while a 1e-300 command, held or ramping,
+        # keeps every state below 1e157: the sequential pass finds no divergence
         p = UncertainPlant.from_matrices([[500.0]], [[1.0]], [[1.0]])
         cfg = AugmentationConfig(law="off")
-        sig = ReferenceSignal(kind="step", onset=0.0, amplitude=1e-300)
         model = compile_loop(p, cfg)
-        trace = run_closed_loop(p, cfg, sig, EngineConfig(t_end=2.1), model=model)
-        ref = sequential_states(model, lifted_forcing(model, sig, 2100))
-        assert np.isfinite(ref).all()
-        assert np.array_equal(trace.x, ref[:, model.blocks["plant"]])
+        for kind in ("step", "ramp"):
+            sig = ReferenceSignal(kind=kind, onset=0.0, amplitude=1e-300, gradient=1e-300)
+            trace = run_closed_loop(p, cfg, sig, EngineConfig(t_end=2.1), model=model)
+            ref = sequential_states(model, lifted_forcing(model, sig, 2100))
+            assert np.isfinite(ref).all()
+            assert np.array_equal(trace.x, ref[:, model.blocks["plant"]])
 
     def test_estimates_recorded_with_law_off(self, bench_uncertain_plant):
         # the estimator observes even when the augmentation injects nothing

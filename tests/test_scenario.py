@@ -207,6 +207,20 @@ class TestBuildScenario:
         with pytest.raises(ConfigError, match="engine.t_end = 0.0105 must be a whole number"):
             build_scenario(doc(engine={"t_end": 0.0105}))
 
+    @pytest.mark.parametrize("t_end, message", [
+        (0.0105, "must be a whole number of sample periods"),
+        (1e-10, "must be at least one sample period"),
+    ], ids=["off-grid", "under-one-period"])
+    def test_ramp_horizon_checked_at_load(self, monkeypatch, t_end, message):
+        # a ramp has no step metrics, but its horizon is still checked when built
+        calls = []
+        monkeypatch.setattr(scenario_module, "compile_loop", lambda *a: calls.append(1))
+        document = copy.deepcopy(PRESETS["nominal-ramp"]["doc"])
+        document["engine"]["t_end"] = t_end
+        with pytest.raises(ConfigError, match=f"^engine.t_end = {t_end} {message}"):
+            build_scenario(document)
+        assert calls == []
+
     def test_step_onset_past_horizon_rejected_at_load(self, monkeypatch):
         calls = []
         monkeypatch.setattr(scenario_module, "compile_loop", lambda *a: calls.append(1))

@@ -12,11 +12,11 @@ from l1sim import (
     PRESETS,
     ConfigError,
     StateSpaceModel,
+    UncertainPlant,
     build_scenario,
     dc_gain,
     dc_gain_discrete,
     discretize_zoh,
-    feedforward_gain,
     filter_step,
     mat_exp,
     mat_exp_integral,
@@ -329,13 +329,15 @@ class TestDcGain:
 
 
 class TestFeedforwardGain:
+    """k_ff, derived by ``UncertainPlant`` from (A, B1, C)."""
+
     def test_benchmark_value(self):
-        k = feedforward_gain([[-10.0, -50.0], [1.0, 0.0]], [[2000.0], [0.0]], [[0.0, 1.0]])
-        assert k == pytest.approx(0.025, rel=1e-12)
+        p = UncertainPlant(A=[[-10.0, -50.0], [1.0, 0.0]], B1=[[2000.0], [0.0]], C=[[0.0, 1.0]])
+        assert p.k_ff == pytest.approx(0.025, rel=1e-12)
 
     def test_unit_dc_system(self):
-        k = feedforward_gain(-np.eye(2), [[1.0], [0.0]], [[1.0, 0.0]])
-        assert k == pytest.approx(1.0, rel=1e-12)
+        p = UncertainPlant(A=-np.eye(2), B1=[[1.0], [0.0]], C=[[1.0, 0.0]])
+        assert p.k_ff == pytest.approx(1.0, rel=1e-12)
 
     def test_forces_unit_dc_gain(self):
         rng = np.random.default_rng(5)
@@ -349,7 +351,7 @@ class TestFeedforwardGain:
             if abs(raw) < 1e-3:
                 continue
             hits += 1
-            k = feedforward_gain(a, b, c)
+            k = UncertainPlant(A=a, B1=b, C=c).k_ff
             closed = dc_gain(StateSpaceModel(A=a, B=b * k, C=c))
             assert closed[0, 0] == pytest.approx(1.0, abs=1e-9)
 
@@ -357,14 +359,7 @@ class TestFeedforwardGain:
         # output reads the state component the input never reaches at DC
         a = np.diag([-1.0, -2.0])
         with pytest.raises(ValueError, match="zero DC path"):
-            feedforward_gain(a, [[1.0], [0.0]], [[0.0, 1.0]])
-
-    def test_rejections_name_the_arguments(self):
-        with pytest.raises(ConfigError, match=r"^A is singular; feedforward gain undefined$"):
-            feedforward_gain(np.zeros((2, 2)), [[1.0], [0.0]], [[0.0, 1.0]])
-        message = r"^zero DC path from input to output \(B1 to c\); feedforward gain undefined$"
-        with pytest.raises(ConfigError, match=message):
-            feedforward_gain(-np.eye(2), [[1.0], [0.0]], [[0.0, 0.0]])
+            UncertainPlant(A=a, B1=[[1.0], [0.0]], C=[[0.0, 1.0]])
 
 
 class TestDiscretizeZoh:

@@ -8,7 +8,12 @@ The artifacts, each on a line ``<sha256>  <name>``:
   ``l1sim run --preset NAME --csv --plots`` (8 CSVs, 12 SVGs, 6 reports),
   and the compiled ``LoopModel`` of each of its 8 runs;
 * for each of the 240 seed-0 sweep documents of ``perfbench/sweepgen.py``,
-  its ``LoopModel``, its trace arrays and its metrics.
+  its ``LoopModel``, its trace arrays and its metrics;
+* the engine's non-finite fallback (the sequential pass after the power
+  doubling overflows): the ``SimulationDiverged`` sample, block and
+  ``last_norm`` of seven diverging runs, step and ramp commands, and the
+  trace arrays of two runs whose powers overflow while their states stay
+  finite.
 
 A model, trace or metrics digest covers every field: arrays by dtype, shape
 and bytes, nested dataclasses field by field, other values by ``repr``.  So
@@ -90,9 +95,43 @@ def main(argv: list[str]) -> int:
         lines.append((digest(result.trace), f"sweep {doc['name']} trace"))
         lines.append((digest(result.metrics), f"sweep {doc['name']} metrics"))
 
+    lines += _divergence_lines(l1sim)
+
     for sha, name in lines:
         print(f"{sha}  {name}")
     return 0
+
+
+def _divergence_lines(l1sim) -> list[tuple[str, str]]:
+    """Digests of runs that reach the sequential pass of ``lifted_states``."""
+    lines = []
+    off, unit = l1sim.AugmentationConfig(law="off"), {"amplitude": 1.0, "gradient": 1.0}
+    fast = l1sim.UncertainPlant.from_matrices([[500.0]], [[1.0]], [[1.0]])
+    coupled = l1sim.UncertainPlant.from_matrices([[100.0, 50.0], [-40.0, 20.0]],
+                                                 [[1.0], [0.5]], [[0.0, 1.0]], f1=[0.1])
+    diverging = [
+        ("500 off step", fast, off, "step", 3.0),
+        ("300 off step", l1sim.UncertainPlant.from_matrices(
+            [[300.0, 1.0], [0.0, -2.0]], [[1.0], [0.0]], [[1.0, 0.0]]), off, "step", 3.0),
+        *[(f"coupled {law} {kind}", coupled, l1sim.AugmentationConfig(law=law), kind, 30.0)
+          for kind, laws in (("step", ("matched_only", "modified")),
+                             ("ramp", ("off", "matched_only", "modified")))
+          for law in laws],
+    ]
+    for name, plant, cfg, kind, t_end in diverging:
+        sig = l1sim.ReferenceSignal(kind=kind, onset=0.0, **unit)
+        try:
+            l1sim.run_closed_loop(plant, cfg, sig, l1sim.EngineConfig(t_end=t_end))
+        except l1sim.SimulationDiverged as exc:
+            report = (exc.sample, exc.block, exc.last_norm.hex())
+        else:
+            report = "finite"
+        lines.append((digest(report), f"diverged {name}"))
+    for kind in ("step", "ramp"):
+        sig = l1sim.ReferenceSignal(kind=kind, onset=0.0, amplitude=1e-300, gradient=1e-300)
+        trace = l1sim.run_closed_loop(fast, off, sig, l1sim.EngineConfig(t_end=2.1))
+        lines.append((digest(trace), f"finite 500 off {kind} 1e-300 trace"))
+    return lines
 
 
 if __name__ == "__main__":
