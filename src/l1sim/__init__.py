@@ -9,7 +9,6 @@ from .augmentation import (
     compile_loop,
     control_update,
     low_pass_model,
-    matched_transmission_zeros,
     predictor_deriv,
     unmatched_path_model,
 )

@@ -156,11 +156,6 @@ def _zero_dynamics(plant: UncertainPlant):
     return rows, gamma, basis, basis.T @ (a - np.outer(b1, rows[r] / gamma)) @ basis
 
 
-def matched_transmission_zeros(plant: UncertainPlant) -> np.ndarray:
-    """Transmission zeros of the matched path (output over the control input)."""
-    return np.linalg.eigvals(_zero_dynamics(plant)[3])
-
-
 def _low_pass_path(a, b, c, d, g, w: float) -> StateSpaceModel:
     """The core dxi/dt = a xi + b v, output z = (c xi + d v) / w + g dv/dt, in
     series with w/(s + w): the path output is phi + w g v, where the filter

@@ -26,12 +26,12 @@ to the next n rows, and P^n is squared for the next stage.  A run costs
 about N d^2 multiply-adds and a few d x d squarings per segment, and a
 segment with zero state and zero forcing (x0 = 0 before the onsets) is
 written as zeros.  Every recorded signal is a projection of the stacked
-states.  If a state comes out non-finite, the run writes f[k] for every
+states; x is a view of their columns, x_hat and sigma transposed (n, N + 1)
+arrays.  If a state comes out non-finite, the run writes f[k] for every
 sample over the states it holds, after s[0], and steps the recurrence there
 again one sample at a time; that sequential pass names the first non-finite
-sample and block in ``SimulationDiverged``.
-Identical inputs give bit-identical traces, whatever the number of BLAS
-threads.
+sample and block in ``SimulationDiverged``.  Identical inputs give
+bit-identical traces, whatever the number of BLAS threads.
 """
 
 from __future__ import annotations
@@ -245,8 +245,8 @@ def run_closed_loop(
     """Simulate the closed loop and record every signal at each sample boundary.
 
     ``model`` is ``compile_loop(plant, cfg, eng.substeps_per_sample)`` when
-    the caller has already compiled it (``Scenario.loop``); otherwise it is
-    compiled here.
+    the caller has already compiled it (``Scenario.loop``), else compiled
+    here.  x, x_hat and the sigmas are non-contiguous views (module docstring).
     """
     substeps = eng.substeps_per_sample
     if model is None:
@@ -255,12 +255,14 @@ def run_closed_loop(
         raise ValueError("model was compiled from a different plant or configuration")
     T = cfg.sample_period
     n_steps = _sample_count(eng.t_end, T)
-    t = np.arange(n_steps + 1) * T
+    t = np.arange(n_steps + 1, dtype=float) * T
     states = lifted_states(model, sig, n_steps)
     blocks = model.blocks
 
-    x = states[:, blocks["plant"]]
-    sigma = states[:, blocks["predictor"]] @ model.gain.T
+    # sigma and x_hat are formed along the rows of the transposed column views,
+    # which is faster than row by row and gives the same bits, and kept transposed
+    x, x_tilde = states[:, blocks["plant"]], states[:, blocks["predictor"]]
+    sigma = (model.gain @ x_tilde.T).T
     return SimTrace(
         t=t,
         r=reference_value(sig, t),
@@ -270,6 +272,6 @@ def run_closed_loop(
         sigma1=sigma[:, :1],
         sigma2=sigma[:, 1:],
         x=x,
-        x_hat=x + states[:, blocks["predictor"]],
+        x_hat=np.add(x.T, x_tilde.T, out=np.empty(x.T.shape)).T,
         label=label,
     )

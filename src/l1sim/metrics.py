@@ -2,7 +2,11 @@
 
 Step commands get the classic step-response numbers (overshoot, 2% settling
 time, 10-90% rise time); ramp commands get the asymptotic tracking lag
-instead.  The steady-state window is the final 10% of the trace.
+instead.  The steady-state window is the final 10% of the time span.  It and
+the samples from the onset on are suffixes of a non-decreasing t (every
+engine and emitted trace), indexed as slices; any other t is indexed by
+boolean masks, which select the same samples.  A mean is ``a.sum() / a.size``,
+the sum and division of ``np.mean``, so the metrics are the same bits.
 """
 
 from __future__ import annotations
@@ -37,18 +41,31 @@ class Metrics:
     tracking_lag: float | None = None
 
 
-def steady_mask(t: np.ndarray) -> np.ndarray:
-    """Samples in the steady-state window: the final 10% of the time span."""
-    return t >= t[-1] - STEADY_WINDOW_FRACTION * (t[-1] - t[0])
+def _since(t: np.ndarray, start: float, increasing: bool):
+    """Index of the samples at or after ``start``: the suffix of a
+    non-decreasing ``t`` as a slice, else a boolean mask."""
+    return slice(int(t.searchsorted(start)), None) if increasing else t >= start
+
+
+def steady_window(t: np.ndarray, increasing: bool | None = None):
+    """Index of the steady-state window, the samples in the final 10% of the
+    time span.  ``increasing`` says whether t is non-decreasing; it is
+    checked here when not given."""
+    if increasing is None:
+        increasing = bool((t[1:] - t[:-1]).min(initial=0.0) >= 0.0)  # False if a step is NaN
+    return _since(t, t[-1] - STEADY_WINDOW_FRACTION * (t[-1] - t[0]), increasing)
+
+
+def _mean(a: np.ndarray) -> float:
+    """``np.mean(a)``: the same pairwise sum and division, less overhead."""
+    return float(a.sum() / a.size)
 
 
 def _first_crossing(t: np.ndarray, y: np.ndarray, level: float, rising: bool) -> float | None:
     """Time of the first sample at or past the level (sample-grid resolution)."""
     above = y >= level if rising else y <= level
-    idx = np.nonzero(above)[0]
-    if idx.size == 0:
-        return None
-    return float(t[idx[0]])
+    first = int(above.argmax())
+    return float(t[first]) if above[first] else None
 
 
 def compute_metrics(trace: SimTrace, sig: ReferenceSignal) -> Metrics:
@@ -56,57 +73,50 @@ def compute_metrics(trace: SimTrace, sig: ReferenceSignal) -> Metrics:
     if trace.n_samples < 2:
         raise ValueError("trace must contain at least two samples")
     t, y, r = trace.t, trace.y, trace.r
-    mask = steady_mask(t)
+    dt = t[1:] - t[:-1]
+    increasing = bool(dt.min() >= 0.0)  # False if a step is NaN
+    steady = steady_window(t, increasing)
     err = y - r
-    steady_state_error = float(np.mean(np.abs(err[mask])))
-    dt = np.diff(t)
+    steady_state_error = _mean(np.abs(err[steady]))
     sq = err * err
-    tracking_error_l2 = float(np.sum(0.5 * (sq[1:] + sq[:-1]) * dt))
+    trapezoids = sq[1:] + sq[:-1]  # 0.5 (sq[1:] + sq[:-1]) dt, in place
+    trapezoids *= 0.5
+    trapezoids *= dt
+    tracking_error_l2 = float(trapezoids.sum())
     peak_u_a = float(np.abs(trace.u_a).max())
 
     if sig.kind == "ramp":
-        tracking_lag = float(np.mean(r[mask] - y[mask]))
-        return Metrics(
-            steady_state_error=steady_state_error,
-            tracking_error_l2=tracking_error_l2,
-            peak_u_a=peak_u_a,
-            tracking_lag=tracking_lag,
-        )
+        return Metrics(steady_state_error, tracking_error_l2, peak_u_a,
+                       tracking_lag=_mean(r[steady] - y[steady]))
 
-    after = t >= sig.onset
-    if not np.any(after):
-        raise ConfigError("reference.onset must not be after engine.t_end for step metrics")
+    after = _since(t, sig.onset, increasing)
     t_a, y_a = t[after], y[after]
-    y_final = float(np.mean(y[mask]))
+    if not t_a.size:
+        raise ConfigError("reference.onset must not be after engine.t_end for step metrics")
+    y_final = _mean(y[steady])
     y_start = float(y_a[0])
     span = y_final - y_start
 
     if abs(span) < 1e-12:
-        overshoot_pct = 0.0
-        settling_time = 0.0
-        rise_time = None
+        overshoot_pct, settling_time, rise_time = 0.0, 0.0, None
     else:
         # excursion past the final value in the step direction, as % of the step
         excursion = float(y_a.max()) - y_final if span > 0 else y_final - float(y_a.min())
         overshoot_pct = max(0.0, excursion / abs(span) * 100.0)
         band = 0.02 * abs(span)
-        outside = np.nonzero(np.abs(y_a - y_final) > band)[0]
-        if outside.size == 0:
+        # the last sample outside the band is the first one counted from the end
+        outside = np.abs(y_a[::-1] - y_final) > band
+        last = int(outside.argmax())
+        if not outside[last]:
             settling_time = 0.0
-        elif outside[-1] == t_a.size - 1:
+        elif last == 0:
             settling_time = None  # never settles inside the band
         else:
-            settling_time = float(t_a[outside[-1] + 1] - sig.onset)
+            settling_time = float(t_a[t_a.size - last] - sig.onset)
         rising = span > 0
         t10 = _first_crossing(t_a, y_a, y_start + 0.1 * span, rising)
         t90 = _first_crossing(t_a, y_a, y_start + 0.9 * span, rising)
         rise_time = None if t10 is None or t90 is None else max(0.0, t90 - t10)
 
-    return Metrics(
-        steady_state_error=steady_state_error,
-        tracking_error_l2=tracking_error_l2,
-        peak_u_a=peak_u_a,
-        overshoot_pct=overshoot_pct,
-        settling_time_2pct=settling_time,
-        rise_time_10_90=rise_time,
-    )
+    return Metrics(steady_state_error, tracking_error_l2, peak_u_a,
+                   overshoot_pct, settling_time, rise_time)

@@ -19,7 +19,8 @@ from .statespace import _complement, _square, as_matrix, as_scalar, as_vector, f
 
 @dataclass(frozen=True)
 class ReferenceSignal:
-    """Step or ramp command, zero before its onset time."""
+    """Step or ramp command, zero before its onset time.  A step takes
+    ``amplitude`` and a ramp ``gradient``; the other is rejected, unread."""
 
     kind: str
     onset: float = 0.0
@@ -30,20 +31,24 @@ class ReferenceSignal:
         if self.kind not in ("step", "ramp"):
             raise ConfigError(f"reference.kind must be 'step' or 'ramp', got {self.kind!r}")
         object.__setattr__(self, "onset", as_scalar(self.onset, "reference.onset", ">= 0"))
-        for key in ("amplitude", "gradient"):
-            value = getattr(self, key)
-            if value is not None:
-                object.__setattr__(self, key, as_scalar(value, f"reference.{key}"))
-            elif key == ("amplitude" if self.kind == "step" else "gradient"):
-                raise ConfigError(f"{self.kind} reference requires reference.{key}")
+        used, unused = (("amplitude", "gradient") if self.kind == "step"
+                        else ("gradient", "amplitude"))
+        if getattr(self, unused) is not None:  # it would move the fingerprint, not the trace
+            raise ConfigError(f"reference.{unused} is not used by a {self.kind} reference")
+        if getattr(self, used) is None:
+            raise ConfigError(f"{self.kind} reference requires reference.{used}")
+        object.__setattr__(self, used, as_scalar(getattr(self, used), f"reference.{used}"))
 
 
 def reference_value(sig: ReferenceSignal, t):
     """Command value at time t, a float or an array of times (onset included
     in the active interval)."""
     t = np.asarray(t, dtype=float)
-    with np.errstate(over="ignore"):  # steep ramps: masked before onset, diverging after
-        level = sig.amplitude if sig.kind == "step" else sig.gradient * (t - sig.onset)
+    if sig.kind == "step":
+        level = sig.amplitude
+    else:
+        with np.errstate(over="ignore"):  # steep ramps: masked before onset, diverging after
+            level = sig.gradient * (t - sig.onset)
     value = np.where(t >= sig.onset, level, 0.0)
     return value if value.ndim else float(value)
 
@@ -105,9 +110,6 @@ class UncertainPlant:
     @property
     def n_unmatched(self) -> int:
         return self.B2.shape[1]
-
-    def output(self, x: np.ndarray) -> float:
-        return (self.C @ x).item()
 
 
 def _feedforward_gain(A: np.ndarray, B1: np.ndarray, C: np.ndarray) -> float:

@@ -7,8 +7,8 @@ the standard SISO validation campaign: nominal step/ramp, disturbed step
 with the augmentation off / matched-only / both full laws, and the
 disturbed ramp comparison.
 
-PyYAML loads on the first ``load_scenario`` and ``hashlib``/``json`` on the
-first ``scenario_fingerprint``, so ``import l1sim`` pays for neither.
+PyYAML loads on the first ``load_scenario`` and ``hashlib`` on the first
+``scenario_fingerprint``, so ``import l1sim`` pays for neither.
 """
 
 from __future__ import annotations
@@ -22,7 +22,7 @@ import numpy as np
 from .augmentation import AugmentationConfig, LoopModel, compile_loop
 from .engine import EngineConfig, SimTrace, _onset_sample, _sample_count, run_closed_loop
 from .errors import ConfigError
-from .metrics import Metrics, compute_metrics, steady_mask
+from .metrics import Metrics, _mean, compute_metrics, steady_window
 from .plant import ReferenceSignal, UncertainPlant
 
 PLANT_PRESETS: dict[str, dict] = {
@@ -262,22 +262,24 @@ def load_scenario(path, law_override: str | None = None) -> Scenario:
     return build_scenario(doc, name=path.stem, law_override=law_override)
 
 
-def _listed(value):
-    return value.tolist() if isinstance(value, np.ndarray) else value
-
-
 def scenario_fingerprint(scenario: Scenario) -> str:
     """Hash of everything two compared runs must share: every field of the
-    plant, command, tuning and engine except the control law."""
+    plant, command, tuning and engine except the control law.  An array is
+    hashed by its field's name, its dtype, shape and bytes, any other value
+    by its field's name and ``repr``."""
     import hashlib  # here, not at module level: a CLI file run never fingerprints
-    import json
 
-    payload = {}
+    h = hashlib.sha256()
     for part in ("plant", "signal", "augmentation", "engine"):
         obj = getattr(scenario, part)
-        payload[part] = {f.name: _listed(getattr(obj, f.name)) for f in fields(obj)}
-    payload["augmentation"]["law"] = None
-    return hashlib.sha256(json.dumps(payload, sort_keys=True).encode()).hexdigest()
+        for f in fields(obj):
+            value = None if part == "augmentation" and f.name == "law" else getattr(obj, f.name)
+            if isinstance(value, np.ndarray):
+                h.update(f"{part}.{f.name} {value.dtype.str}{value.shape}:".encode())
+                h.update(value.tobytes())
+            else:
+                h.update(f"{part}.{f.name}={value!r};".encode())
+    return h.hexdigest()
 
 
 _STEP = {"kind": "step", "onset": 2.0, "amplitude": 1.0}
@@ -377,7 +379,7 @@ def format_report(result: PresetResult) -> str:
         lines.append("  ".join(parts))
     if len(result.runs) == 2:
         a, b = result.runs
-        yss_a, yss_b = (float(np.mean(run.trace.y[steady_mask(run.trace.t)])) for run in (a, b))
+        yss_a, yss_b = (_mean(run.trace.y[steady_window(run.trace.t)]) for run in (a, b))
         delta = _above_floor(abs(yss_a - yss_b), _rounding_floor(a.trace, b.trace))
         lines.append(f"compare: |y_ss({a.label}) - y_ss({b.label})| = {delta}")
         if a.metrics.overshoot_pct is not None and b.metrics.overshoot_pct is not None:

@@ -92,8 +92,8 @@ def rk4_closed_loop(plant, cfg, sig, eng) -> SimTrace:
         sigma = model.update(x_hat - x)
         u_a, xf_m, xf_u = control_update(model, sigma, xf_m, xf_u)
         out.r[i] = reference_value(sig, out.t[i])
-        out.y[i] = plant.output(x)
-        out.y_m[i] = plant.output(x_m)
+        out.y[i] = plant.C[0] @ x
+        out.y_m[i] = plant.C[0] @ x_m
         out.u_a[i] = u_a
         out.sigma1[i] = sigma[:1]
         out.sigma2[i] = sigma[1:]

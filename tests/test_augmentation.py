@@ -23,14 +23,13 @@ from l1sim import (
     discretize_zoh,
     filter_step,
     low_pass_model,
-    matched_transmission_zeros,
     plant_deriv,
     predictor_deriv,
     run_closed_loop,
     unmatched_path_model,
 )
 from l1sim import statespace
-from l1sim.augmentation import LAWS, error_dynamics_matrix
+from l1sim.augmentation import LAWS, _zero_dynamics, error_dynamics_matrix
 from conftest import canonical_plant, make_nmp_plant, seeded_canonical_plants
 from oracle import slice_by_slice_loop
 
@@ -446,7 +445,7 @@ class TestLiftedLoopStructure:
 class TestNonMinimumPhaseGate:
     def test_zero_location_oracle(self):
         p = make_nmp_plant()
-        zeros = matched_transmission_zeros(p)
+        zeros = np.linalg.eigvals(_zero_dynamics(p)[3])
         # independent root check on the constructed numerator (s - 1)
         np.testing.assert_allclose(np.sort(zeros.real), [1.0], atol=1e-9)
         assert np.roots([1.0, -1.0])[0] == pytest.approx(1.0)
@@ -488,7 +487,7 @@ class TestNonMinimumPhaseGate:
         p = UncertainPlant.from_matrices(np.diag([-1.0, -1e-6]), [[1.0], [1e-13]], [[0.0, 1.0]])
         message = "^the matched path is zero to rounding; it has no inverse$"
         with pytest.raises(ConfigError, match=message):
-            matched_transmission_zeros(p)
+            np.linalg.eigvals(_zero_dynamics(p)[3])
         with pytest.raises(ConfigError, match=message):
             compile_loop(p, AugmentationConfig(law="original"))
         assert compile_loop(p, AugmentationConfig(law="modified")).unmatched is not None

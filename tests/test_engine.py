@@ -21,10 +21,14 @@ from l1sim import (
     run_closed_loop,
     run_scenario,
 )
+from l1sim.augmentation import LAWS
 from l1sim.engine import lifted_states
 from l1sim.statespace import StateSpaceModel
-from conftest import BENCH_A, BENCH_B1, BENCH_C, canonical_plant
+from conftest import BENCH_A, BENCH_B1, BENCH_C, canonical_plant, seeded_canonical_plants
 from oracle import TRACE_FIELDS, lifted_forcing, max_deviation, rk4_closed_loop, sequential_states
+
+# the size key of each command kind; a signal takes only its own kind's key
+KIND_KEY = {"step": "amplitude", "ramp": "gradient"}
 
 
 class TestRk4Step:
@@ -131,7 +135,7 @@ class TestClosedLoop:
                                          f1=[0.05], f2=[0.001], onset=5e-3)
         model = compile_loop(p, AugmentationConfig(law="modified"))
         for kind in ("step", "ramp"):
-            sig = ReferenceSignal(kind=kind, onset=0.0, amplitude=1.0, gradient=1.0)
+            sig = ReferenceSignal(kind=kind, onset=0.0, **{KIND_KEY[kind]: 1.0})
             longest = lifted_states(model, sig, 300)
             for n in (6, 7, 9, 13, 21, 37, 69, 133, 261):
                 assert np.array_equal(lifted_states(model, sig, n), longest[: n + 1]), (kind, n)
@@ -240,7 +244,7 @@ class TestClosedLoop:
                                                       kind, block):
         p = UncertainPlant.from_matrices(a, b1, c, f1=f1)
         cfg = AugmentationConfig(law=law)
-        sig = ReferenceSignal(kind=kind, onset=0.0, amplitude=1.0, gradient=1.0)
+        sig = ReferenceSignal(kind=kind, onset=0.0, **{KIND_KEY[kind]: 1.0})
         eng = EngineConfig(t_end=t_end)
         model = compile_loop(p, cfg)
         with pytest.raises(SimulationDiverged) as err:
@@ -259,7 +263,7 @@ class TestClosedLoop:
         cfg = AugmentationConfig(law="off")
         model = compile_loop(p, cfg)
         for kind in ("step", "ramp"):
-            sig = ReferenceSignal(kind=kind, onset=0.0, amplitude=1e-300, gradient=1e-300)
+            sig = ReferenceSignal(kind=kind, onset=0.0, **{KIND_KEY[kind]: 1e-300})
             trace = run_closed_loop(p, cfg, sig, EngineConfig(t_end=2.1), model=model)
             ref = sequential_states(model, lifted_forcing(model, sig, 2100))
             assert np.isfinite(ref).all()
@@ -273,6 +277,48 @@ class TestClosedLoop:
         )
         assert np.all(trace.u_a == 0.0)
         assert trace.sigma1[-1, 0] == pytest.approx(0.05, abs=1e-4)
+
+
+def row_wise_projections(model, states) -> dict:
+    """Each trace field that ``run_closed_loop`` projects from the lifted
+    states, by its definition, formed row by row: sigma = x_tilde gain^T,
+    u_a = s input_map^T + 0.0, y = C x, y_m = C x_m and x_hat = x + x_tilde."""
+    blocks, c = model.blocks, model.plant.C[0]
+    x, x_tilde = states[:, blocks["plant"]], states[:, blocks["predictor"]]
+    sigma = x_tilde @ model.gain.T
+    return {"y": x @ c, "y_m": states[:, blocks["reference model"]] @ c,
+            "u_a": states @ model.input_map.T + 0.0, "sigma1": sigma[:, :1],
+            "sigma2": sigma[:, 1:], "x": x, "x_hat": x + x_tilde}
+
+
+@pytest.mark.parametrize("law", LAWS)
+def test_trace_fields_are_their_row_wise_definitions(law):
+    """Every projected field is bit-equal to its definition, sign of zero
+    included, on each preset run of the law at full length, and on seeded
+    plants of order 1-5 with a nonzero start, disturbances and negative
+    step and ramp commands."""
+    runs = [(sc.plant, sc.augmentation, sc.signal, sc.engine)
+            for name in sorted(PRESETS) if law in PRESETS[name]["laws"]
+            for sc in [build_scenario(PRESETS[name]["doc"], law_override=law)]]
+    rng = np.random.default_rng(26)
+    for p in [UncertainPlant.from_matrices([[-2.0]], [[1.0]], [[3.0]]),
+              *seeded_canonical_plants(26, 2)]:
+        plant = UncertainPlant.from_matrices(
+            p.A, p.B1, p.C, x0=rng.standard_normal(p.n), f1=rng.standard_normal(1),
+            f2=rng.standard_normal(p.n - 1), onset=0.05)
+        for kind in ("step", "ramp"):
+            sig = ReferenceSignal(kind=kind, onset=0.1, **{KIND_KEY[kind]: -rng.uniform(0.5, 2.0)})
+            runs.append((plant, AugmentationConfig(law=law), sig,
+                         EngineConfig(t_end=0.5, substeps_per_sample=2)))
+    assert len(runs) >= 18
+    for plant, cfg, sig, eng in runs:
+        model = compile_loop(plant, cfg, eng.substeps_per_sample)
+        trace = run_closed_loop(plant, cfg, sig, eng, model=model)
+        states = lifted_states(model, sig, trace.n_samples - 1)
+        for name, want in row_wise_projections(model, states).items():
+            got = getattr(trace, name)
+            assert got.shape == want.shape and np.array_equal(got, want), name
+            assert np.array_equal(np.signbit(got), np.signbit(want)), name
 
 
 class TestExactEngine:

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from l1sim import ReferenceSignal, SimTrace, compute_metrics
+from l1sim.metrics import steady_window
 
 
 def make_trace(t, y, r, u_a=None):
@@ -118,3 +119,53 @@ class TestValidation:
             compute_metrics(
                 make_trace(t, t, t), ReferenceSignal("step", 5.0, amplitude=1.0)
             )
+
+
+class TestNonIncreasingTime:
+    """A t that steps back (a hand-edited CSV) selects its windows by boolean
+    masks; the metrics must equal that computation, written out here."""
+
+    # 0..10 s, then back to 0.5 s and on to 9.5 s: the final 10% of the span
+    # (t >= 8.55) and the samples from the onset on are then not suffixes
+    T = np.concatenate([np.linspace(0.0, 10.0, 1001), np.linspace(0.5, 9.5, 901)])
+
+    def test_windows_are_masks(self):
+        window = steady_window(self.T)
+        assert isinstance(window, np.ndarray) and window.dtype == bool
+        assert np.array_equal(window, self.T >= 9.5 - 0.1 * 9.5)
+
+    def test_step_metrics_match_boolean_masks(self):
+        t, onset = self.T, 1.0
+        rel = np.maximum(t - onset, 0.0)
+        y = np.where(t >= onset, 1.0 - np.exp(-2.0 * rel) * np.cos(5.0 * rel), 0.0)
+        r = np.where(t >= onset, 1.0, 0.0)
+        u = np.sin(t)
+        m = compute_metrics(make_trace(t, y, r, u), ReferenceSignal("step", onset, amplitude=1.0))
+
+        steady, after = t >= t[-1] - 0.1 * (t[-1] - t[0]), t >= onset
+        err = y - r
+        t_a, y_a = t[after], y[after]
+        y_final = float(np.mean(y[steady]))
+        span = y_final - float(y_a[0])
+        outside = np.nonzero(np.abs(y_a - y_final) > 0.02 * abs(span))[0]
+        t10 = t_a[np.nonzero(y_a >= y_a[0] + 0.1 * span)[0][0]]
+        t90 = t_a[np.nonzero(y_a >= y_a[0] + 0.9 * span)[0][0]]
+        assert m.steady_state_error == float(np.mean(np.abs(err[steady])))
+        assert m.tracking_error_l2 == float(np.sum(0.5 * (err[1:] ** 2 + err[:-1] ** 2)
+                                                   * np.diff(t)))
+        assert m.peak_u_a == float(np.abs(u).max())
+        assert m.overshoot_pct == (float(y_a.max()) - y_final) / abs(span) * 100.0 > 0.0
+        assert m.settling_time_2pct == float(t_a[outside[-1] + 1] - onset)
+        assert m.rise_time_10_90 == float(t90 - t10)
+        # the last sample outside the band is in the second pass, after the
+        # 901 samples of the first pass that start at or after the onset
+        assert outside[-1] >= 901
+
+    def test_ramp_metrics_match_boolean_masks(self):
+        t = self.T
+        r = np.maximum(t - 2.0, 0.0)
+        y = np.maximum(t - 2.2, 0.0) + 0.01 * np.cos(3.0 * t)
+        m = compute_metrics(make_trace(t, y, r), ReferenceSignal("ramp", 2.0, gradient=1.0))
+        steady = t >= t[-1] - 0.1 * (t[-1] - t[0])
+        assert m.steady_state_error == float(np.mean(np.abs((y - r)[steady])))
+        assert m.tracking_lag == float(np.mean(r[steady] - y[steady]))

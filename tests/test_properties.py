@@ -71,7 +71,7 @@ def dc_output(model) -> float:
     d = model.transition.shape[0]
     forcing = model.command_maps[0] + model.disturbance_map  # the level map
     state = np.linalg.solve(np.eye(d) - model.transition, forcing)
-    return model.plant.output(state[model.blocks["plant"]])
+    return float(model.plant.C[0] @ state[model.blocks["plant"]])
 
 
 @given(scenarios())

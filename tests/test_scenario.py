@@ -26,7 +26,6 @@ from l1sim import (
 from l1sim import engine as engine_module
 from l1sim import scenario as scenario_module
 from l1sim import statespace
-from l1sim.metrics import steady_mask
 
 BASE_DOC = {
     "name": "case",
@@ -231,7 +230,8 @@ class TestBuildScenario:
         monkeypatch.undo()
         # an onset at the last sample is inside the trace, and a ramp has no step metrics
         run_scenario(build_scenario(doc(reference={"onset": 2.5})))
-        run_scenario(build_scenario(doc(reference={"kind": "ramp", "onset": 3.0, "gradient": 1.0})))
+        ramp = {"kind": "ramp", "onset": 3.0, "amplitude": None, "gradient": 1.0}
+        run_scenario(build_scenario(doc(reference=ramp)))
 
 
 PAPER_A = [[-10.0, -50.0], [1.0, 0.0]]
@@ -266,6 +266,13 @@ REJECTIONS = {
     "name a list": (partial(build_scenario, doc(name=[1.0])), "name must be a string, got list"),
     "name a number": (partial(build_scenario, doc(name=1e3)), "name must be a string, got float"),
     "name a bool": (partial(build_scenario, doc(name=True)), "name must be a string, got bool"),
+    # a size key that the command kind does not read would move the fingerprint alone
+    "gradient of a step": (partial(build_scenario, doc(reference={"gradient": 5.0})),
+                           "reference.gradient is not used by a step reference"),
+    "amplitude of a ramp": (
+        partial(build_scenario, doc(reference={"kind": "ramp", "gradient": 1.0})),
+        "reference.amplitude is not used by a ramp reference",
+    ),
     "B1 tiny": (
         build_short({"A": PAPER_A, "B1": [[1e-20], [0.0]], "C": [[0.0, 1.0]]}),
         B1_OUT_OF_SCALE,
@@ -492,7 +499,10 @@ class TestPresets:
 
     def test_fingerprint_sensitive_to_inputs(self):
         # one valid change per input key; every key but controller.law is an
-        # input, and plant.preset only names A, B1 and C
+        # input, and plant.preset only names A, B1 and C.  A step document
+        # takes each change but the two below, since a command takes only its
+        # kind's size key: the kind is swapped with that key, step amplitude
+        # 1 for ramp gradient 1, and the gradient changes in the ramp document
         changes = {
             "plant.A": [[-10.0, -40.0], [1.0, 0.0]],
             "plant.B1": [[1000.0], [0.0]],
@@ -501,10 +511,8 @@ class TestPresets:
             "uncertainty.matched": [0.06],
             "uncertainty.unmatched": [0.002],
             "uncertainty.onset": 1.0,
-            "reference.kind": "ramp",
             "reference.onset": 1.0,
             "reference.amplitude": 2.0,
-            "reference.gradient": 0.5,
             "controller.sample_period": 2e-3,
             "controller.bandwidth_matched": 30.0,
             "controller.bandwidth_unmatched": 30.0,
@@ -517,14 +525,21 @@ class TestPresets:
             for section in ("plant", "uncertainty", "reference", "controller", "engine")
             for key in getattr(scenario_module, f"_{section.upper()}_KEYS")
         }
-        assert set(changes) == keys - {"plant.preset", "controller.law"}
-        base_doc = doc(reference={"gradient": 1.0})  # so that the kind can change
+        swapped = {"reference.kind", "reference.gradient"}
+        assert set(changes) == keys - {"plant.preset", "controller.law"} - swapped
+        base_doc = doc()
         base = scenario_fingerprint(build_scenario(base_doc))
         for dotted, value in changes.items():
             section, key = dotted.split(".")
             changed = copy.deepcopy(base_doc)
             changed[section][key] = value
             assert scenario_fingerprint(build_scenario(changed)) != base, dotted
+        ramp_doc = doc(reference={"kind": "ramp", "onset": 2.0, "gradient": 1.0})
+        del ramp_doc["reference"]["amplitude"]
+        ramp = scenario_fingerprint(build_scenario(ramp_doc))
+        assert ramp != base, "reference.kind"
+        ramp_doc["reference"]["gradient"] = 0.5
+        assert scenario_fingerprint(build_scenario(ramp_doc)) != ramp, "reference.gradient"
         for section, value in (("controller", {"law": "original"}), ("name", "other"),
                                ("output", {"csv": True, "plots": True})):
             same = {**copy.deepcopy(base_doc), section: value}
@@ -582,7 +597,8 @@ class TestPresets:
     def test_report_compare_uses_metrics_window(self):
         n = 10001
         t = np.arange(n) * 1e-3
-        first = int(np.argmax(steady_mask(t)))
+        window = t >= t[-1] - 0.1 * (t[-1] - t[0])  # the final 10% of the time span
+        first = int(np.argmax(window))
         runs = []
         for label, spike in (("a", 0.0), ("b", 1.0e3)):
             y = np.zeros(n)
@@ -593,6 +609,6 @@ class TestPresets:
             sig = ReferenceSignal(kind="step", onset=0.0, amplitude=1.0)
             runs.append(RunResult(label=label, trace=trace, metrics=compute_metrics(trace, sig)))
         text = format_report(PresetResult(name="window", runs=runs, shared_fingerprint=""))
-        expect = abs(float(np.mean(runs[1].trace.y[steady_mask(t)])))
+        expect = abs(float(np.mean(runs[1].trace.y[window])))
         assert n - first == 1001
         assert f"|y_ss(a) - y_ss(b)| = {expect:.3e}" in text

@@ -6,7 +6,10 @@ The artifacts, each on a line ``<sha256>  <name>``:
 
 * for every preset, the CSV files, the SVG charts and the report text of
   ``l1sim run --preset NAME --csv --plots`` (8 CSVs, 12 SVGs, 6 reports),
-  and the compiled ``LoopModel`` of each of its 8 runs;
+  the compiled ``LoopModel`` of each of its 8 runs, and the metrics of each
+  CSV as ``load_csv`` reads it back (the path of ``l1sim export``);
+* for each compare preset, whether its laws' ``scenario_fingerprint`` values
+  are all one (the flag, not the hex, which may change between versions);
 * for each of the 240 seed-0 sweep documents of ``perfbench/sweepgen.py``,
   its ``LoopModel``, its trace arrays and its metrics;
 * the engine's non-finite fallback (the sequential pass after the power
@@ -72,9 +75,13 @@ def main(argv: list[str]) -> int:
     lines = []
     for name in l1sim.preset_names():
         spec = l1sim.PRESETS[name]
+        fingerprints = set()
         for law in spec["laws"]:
             scenario = l1sim.build_scenario(spec["doc"], name=name, law_override=law)
+            fingerprints.add(l1sim.scenario_fingerprint(scenario))
             lines.append((digest(scenario.loop), f"preset {name} {law} loop"))
+        if len(spec["laws"]) > 1:
+            lines.append((digest(len(fingerprints) == 1), f"preset {name} fingerprint shared"))
         with tempfile.TemporaryDirectory() as out:
             stdout = io.StringIO()
             with contextlib.redirect_stdout(stdout):
@@ -86,6 +93,9 @@ def main(argv: list[str]) -> int:
             lines.append((digest("\n".join(report)), f"preset {name} report"))
             for path in sorted(Path(out).iterdir()):
                 lines.append((hashlib.sha256(path.read_bytes()).hexdigest(), f"file {path.name}"))
+                if path.suffix == ".csv":
+                    reloaded = l1sim.compute_metrics(l1sim.load_csv(path), scenario.signal)
+                    lines.append((digest(reloaded), f"reloaded {path.name} metrics"))
 
     docs, _ = sweepgen.generate(0)
     for doc in docs:
@@ -105,7 +115,8 @@ def main(argv: list[str]) -> int:
 def _divergence_lines(l1sim) -> list[tuple[str, str]]:
     """Digests of runs that reach the sequential pass of ``lifted_states``."""
     lines = []
-    off, unit = l1sim.AugmentationConfig(law="off"), {"amplitude": 1.0, "gradient": 1.0}
+    off = l1sim.AugmentationConfig(law="off")
+    size_key = {"step": "amplitude", "ramp": "gradient"}  # a command takes its kind's key only
     fast = l1sim.UncertainPlant.from_matrices([[500.0]], [[1.0]], [[1.0]])
     coupled = l1sim.UncertainPlant.from_matrices([[100.0, 50.0], [-40.0, 20.0]],
                                                  [[1.0], [0.5]], [[0.0, 1.0]], f1=[0.1])
@@ -119,7 +130,7 @@ def _divergence_lines(l1sim) -> list[tuple[str, str]]:
           for law in laws],
     ]
     for name, plant, cfg, kind, t_end in diverging:
-        sig = l1sim.ReferenceSignal(kind=kind, onset=0.0, **unit)
+        sig = l1sim.ReferenceSignal(kind=kind, onset=0.0, **{size_key[kind]: 1.0})
         try:
             l1sim.run_closed_loop(plant, cfg, sig, l1sim.EngineConfig(t_end=t_end))
         except l1sim.SimulationDiverged as exc:
@@ -128,7 +139,7 @@ def _divergence_lines(l1sim) -> list[tuple[str, str]]:
             report = "finite"
         lines.append((digest(report), f"diverged {name}"))
     for kind in ("step", "ramp"):
-        sig = l1sim.ReferenceSignal(kind=kind, onset=0.0, amplitude=1e-300, gradient=1e-300)
+        sig = l1sim.ReferenceSignal(kind=kind, onset=0.0, **{size_key[kind]: 1e-300})
         trace = l1sim.run_closed_loop(fast, off, sig, l1sim.EngineConfig(t_end=2.1))
         lines.append((digest(trace), f"finite 500 off {kind} 1e-300 trace"))
     return lines
