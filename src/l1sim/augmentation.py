@@ -29,7 +29,6 @@ exponential written in place over the generator blocks it was taken of.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -228,20 +227,22 @@ class LoopModel:
     Holds the estimator gain, the error feedback applied in the predictor,
     the law filters and the lifted loop, all read from the power of one step
     matrix (``compile_loop``), so the filters are discretized with the whole
-    loop, by the same exponential.  The
-    lifted state at a sample boundary stacks the plant state x, the
-    reference-model state x_m, the prediction error x_tilde = x_hat - x and
-    the matched and unmatched law-filter states (``blocks`` names the
-    slices).  Between boundaries every input is held, so one sample is
+    loop, by the same exponential.  The lifted state at a sample boundary
+    stacks the plant state x, the reference-model state x_m, the prediction
+    error x_tilde = x_hat - x and the matched and unmatched law-filter states
+    (``blocks`` names the slices).  Between boundaries every input is held,
+    so one sample is
 
         s[k+1] = transition @ s[k] + [r(kT), g] @ command_maps + on[k] * disturbance_map
 
     where g is a ramp's gradient from the command's switch sample on (0 for a
-    step) and on[k] is 1 once the disturbances act over sample k; both onsets
-    lie on the sample grid.  The command is held over each of the ``substeps``
-    integrator steps at its step-start value, and ``command_maps`` folds them
-    into the level map of r(kT) and the slope map of a ramp's rise within the
-    sample.  The adaptive input held over sample k is ``input_map @ s[k]``.
+    step) and on[k] is 1 once the disturbances act over sample k.  No array
+    here depends on an onset: the engine puts both on its sample grid
+    (``engine.grid_index``) and switches the forcing there.  The command is
+    held over each of the ``substeps`` integrator steps at its step-start
+    value, and ``command_maps`` folds them into the level map of r(kT) and
+    the slope map of a ramp's rise within the sample.  The adaptive input
+    held over sample k is ``input_map @ s[k]``.
     """
 
     plant: UncertainPlant
@@ -278,23 +279,12 @@ class LoopModel:
 PiecewiseConstantLaw = LoopModel
 
 
-def grid_index(t: float, sample_period: float, name: str) -> int:
-    """Number of sample periods in t, the value of key ``name``, which must be a
-    whole number of them (relative tolerance 1e-9)."""
-    periods = t / sample_period  # inf past the float range: off every grid
-    n = round(periods) if math.isfinite(periods) else None
-    if n is None or abs(n * sample_period - t) > 1e-9 * max(1.0, abs(t)):
-        raise ConfigError(f"{name} = {t} must be a whole number of sample periods "
-                          f"(controller.sample_period = {sample_period})")
-    return n
-
-
 def compile_loop(
     plant: UncertainPlant, cfg: AugmentationConfig, substeps_per_sample: int = 1
 ) -> LoopModel:
     """Check the tuning against the plant and precompute the loop model.
 
-    The only place a tuning is checked: an onset off the sample grid, Hurwitz
+    The only place a tuning is checked (the onsets are the engine's): unstable
     error dynamics, a singular update gain, the transmission-zero gate of the
     dynamics-inverting law (also its path's stability check), an improper path
     and an overflowing loop all raise ``ConfigError`` here, overflow by key.
@@ -305,7 +295,6 @@ def compile_loop(
     into the sample's maps by one matrix power.
     """
     T = cfg.sample_period
-    grid_index(plant.onset, T, "uncertainty.onset")
     a_err = error_dynamics_matrix(plant, cfg)
     n = plant.n
     x, x_m, x_t = slice(0, n), slice(n, 2 * n), slice(2 * n, 3 * n)

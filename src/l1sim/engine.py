@@ -12,11 +12,11 @@ state (``LoopModel``),
 precomputed by ``compile_loop``, which folds the integrator steps of a
 sample into two command maps: f[k] is r(kT) through the level map plus a
 ramp's gradient through the slope map, from the command's switch sample on,
-plus the disturbance map once the disturbances act.  Both onsets (``reference``
-and ``uncertainty``) must lie on the sample grid, and each acts over whole
-samples from the first boundary k T at or after it, the comparison
-``reference_value`` and ``compute_metrics`` make; no sample at or before an
-onset sees it.  Step traces are the same as with a per-step hold grid.
+plus the disturbance map once the disturbances act.  ``grid_index`` puts the
+horizon and both onsets (``reference``, ``uncertainty``) on the sample grid,
+and an onset acts over whole samples from the first boundary k T at or after
+it, as ``reference_value`` and ``compute_metrics`` compare; no sample at or
+before an onset sees it.  Step traces are those of a per-step hold grid.
 
 A run splits its N samples into segments at the two switch samples.  Within
 a segment from sample a, f[k] = alpha + beta (k - a) (beta = 0 for a step
@@ -31,16 +31,18 @@ arrays.  If a state comes out non-finite, the run writes f[k] for every
 sample over the states it holds, after s[0], and steps the recurrence there
 again one sample at a time; that sequential pass names the first non-finite
 sample and block in ``SimulationDiverged``.  Identical inputs give
-bit-identical traces, whatever the number of BLAS threads.
+bit-identical traces, whatever the number of BLAS threads.  Metrics and
+charts take only traces that keep the trace rule of ``check_series``.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .augmentation import AugmentationConfig, LoopModel, compile_loop, grid_index
+from .augmentation import AugmentationConfig, LoopModel, compile_loop
 from .errors import ConfigError, SimulationDiverged
 from .plant import ReferenceSignal, UncertainPlant, reference_value
 from .statespace import as_scalar
@@ -99,6 +101,17 @@ class SimTrace:
         return self.x_hat - self.x
 
 
+def check_series(owner: str, x_name: str, x: np.ndarray, **values: np.ndarray) -> None:
+    """The trace rule: x (time) and every other named array are finite, and x
+    never decreases.  Otherwise raises ``ValueError`` naming ``owner`` and
+    the array at fault."""
+    for name, a in {x_name: x, **values}.items():
+        if not np.isfinite(a).all():
+            raise ValueError(f"{owner} has a non-finite {name} value")
+    if (x[1:] < x[:-1]).any():
+        raise ValueError(f"{owner} has a decreasing {x_name} value")
+
+
 def rk4_step(deriv, t: float, x: np.ndarray, h: float):
     """One classical 4th-order Runge-Kutta step of size h for dx/dt = deriv(t, x)."""
     h = as_scalar(h, "step size", "> 0")
@@ -107,6 +120,17 @@ def rk4_step(deriv, t: float, x: np.ndarray, h: float):
     k3 = deriv(t + 0.5 * h, x + (0.5 * h) * k2)
     k4 = deriv(t + h, x + h * k3)
     return x + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+
+
+def grid_index(t: float, sample_period: float, name: str) -> int:
+    """Number of sample periods in t, the value of key ``name``, which must be a
+    whole number of them (relative tolerance 1e-9)."""
+    periods = t / sample_period  # inf past the float range: off every grid
+    n = round(periods) if math.isfinite(periods) else None
+    if n is None or abs(n * sample_period - t) > 1e-9 * max(1.0, abs(t)):
+        raise ConfigError(f"{name} = {t} must be a whole number of sample periods "
+                          f"(controller.sample_period = {sample_period})")
+    return n
 
 
 def _sample_count(t_end: float, sample_period: float) -> int:

@@ -2,11 +2,11 @@
 
 Step commands get the classic step-response numbers (overshoot, 2% settling
 time, 10-90% rise time); ramp commands get the asymptotic tracking lag
-instead.  The steady-state window is the final 10% of the time span.  It and
-the samples from the onset on are suffixes of a non-decreasing t (every
-engine and emitted trace), indexed as slices; any other t is indexed by
-boolean masks, which select the same samples.  A mean is ``a.sum() / a.size``,
-the sum and division of ``np.mean``, so the metrics are the same bits.
+instead.  A trace keeps the trace rule of ``engine.check_series``, as a
+chart's series does: t, r, y and u_a finite and t never decreasing.  So the
+steady-state window (the final 10% of the span) and the samples from the
+onset on are suffixes of t, indexed as slices.  A mean is ``a.sum() /
+a.size``, ``np.mean``'s own sum and division, so the metrics are its bits.
 """
 
 from __future__ import annotations
@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .engine import SimTrace
+from .engine import SimTrace, check_series
 from .errors import ConfigError
 from .plant import ReferenceSignal
 
@@ -41,19 +41,10 @@ class Metrics:
     tracking_lag: float | None = None
 
 
-def _since(t: np.ndarray, start: float, increasing: bool):
-    """Index of the samples at or after ``start``: the suffix of a
-    non-decreasing ``t`` as a slice, else a boolean mask."""
-    return slice(int(t.searchsorted(start)), None) if increasing else t >= start
-
-
-def steady_window(t: np.ndarray, increasing: bool | None = None):
-    """Index of the steady-state window, the samples in the final 10% of the
-    time span.  ``increasing`` says whether t is non-decreasing; it is
-    checked here when not given."""
-    if increasing is None:
-        increasing = bool((t[1:] - t[:-1]).min(initial=0.0) >= 0.0)  # False if a step is NaN
-    return _since(t, t[-1] - STEADY_WINDOW_FRACTION * (t[-1] - t[0]), increasing)
+def steady_window(t: np.ndarray) -> slice:
+    """Slice of the steady-state window of a never-decreasing ``t``: the
+    samples in the final 10% of the time span."""
+    return slice(int(t.searchsorted(t[-1] - STEADY_WINDOW_FRACTION * (t[-1] - t[0]))), None)
 
 
 def _mean(a: np.ndarray) -> float:
@@ -69,19 +60,19 @@ def _first_crossing(t: np.ndarray, y: np.ndarray, level: float, rising: bool) ->
 
 
 def compute_metrics(trace: SimTrace, sig: ReferenceSignal) -> Metrics:
-    """Summarize a trace against the command that produced it."""
+    """Summarize a trace against the command that produced it; ``ValueError``
+    names a field that breaks the trace rule."""
     if trace.n_samples < 2:
         raise ValueError("trace must contain at least two samples")
     t, y, r = trace.t, trace.y, trace.r
-    dt = t[1:] - t[:-1]
-    increasing = bool(dt.min() >= 0.0)  # False if a step is NaN
-    steady = steady_window(t, increasing)
+    check_series("trace", "t", t, r=r, y=y, u_a=trace.u_a)
+    steady = steady_window(t)
     err = y - r
     steady_state_error = _mean(np.abs(err[steady]))
     sq = err * err
     trapezoids = sq[1:] + sq[:-1]  # 0.5 (sq[1:] + sq[:-1]) dt, in place
     trapezoids *= 0.5
-    trapezoids *= dt
+    trapezoids *= t[1:] - t[:-1]
     tracking_error_l2 = float(trapezoids.sum())
     peak_u_a = float(np.abs(trace.u_a).max())
 
@@ -89,8 +80,8 @@ def compute_metrics(trace: SimTrace, sig: ReferenceSignal) -> Metrics:
         return Metrics(steady_state_error, tracking_error_l2, peak_u_a,
                        tracking_lag=_mean(r[steady] - y[steady]))
 
-    after = _since(t, sig.onset, increasing)
-    t_a, y_a = t[after], y[after]
+    first = int(t.searchsorted(sig.onset))
+    t_a, y_a = t[first:], y[first:]
     if not t_a.size:
         raise ConfigError("reference.onset must not be after engine.t_end for step metrics")
     y_final = _mean(y[steady])
@@ -104,15 +95,11 @@ def compute_metrics(trace: SimTrace, sig: ReferenceSignal) -> Metrics:
         excursion = float(y_a.max()) - y_final if span > 0 else y_final - float(y_a.min())
         overshoot_pct = max(0.0, excursion / abs(span) * 100.0)
         band = 0.02 * abs(span)
-        # the last sample outside the band is the first one counted from the end
+        # the last sample outside the band is the first one counted from the end;
+        # y_a[0] is |span| from y_final, so there is one, and last == 0 never settles
         outside = np.abs(y_a[::-1] - y_final) > band
         last = int(outside.argmax())
-        if not outside[last]:
-            settling_time = 0.0
-        elif last == 0:
-            settling_time = None  # never settles inside the band
-        else:
-            settling_time = float(t_a[t_a.size - last] - sig.onset)
+        settling_time = float(t_a[t_a.size - last] - sig.onset) if last else None
         rising = span > 0
         t10 = _first_crossing(t_a, y_a, y_start + 0.1 * span, rising)
         t90 = _first_crossing(t_a, y_a, y_start + 0.9 * span, rising)

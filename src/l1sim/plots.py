@@ -27,7 +27,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .engine import SimTrace
+from .engine import SimTrace, check_series
 
 WIDTH, HEIGHT = 880, 520
 MARGIN_L, MARGIN_R, MARGIN_T, MARGIN_B = 72, 24, 48, 56
@@ -81,17 +81,13 @@ def line_chart_svg(
 ) -> str:
     """Render labeled (x, y) series as one SVG chart with axes and a legend.
 
-    Each series' x must be non-decreasing, as time is: the M4 decimation
-    takes a pixel column's points to be one run.
+    Each series keeps the trace rule (``check_series``), its x as time: the
+    M4 decimation takes a pixel column's points to be one run.
     """
     if not series:
         raise ValueError("at least one series is required")
     for label, sx, sy in series:
-        for axis, values in (("x", sx), ("y", sy)):
-            if not np.isfinite(values).all():
-                raise ValueError(f"series {label!r} has a non-finite {axis} value")
-        if (sx[1:] < sx[:-1]).any():
-            raise ValueError(f"series {label!r} has a decreasing x value")
+        check_series(f"series {label!r}", "x", sx, y=sy)
     x_lo = min(float(np.min(sx)) for _, sx, _ in series)
     x_hi = max(float(np.max(sx)) for _, sx, _ in series)
     y_lo = min(float(np.min(sy)) for _, _, sy in series)

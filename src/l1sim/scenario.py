@@ -155,11 +155,12 @@ def build_scenario(cfg: dict, name: str | None = None, law_override: str | None 
     signal = ReferenceSignal(kind=ref_cfg.pop("kind", None), **ref_cfg)
     augmentation = AugmentationConfig(law=ctl_cfg.pop("law", None), **ctl_cfg)
     engine = EngineConfig(**eng_cfg)
-    # an off-grid command onset or horizon, or a step command after t_end, fails at load
+    # an onset or horizon off the sample grid, or a step command after t_end, fails at load
     T = augmentation.sample_period
     _onset_sample(signal.onset, T, "reference.onset")
     if signal.onset > _sample_count(engine.t_end, T) * T and signal.kind == "step":
         raise ConfigError("reference.onset must not be after engine.t_end for step metrics")
+    _onset_sample(plant.onset, T, "uncertainty.onset")
     return Scenario(
         name=stem,
         plant=plant,

@@ -43,7 +43,7 @@ from l1sim import (
     rk4_step,
 )
 from l1sim.augmentation import (
-    _RATE_KEYS, LoopModel, _estimator_gain, error_dynamics_matrix, grid_index, low_pass_model,
+    _RATE_KEYS, LoopModel, _estimator_gain, error_dynamics_matrix, low_pass_model,
     unmatched_path_model,
 )
 from l1sim.errors import ConfigError
@@ -144,7 +144,6 @@ def sequential_states(model, forcing: np.ndarray) -> np.ndarray:
 def slice_by_slice_loop(plant, cfg, substeps_per_sample: int = 1) -> LoopModel:
     """``compile_loop`` assembled block by block from separate arrays."""
     T = cfg.sample_period
-    grid_index(plant.onset, T, "uncertainty.onset")
     a_err = error_dynamics_matrix(plant, cfg)
     n = plant.n
     filters, width = [], 2 * n

@@ -401,6 +401,10 @@ def test_in_place_compile_equals_the_slice_by_slice_one(case):
             assert np.array_equal(getattr(filt, key), getattr(ref, key)), (name, key)
 
 
+def spectral_radius(m: np.ndarray) -> float:
+    return float(np.abs(np.linalg.eigvals(m)).max())
+
+
 def lifted_loops(law: str):
     """The loops of the preset plant and of the seeded plants under ``law``, each
     also with a random Hurwitz prediction-error matrix A + L_p."""
@@ -430,6 +434,16 @@ class TestLiftedLoopStructure:
         off = np.ones(m.shape, bool)
         off[x_m, x_m] = False
         assert not m[x_m][off[x_m]].any()  # x_m reads only x_m
+        # so M is block triangular, and its spectral radius is its diagonal blocks'
+        start, diagonal = 3 * n, [x_t]
+        for filt in (loop.matched, loop.unmatched):
+            if filt is not None:
+                diagonal.append(slice(start, start + filt.order))
+                start += filt.order
+        assert start == m.shape[0]
+        rho = spectral_radius(m)
+        blocks = max(spectral_radius(m[b, b]) for b in [*diagonal, x, x_m])
+        assert abs(rho - blocks) <= 1e-9 * max(1.0, rho)
 
     @pytest.mark.parametrize("law", LAWS)
     def test_presets_hold_exactly(self, law):
@@ -440,6 +454,18 @@ class TestLiftedLoopStructure:
     def test_seeded_plants_and_random_error_dynamics(self, law):
         for loop in lifted_loops(law):
             self.check(loop, deadbeat_eps=4.0)
+
+    @pytest.mark.parametrize("bandwidth", [10.0, 80.0])
+    @pytest.mark.parametrize("period", [1e-3, 2e-3, 5e-3])
+    def test_modified_loop_stable_on_hurwitz_plants(self, period, bandwidth):
+        """For Hurwitz A the blocks are e^(A T), stable filters and a deadbeat
+        error, so the sampled loop under ``modified`` is stable at every T."""
+        cfg = AugmentationConfig(law="modified", sample_period=period,
+                                 bandwidth_matched=bandwidth, bandwidth_unmatched=bandwidth)
+        for plant in seeded_canonical_plants(5, 3):
+            loop = compile_loop(plant, cfg)
+            self.check(loop, deadbeat_eps=4.0)
+            assert spectral_radius(loop.transition) < 1.0
 
 
 class TestNonMinimumPhaseGate:

@@ -404,8 +404,10 @@ class TestOnsetTiming:
     def test_onset_off_the_sample_grid_rejected(self):
         cfg = AugmentationConfig(law="modified", sample_period=1e-3)
         late = UncertainPlant.from_matrices(BENCH_A, BENCH_B1, BENCH_C, f1=[0.05], onset=0.0005)
+        sig = ReferenceSignal(kind="step", onset=0.0, amplitude=1.0)
+        model = compile_loop(late, cfg)  # the loop model reads no onset: the engine checks it
         with pytest.raises(ConfigError, match=r"uncertainty\.onset = 0\.0005 must be a whole"):
-            compile_loop(late, cfg)
+            run_closed_loop(late, cfg, sig, EngineConfig(t_end=0.01), model=model)
 
     @pytest.mark.parametrize(
         "period, onset",
@@ -414,4 +416,7 @@ class TestOnsetTiming:
     )
     def test_onset_on_the_sample_grid_accepted(self, period, onset):
         cfg = AugmentationConfig(law="modified", sample_period=period)
-        compile_loop(UncertainPlant.from_matrices(BENCH_A, BENCH_B1, BENCH_C, onset=onset), cfg)
+        plant = UncertainPlant.from_matrices(BENCH_A, BENCH_B1, BENCH_C, onset=onset)
+        sig = ReferenceSignal(kind="step", onset=0.0, amplitude=1.0)
+        # the onset is checked on the grid whether or not it falls inside the horizon
+        run_closed_loop(plant, cfg, sig, EngineConfig(t_end=10 * period))

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from l1sim import ReferenceSignal, SimTrace, compute_metrics
+from l1sim import ReferenceSignal, SimTrace, compute_metrics, line_chart_svg
 from l1sim.metrics import steady_window
 
 
@@ -121,51 +121,48 @@ class TestValidation:
             )
 
 
-class TestNonIncreasingTime:
-    """A t that steps back (a hand-edited CSV) selects its windows by boolean
-    masks; the metrics must equal that computation, written out here."""
+class TestTraceRule:
+    """compute_metrics takes the traces line_chart_svg takes: t, r, y and u_a
+    finite and t never decreasing, checked by the one ``check_series``."""
 
-    # 0..10 s, then back to 0.5 s and on to 9.5 s: the final 10% of the span
-    # (t >= 8.55) and the samples from the onset on are then not suffixes
-    T = np.concatenate([np.linspace(0.0, 10.0, 1001), np.linspace(0.5, 9.5, 901)])
+    STEP = ReferenceSignal("step", 1.0, amplitude=1.0)
 
-    def test_windows_are_masks(self):
-        window = steady_window(self.T)
-        assert isinstance(window, np.ndarray) and window.dtype == bool
-        assert np.array_equal(window, self.T >= 9.5 - 0.1 * 9.5)
+    @staticmethod
+    def step_response(t: np.ndarray):
+        rel = np.maximum(t - 1.0, 0.0)
+        y = np.where(t >= 1.0, 1.0 - np.exp(-2.0 * rel) * np.cos(5.0 * rel), 0.0)
+        return y, np.where(t >= 1.0, 1.0, 0.0), np.sin(t)
 
-    def test_step_metrics_match_boolean_masks(self):
-        t, onset = self.T, 1.0
-        rel = np.maximum(t - onset, 0.0)
-        y = np.where(t >= onset, 1.0 - np.exp(-2.0 * rel) * np.cos(5.0 * rel), 0.0)
-        r = np.where(t >= onset, 1.0, 0.0)
-        u = np.sin(t)
-        m = compute_metrics(make_trace(t, y, r, u), ReferenceSignal("step", onset, amplitude=1.0))
+    def test_steady_window_is_a_slice(self):
+        t = np.linspace(0.0, 10.0, 1001)
+        window = steady_window(t)
+        assert isinstance(window, slice)
+        assert np.array_equal(t[window], t[t >= 10.0 - 0.1 * 10.0])
 
-        steady, after = t >= t[-1] - 0.1 * (t[-1] - t[0]), t >= onset
-        err = y - r
-        t_a, y_a = t[after], y[after]
-        y_final = float(np.mean(y[steady]))
-        span = y_final - float(y_a[0])
-        outside = np.nonzero(np.abs(y_a - y_final) > 0.02 * abs(span))[0]
-        t10 = t_a[np.nonzero(y_a >= y_a[0] + 0.1 * span)[0][0]]
-        t90 = t_a[np.nonzero(y_a >= y_a[0] + 0.9 * span)[0][0]]
-        assert m.steady_state_error == float(np.mean(np.abs(err[steady])))
-        assert m.tracking_error_l2 == float(np.sum(0.5 * (err[1:] ** 2 + err[:-1] ** 2)
-                                                   * np.diff(t)))
-        assert m.peak_u_a == float(np.abs(u).max())
-        assert m.overshoot_pct == (float(y_a.max()) - y_final) / abs(span) * 100.0 > 0.0
-        assert m.settling_time_2pct == float(t_a[outside[-1] + 1] - onset)
-        assert m.rise_time_10_90 == float(t90 - t10)
-        # the last sample outside the band is in the second pass, after the
-        # 901 samples of the first pass that start at or after the onset
-        assert outside[-1] >= 901
+    def test_decreasing_time_rejected(self):
+        # 0..10 s, then back to 0.5 s and on to 9.5 s, as a hand-edited CSV might
+        t = np.concatenate([np.linspace(0.0, 10.0, 1001), np.linspace(0.5, 9.5, 901)])
+        y, r, u = self.step_response(t)
+        with pytest.raises(ValueError, match="^trace has a decreasing t value$"):
+            compute_metrics(make_trace(t, y, r, u), self.STEP)
+        with pytest.raises(ValueError, match="^series 'y' has a decreasing x value$"):
+            line_chart_svg([("y", t, y)], "title", "t", "y")
 
-    def test_ramp_metrics_match_boolean_masks(self):
-        t = self.T
-        r = np.maximum(t - 2.0, 0.0)
-        y = np.maximum(t - 2.2, 0.0) + 0.01 * np.cos(3.0 * t)
-        m = compute_metrics(make_trace(t, y, r), ReferenceSignal("ramp", 2.0, gradient=1.0))
-        steady = t >= t[-1] - 0.1 * (t[-1] - t[0])
-        assert m.steady_state_error == float(np.mean(np.abs((y - r)[steady])))
-        assert m.tracking_lag == float(np.mean(r[steady] - y[steady]))
+    def test_nan_in_time_rejected(self):
+        t = np.linspace(0.0, 10.0, 1001)
+        y, r, u = self.step_response(t)
+        t[500] = math.nan
+        with pytest.raises(ValueError, match="^trace has a non-finite t value$"):
+            compute_metrics(make_trace(t, y, r, u), self.STEP)
+
+    @pytest.mark.parametrize("field", ["r", "y", "u_a"])
+    def test_non_finite_values_rejected(self, field):
+        # mid-run (the overshoot's search) and at the last sample (the settling search's start)
+        t = np.linspace(0.0, 10.0, 1001)
+        for sample in (500, -1):
+            for bad in (math.nan, math.inf, -math.inf):
+                values = dict(zip(("y", "r", "u_a"), self.step_response(t)))
+                values[field][sample] = bad
+                trace = make_trace(t, values["y"], values["r"], values["u_a"])
+                with pytest.raises(ValueError, match=f"^trace has a non-finite {field} value$"):
+                    compute_metrics(trace, self.STEP)

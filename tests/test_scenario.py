@@ -266,6 +266,27 @@ REJECTIONS = {
     "name a list": (partial(build_scenario, doc(name=[1.0])), "name must be a string, got list"),
     "name a number": (partial(build_scenario, doc(name=1e3)), "name must be a string, got float"),
     "name a bool": (partial(build_scenario, doc(name=True)), "name must be a string, got bool"),
+    # a YAML document that is a list, and a section that is one
+    "document a list": (partial(build_scenario, ["plant", "reference"]),
+                        "scenario document must be a mapping, got list"),
+    "plant a list": (partial(build_scenario, doc(plant=[1])), "plant section must be a mapping"),
+    # the engine's grid rule covers the disturbance onset at load, after the
+    # horizon checks and before the tuning, as when compile_loop checked it first
+    "disturbance onset off the grid": (
+        partial(build_scenario, doc(uncertainty={"onset": 2.0005})),
+        "uncertainty.onset = 2.0005 must be a whole number of sample periods "
+        "(controller.sample_period = 0.001)",
+    ),
+    "step after the horizon before an off-grid disturbance onset": (
+        partial(build_scenario, doc(uncertainty={"onset": 2.0005}, reference={"onset": 3.0})),
+        "reference.onset must not be after engine.t_end for step metrics",
+    ),
+    "off-grid disturbance onset before an unstable L_p": (
+        partial(build_scenario, doc(uncertainty={"onset": 2.0005},
+                                    controller={"L_p": [[10.0, 50.0], [-1.0, 1.0]]})),
+        "uncertainty.onset = 2.0005 must be a whole number of sample periods "
+        "(controller.sample_period = 0.001)",
+    ),
     # a size key that the command kind does not read would move the fingerprint alone
     "gradient of a step": (partial(build_scenario, doc(reference={"gradient": 5.0})),
                            "reference.gradient is not used by a step reference"),

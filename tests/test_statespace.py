@@ -327,6 +327,11 @@ class TestDcGain:
         with pytest.raises(ValueError, match="origin"):
             dc_gain(sys)
 
+    def test_discrete_pole_at_one_rejected(self):
+        sys = StateSpaceModel(A=[[1.0]], B=[[1.0]], C=[[1.0]])
+        with pytest.raises(ConfigError, match=r"^discrete system has a pole at z = 1, DC gain"):
+            dc_gain_discrete(sys)
+
 
 class TestFeedforwardGain:
     """k_ff, derived by ``UncertainPlant`` from (A, B1, C)."""

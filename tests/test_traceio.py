@@ -121,6 +121,25 @@ class TestRoundTrip:
         with pytest.raises(ValueError, match="schema"):
             load_csv(path)
 
+    def test_short_rows_rejected(self, tmp_path):
+        path = tmp_path / "short.csv"
+        path.write_text(csv_header(2) + "\n" + ",".join(["1"] * 10) + "\n")
+        with pytest.raises(ValueError, match="row width 10 does not match header 11$"):
+            load_csv(path)
+
+    def test_rule_breaking_file_loads_and_metrics_refuse_it(self, tmp_path, short_run):
+        """load_csv reads a non-finite t; the trace rule is checked where the
+        trace is used."""
+        trace, sig = short_run
+        path = emit_csv(trace, tmp_path / "run.csv")
+        lines = path.read_text().split("\n")
+        lines[3] = "nan" + lines[3][lines[3].index(","):]
+        path.write_text("\n".join(lines))
+        back = load_csv(path)
+        assert np.isnan(back.t[2])
+        with pytest.raises(ValueError, match="^trace has a non-finite t value$"):
+            compute_metrics(back, sig)
+
     @pytest.mark.parametrize("header", [
         # the right names, x before sigma2
         "t,r,y,y_M,u_a,sigma1_1,x_1,x_2,sigma2_1,xhat_1,xhat_2",

@@ -1,8 +1,9 @@
-"""Print one sha256 per output artifact of an l1sim checkout.
+"""Print one sha256 per output artifact of an l1sim checkout, and two probes.
 
     python tools/output_digest.py CHECKOUT > digest.txt
 
-The artifacts, each on a line ``<sha256>  <name>``:
+The artifacts, each on a line ``<sha256>  <name>`` (a probe prints its
+result in place of the digest):
 
 * for every preset, the CSV files, the SVG charts and the report text of
   ``l1sim run --preset NAME --csv --plots`` (8 CSVs, 12 SVGs, 6 reports),
@@ -16,7 +17,12 @@ The artifacts, each on a line ``<sha256>  <name>``:
   doubling overflows): the ``SimulationDiverged`` sample, block and
   ``last_norm`` of seven diverging runs, step and ramp commands, and the
   trace arrays of two runs whose powers overflow while their states stay
-  finite.
+  finite;
+* two traces that break the trace rule, the full-length
+  ``uncertain-step-compare``/``modified`` trace with its ``t`` stepped back
+  by 30% of the span halfway through, and with ``y[3000]`` NaN: these lines
+  print, in place of a digest, what ``compute_metrics`` returns (each float
+  by ``float.hex``) or the exception it raises.
 
 A model, trace or metrics digest covers every field: arrays by dtype, shape
 and bytes, nested dataclasses field by field, other values by ``repr``.  So
@@ -106,6 +112,7 @@ def main(argv: list[str]) -> int:
         lines.append((digest(result.metrics), f"sweep {doc['name']} metrics"))
 
     lines += _divergence_lines(l1sim)
+    lines += _rule_breaking_lines(l1sim)
 
     for sha, name in lines:
         print(f"{sha}  {name}")
@@ -143,6 +150,34 @@ def _divergence_lines(l1sim) -> list[tuple[str, str]]:
         trace = l1sim.run_closed_loop(fast, off, sig, l1sim.EngineConfig(t_end=2.1))
         lines.append((digest(trace), f"finite 500 off {kind} 1e-300 trace"))
     return lines
+
+
+def _rule_breaking_lines(l1sim) -> list[tuple[str, str]]:
+    """What ``compute_metrics`` makes of a full-length trace that breaks the
+    trace rule: its metrics, floats as ``float.hex``, or its exception."""
+    scenario = l1sim.build_scenario(l1sim.PRESETS["uncertain-step-compare"]["doc"],
+                                    law_override="modified")
+    trace = l1sim.run_scenario(scenario).trace
+    stepped_back = trace.t.copy()
+    stepped_back[trace.n_samples // 2 :] -= 0.3 * (trace.t[-1] - trace.t[0])
+    nan_y = trace.y.copy()
+    nan_y[3000] = np.nan
+    lines = []
+    for name, broken in (("t stepped back", dataclasses.replace(trace, t=stepped_back)),
+                         ("y[3000] nan", dataclasses.replace(trace, y=nan_y))):
+        try:
+            metrics = l1sim.compute_metrics(broken, scenario.signal)
+        except Exception as exc:  # the exception is the result
+            result = f"{type(exc).__name__}: {exc}"
+        else:
+            result = " ".join(f"{field.name}={_hex(getattr(metrics, field.name))}"
+                              for field in dataclasses.fields(metrics))
+        lines.append((result, f"probe {name} metrics"))
+    return lines
+
+
+def _hex(value) -> str:
+    return value.hex() if isinstance(value, float) else repr(value)
 
 
 if __name__ == "__main__":
