@@ -14,6 +14,7 @@ PyYAML loads on the first ``load_scenario`` and ``hashlib`` on the first
 from __future__ import annotations
 
 import copy
+import functools
 from dataclasses import dataclass, fields
 from pathlib import Path
 
@@ -263,6 +264,11 @@ def load_scenario(path, law_override: str | None = None) -> Scenario:
     return build_scenario(doc, name=path.stem, law_override=law_override)
 
 
+@functools.cache
+def _field_names(cls) -> tuple[str, ...]:
+    return tuple(f.name for f in fields(cls))
+
+
 def scenario_fingerprint(scenario: Scenario) -> str:
     """Hash of everything two compared runs must share: every field of the
     plant, command, tuning and engine except the control law.  An array is
@@ -270,17 +276,17 @@ def scenario_fingerprint(scenario: Scenario) -> str:
     by its field's name and ``repr``."""
     import hashlib  # here, not at module level: a CLI file run never fingerprints
 
-    h = hashlib.sha256()
+    chunks = []
     for part in ("plant", "signal", "augmentation", "engine"):
         obj = getattr(scenario, part)
-        for f in fields(obj):
-            value = None if part == "augmentation" and f.name == "law" else getattr(obj, f.name)
+        for name in _field_names(type(obj)):
+            value = None if part == "augmentation" and name == "law" else getattr(obj, name)
             if isinstance(value, np.ndarray):
-                h.update(f"{part}.{f.name} {value.dtype.str}{value.shape}:".encode())
-                h.update(value.tobytes())
+                chunks += (f"{part}.{name} {value.dtype.str}{value.shape}:".encode(),
+                           value.tobytes())
             else:
-                h.update(f"{part}.{f.name}={value!r};".encode())
-    return h.hexdigest()
+                chunks.append(f"{part}.{name}={value!r};".encode())
+    return hashlib.sha256(b"".join(chunks)).hexdigest()
 
 
 _STEP = {"kind": "step", "onset": 2.0, "amplitude": 1.0}

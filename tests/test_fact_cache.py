@@ -1,0 +1,287 @@
+"""A plant's law-independent facts (B2, k_ff, the zero dynamics) are kept per
+distinct (A, B1, C): a build that reuses them equals one that derives them."""
+
+import dataclasses
+import importlib.util
+import sys
+import threading
+from pathlib import Path
+
+import numpy as np
+import pytest
+
+from conftest import canonical_plant, make_nmp_plant
+from l1sim import PRESETS, AugmentationConfig, ConfigError, build_scenario, compile_loop
+from l1sim import augmentation
+from l1sim import plant as plant_module
+from l1sim.augmentation import LAWS, _zero_dynamics
+from l1sim.plant import FACT_CACHE_SIZE, UncertainPlant, clear_fact_caches
+
+SWEEPGEN = Path(__file__).resolve().parents[1] / "perfbench" / "sweepgen.py"
+PAPER_A = [[-10.0, -50.0], [1.0, 0.0]]
+PAPER_B1 = [[2000.0], [0.0]]
+PAPER_C = [[0.0, 1.0]]
+
+
+def sweep_documents() -> list[dict]:
+    """The 240 documents of the benchmark's seed-0 sweep."""
+    spec = importlib.util.spec_from_file_location("perfbench_sweepgen", SWEEPGEN)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module.generate(0)[0]
+
+
+@pytest.fixture
+def cold():
+    """Empty caches before the test and after it, so that no test reads the
+    plants of the tests run before it."""
+    clear_fact_caches()
+    yield
+    clear_fact_caches()
+
+
+@pytest.fixture
+def derivations(cold, monkeypatch):
+    """Calls of each derivation the caches stand in front of, by name."""
+    calls = {"_complement": 0, "_feedforward_gain": 0, "_zero_dynamics": 0}
+    for module, name in ((plant_module, "_complement"), (plant_module, "_feedforward_gain"),
+                         (augmentation, "_zero_dynamics")):
+        def counted(*args, _derive=getattr(module, name), _name=name):
+            calls[_name] += 1
+            return _derive(*args)
+        monkeypatch.setattr(module, name, counted)
+    return calls
+
+
+def leaves(value, path: str):
+    """(path, value) of every field of a model, nested dataclasses field by field."""
+    if dataclasses.is_dataclass(value):
+        for field in dataclasses.fields(value):
+            yield from leaves(getattr(value, field.name), f"{path}.{field.name}")
+    else:
+        yield path, value
+
+
+def assert_identical(got, want) -> None:
+    """Every array equal with equal sign bits, every other value of equal repr."""
+    for (path, a), (_, b) in zip(leaves(got, "loop"), leaves(want, "loop"), strict=True):
+        if isinstance(a, np.ndarray):
+            assert a.dtype == b.dtype and a.shape == b.shape, path
+            assert np.array_equal(a, b) and np.array_equal(np.signbit(a), np.signbit(b)), path
+        else:
+            assert repr(a) == repr(b), path
+
+
+@pytest.mark.parametrize("name", sorted(PRESETS))
+def test_cold_and_warm_preset_builds_identical(cold, name):
+    for law in LAWS:
+        clear_fact_caches()
+        first = build_scenario(PRESETS[name]["doc"], name=name, law_override=law)
+        again = build_scenario(PRESETS[name]["doc"], name=name, law_override=law)
+        assert again.plant.B2 is first.plant.B2  # the second build reused the facts
+        assert_identical(again.loop, first.loop)
+
+
+def test_cold_and_warm_sweep_builds_identical(cold):
+    documents = sweep_documents()
+    assert len(documents) == 240
+    warm = [build_scenario(doc).loop for doc in documents]  # paper-siso hits across tunings
+    for doc, loop in zip(documents, warm):
+        clear_fact_caches()
+        assert_identical(loop, build_scenario(doc).loop)
+
+
+def test_shared_arrays_are_read_only(cold):
+    p = UncertainPlant.from_matrices(PAPER_A, PAPER_B1, PAPER_C)
+    with pytest.raises(ValueError, match="read-only"):
+        p.B2[0, 0] = 1.0
+    assert UncertainPlant.from_matrices(PAPER_A, PAPER_B1, PAPER_C).B2 is p.B2
+    for part in _zero_dynamics(p):
+        if isinstance(part, np.ndarray):
+            assert not part.flags.writeable
+
+
+def succeed() -> None:
+    """Builds that pass, some with a B1 or a whole plant that a rejection below shares."""
+    for law in LAWS:
+        compile_loop(UncertainPlant.from_matrices(PAPER_A, PAPER_B1, PAPER_C),
+                     AugmentationConfig(law=law))
+    UncertainPlant.from_matrices(-np.eye(2), [[0.0], [1.0]], [[1.0, 1.0]])
+    compile_loop(make_nmp_plant(), AugmentationConfig(law="modified"))
+    compile_loop(UncertainPlant.from_matrices(np.diag([-1.0, -1e-6]), [[1.0], [1e-13]],
+                                              [[0.0, 1.0]]), AugmentationConfig(law="modified"))
+
+
+NOT_SPANNED = ("plant.B1 is zero or out of scale: with its unit-norm complement B2, "
+               "[B1 B2] does not span the state space")
+NO_DC_PATH = "zero DC path from input to output (plant.B1 to plant.C); feedforward gain undefined"
+REJECTED = {
+    "B1 zero": (lambda: UncertainPlant.from_matrices(PAPER_A, [[0.0], [0.0]], PAPER_C),
+                NOT_SPANNED),
+    "A singular": (
+        lambda: UncertainPlant.from_matrices([[0.0, 1.0], [0.0, 0.0]], [[0.0], [1.0]], [[1.0, 0.0]]),
+        "plant.A is singular; feedforward gain undefined",
+    ),
+    "DC path zero": (lambda: UncertainPlant.from_matrices(PAPER_A, PAPER_B1, [[1.0, 0.0]]),
+                     NO_DC_PATH),
+    "non-minimum phase under original": (
+        lambda: compile_loop(make_nmp_plant(), AugmentationConfig(law="original")),
+        "the matched path has transmission zeros not in the open left half plane (at [1.]); "
+        "inverting its dynamics is unstable. The dynamics-inverting law requires a "
+        "minimum-phase plant; use the inverse-DC-gain law instead",
+    ),
+    "matched path zero to rounding under original": (
+        lambda: compile_loop(UncertainPlant.from_matrices(
+            np.diag([-1.0, -1e-6]), [[1.0], [1e-13]], [[0.0, 1.0]]),
+            AugmentationConfig(law="original")),
+        "the matched path is zero to rounding; it has no inverse",
+    ),
+}
+
+
+@pytest.mark.parametrize("case", sorted(REJECTED))
+def test_rejections_are_never_kept(cold, case):
+    """A rejected plant raises its message on every build: twice in a row, and
+    again after builds that keep facts of plants sharing its B1 or its (A, B1, C)."""
+    reject, message = REJECTED[case]
+    for before in (lambda: None, lambda: None, succeed, succeed):
+        before()
+        with pytest.raises(ConfigError) as info:
+            reject()
+        assert str(info.value) == message
+
+
+# one (A, B1, C) under other disturbances, initial states and onsets
+PLANT_VARIANTS = [{}, {"x0": [0.5, -0.25]}, {"f1": [0.05], "f2": [-0.001], "onset": 0.25},
+                  {"f1": [-0.0], "f2": [0.0], "onset": 0.0}, {"x0": [1e-3, 0.0], "f1": [3.0]}]
+
+
+TUNINGS = [
+    (AugmentationConfig(law=law, sample_period=period, bandwidth_matched=w,
+                        bandwidth_unmatched=w, predictor_gain=lp), substeps)
+    for law in LAWS
+    for period, w, lp, substeps in ((1e-3, 40.0, None, 1), (2e-3, 10.0, None, 4),
+                                    (5e-4, 80.0, [[-1.0, 0.0], [0.0, -3.0]], 2))
+]
+
+
+def test_one_plant_under_other_uncertainty_and_tuning_equals_an_uncached_build(cold):
+    for optional in PLANT_VARIANTS:
+        for cfg, substeps in TUNINGS:
+            compile_loop(UncertainPlant.from_matrices(PAPER_A, PAPER_B1, PAPER_C),
+                         AugmentationConfig(law="original"))  # keeps the facts
+            warm = compile_loop(UncertainPlant.from_matrices(PAPER_A, PAPER_B1, PAPER_C,
+                                                             **optional), cfg, substeps)
+            clear_fact_caches()
+            fresh = compile_loop(UncertainPlant.from_matrices(PAPER_A, PAPER_B1, PAPER_C,
+                                                              **optional), cfg, substeps)
+            assert_identical(warm, fresh)
+
+
+def test_other_layouts_are_other_keys(cold):
+    """A product over a Fortran-ordered or strided A or C can round otherwise
+    than over a C-ordered one, so equal values in another layout miss."""
+    for doc in sweep_documents():
+        if "A" not in doc["plant"]:
+            continue
+        a, b1, c = (np.array(doc["plant"][key], dtype=float) for key in ("A", "B1", "C"))
+        cfg = AugmentationConfig(law=doc["controller"]["law"])
+        wide_a, wide_c = np.zeros((2 * a.shape[0], 2 * a.shape[1])), np.zeros((1, 2 * c.shape[1]))
+        wide_a[::2, ::2], wide_c[:, ::2] = a, c
+        for layout_a, layout_c in ((np.asfortranarray(a), c), (wide_a[::2, ::2], wide_c[:, ::2])):
+            compile_loop(UncertainPlant.from_matrices(a, b1, c), cfg)
+            warm = compile_loop(UncertainPlant.from_matrices(layout_a, b1, layout_c), cfg)
+            clear_fact_caches()
+            assert_identical(warm, compile_loop(UncertainPlant.from_matrices(layout_a, b1, layout_c),
+                                                cfg))
+
+
+def distinct_plant(i: int) -> UncertainPlant:
+    """The i-th of plants that differ in B1, so in every fact."""
+    return UncertainPlant.from_matrices([[-1.0, 0.0], [0.0, -2.0]], [[1.0], [float(i)]],
+                                        [[1.0, 1.0]])
+
+
+def test_bound_plus_one_plants_derive_the_first_again(derivations):
+    assert 1 <= FACT_CACHE_SIZE <= 16
+    for i in range(FACT_CACHE_SIZE + 1):
+        distinct_plant(i)
+    assert derivations["_complement"] == FACT_CACHE_SIZE + 1
+    distinct_plant(0)
+    assert derivations["_complement"] == FACT_CACHE_SIZE + 2
+    assert derivations["_feedforward_gain"] == FACT_CACHE_SIZE + 2
+
+
+def test_the_plant_used_last_is_kept(derivations):
+    """A hit makes a plant the most recently used: the next new plant evicts
+    the least recently used one instead."""
+    for i in range(FACT_CACHE_SIZE):
+        distinct_plant(i)
+    distinct_plant(0)
+    distinct_plant(FACT_CACHE_SIZE)  # evicts plant 1
+    assert derivations["_complement"] == FACT_CACHE_SIZE + 1
+    distinct_plant(0)
+    assert derivations["_complement"] == FACT_CACHE_SIZE + 1
+    distinct_plant(1)
+    assert derivations["_complement"] == FACT_CACHE_SIZE + 2
+
+
+def test_zero_dynamics_derived_only_for_the_original_law(derivations):
+    p = UncertainPlant.from_matrices(PAPER_A, PAPER_B1, PAPER_C)
+    for law in ("off", "matched_only", "modified"):
+        compile_loop(p, AugmentationConfig(law=law))
+    assert derivations["_zero_dynamics"] == 0
+    compile_loop(p, AugmentationConfig(law="original"))
+    compile_loop(UncertainPlant.from_matrices(PAPER_A, PAPER_B1, PAPER_C, f2=[0.1]),
+                 AugmentationConfig(law="original", bandwidth_unmatched=5.0))
+    assert derivations["_zero_dynamics"] == 1
+    compile_loop(canonical_plant([-2.0, -3.0, -4.0], [-1.0, -5.0], 2.0),
+                 AugmentationConfig(law="original"))
+    assert derivations["_zero_dynamics"] == 2
+
+
+def test_one_campaign_pass_derives_its_plant_once(derivations):
+    """The eight preset runs share paper-siso: 7 of 8 builds reuse B2 and k_ff,
+    and 1 of the 2 ``original`` builds reuses the zero dynamics."""
+    builds = [(name, law) for name in sorted(PRESETS) for law in PRESETS[name]["laws"]]
+    assert len(builds) == 8
+    for name, law in builds:
+        build_scenario(PRESETS[name]["doc"], name=name, law_override=law)
+    assert derivations == {"_complement": 1, "_feedforward_gain": 1, "_zero_dynamics": 1}
+
+
+def test_builds_on_threads_share_the_caches(cold):
+    """Four threads build more distinct plants than the caches keep, twenty
+    times over, switching often: no build fails, each plant gets its own facts
+    and no cache outgrows its bound."""
+    plants = range(3 * FACT_CACHE_SIZE)
+    want = {}
+    for i in plants:
+        clear_fact_caches()
+        want[i] = distinct_plant(i).k_ff
+    clear_fact_caches()
+    failures = []
+
+    def build_all(offset: int) -> None:
+        try:
+            for i in list(plants) * 20:
+                j = (i + offset) % len(plants)
+                if distinct_plant(j).k_ff != want[j]:
+                    failures.append(("k_ff", j))
+        except Exception as exc:  # reported below, with the others
+            failures.append(exc)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=build_all, args=(k * 7,)) for k in range(4)]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=60.0)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads)
+    assert failures == []
+    for cache in plant_module._FACT_CACHES:
+        assert len(cache._facts) <= FACT_CACHE_SIZE

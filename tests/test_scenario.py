@@ -323,6 +323,20 @@ REJECTIONS = {
         build_short({"A": [[-1.0]], "B1": [[0.0]], "C": [[1.0]]}),
         B1_OUT_OF_SCALE,
     ),
+    # the plant checks B1 before it reads C, and A's inverse after the disturbances
+    "B1 zero before a mis-sized C": (
+        build_short({"A": PAPER_A, "B1": [[0.0], [0.0]], "C": ONES}),
+        B1_OUT_OF_SCALE,
+    ),
+    "A singular after a mis-sized unmatched disturbance": (
+        partial(build_scenario, {
+            "plant": {"A": [[0.0, 0.0], [1.0, 0.0]], "B1": [[1.0], [0.0]], "C": [[0.0, 1.0]]},
+            "uncertainty": {"unmatched": [0.001, 0.001]},
+            "reference": {"kind": "step", "amplitude": 1.0},
+            "controller": {"law": "modified"},
+        }),
+        "uncertainty.unmatched must have 1 entries to match plant.A, got 2",
+    ),
     "C zero": (
         build_short({"preset": "paper-siso", "C": [[0.0, 0.0]]}),
         "zero DC path from input to output (plant.B1 to plant.C); feedforward gain undefined",

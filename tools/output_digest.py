@@ -22,7 +22,15 @@ result in place of the digest):
   ``uncertain-step-compare``/``modified`` trace with its ``t`` stepped back
   by 30% of the span halfway through, and with ``y[3000]`` NaN: these lines
   print, in place of a digest, what ``compute_metrics`` returns (each float
-  by ``float.hex``) or the exception it raises.
+  by ``float.hex``) or the exception it raises;
+* two flags, for every preset under every law and for the 240 sweep
+  documents, of whether each build whose plant facts (B2, k_ff, the zero
+  dynamics) the package reused digests as the build that derived them
+  afresh; a checkout that keeps no facts derives them on every build;
+* six tallies: for each fact, the builds of one campaign pass (the eight
+  preset runs) and of one seed-0 sweep pass, from cold, that reused it, out
+  of the builds that read it, and the reuse a cache that forgot nothing
+  would give (builds less distinct plants).
 
 A model, trace or metrics digest covers every field: arrays by dtype, shape
 and bytes, nested dataclasses field by field, other values by ``repr``.  So
@@ -113,6 +121,7 @@ def main(argv: list[str]) -> int:
 
     lines += _divergence_lines(l1sim)
     lines += _rule_breaking_lines(l1sim)
+    lines += _fact_reuse_lines(l1sim, docs)
 
     for sha, name in lines:
         print(f"{sha}  {name}")
@@ -174,6 +183,69 @@ def _rule_breaking_lines(l1sim) -> list[tuple[str, str]]:
                               for field in dataclasses.fields(metrics))
         lines.append((result, f"probe {name} metrics"))
     return lines
+
+
+def _fact_reuse_lines(l1sim, docs: list[dict]) -> list[tuple[str, str]]:
+    """Cold and warm builds compared, and the reuse of each plant fact counted
+    as the builds that read it less the calls of its derivation."""
+    from l1sim import augmentation, plant
+
+    clear = getattr(plant, "clear_fact_caches", lambda: None)  # absent: nothing is kept
+    presets = [(l1sim.PRESETS[name]["doc"], name, law) for name in l1sim.preset_names()
+               for law in ("off", "matched_only", "original", "modified")]
+    sweep = [(doc, None, None) for doc in docs]
+
+    def build(doc, name, law):
+        return l1sim.build_scenario(doc, name=name, law_override=law)
+
+    lines = []
+    for group, builds in (("presets", presets), ("sweep", sweep)):
+        cold = []
+        for args in builds:
+            clear()
+            cold.append(digest(build(*args).loop))
+        clear()
+        warm = []
+        for args in builds:
+            build(*args)  # keeps its facts for the next build, which reads them back
+            warm.append(digest(build(*args).loop))
+        lines.append((digest(cold == warm), f"{group} cold and warm builds equal"))
+
+    derivations = {"B2": (plant, "_complement"), "k_ff": (plant, "_feedforward_gain"),
+                   "zero dynamics": (augmentation, "_zero_dynamics")}
+    campaign = [(l1sim.PRESETS[name]["doc"], name, law) for name in l1sim.preset_names()
+                for law in l1sim.PRESETS[name]["laws"]]
+    for group, builds in (("campaign", campaign), ("sweep", sweep)):
+        calls = dict.fromkeys(derivations, 0)
+        saved = {fact: getattr(module, attr) for fact, (module, attr) in derivations.items()}
+        for fact, (module, attr) in derivations.items():
+            setattr(module, attr, _counting(calls, fact, saved[fact]))
+        clear()
+        try:
+            built = [build(*args) for args in builds]
+        finally:
+            for fact, (module, attr) in derivations.items():
+                setattr(module, attr, saved[fact])
+        clear()
+        plants = [(sc.plant, sc.augmentation.law) for sc in built]
+        reads = {
+            "B2": [p.B1.tobytes() for p, _ in plants],
+            "k_ff": [(p.A.tobytes(), p.B1.tobytes(), p.C.tobytes()) for p, _ in plants],
+            "zero dynamics": [(p.A.tobytes(), p.B1.tobytes(), p.C.tobytes())
+                              for p, law in plants if law == "original" and p.n_unmatched],
+        }
+        for fact, keys in reads.items():
+            hits, unbounded = len(keys) - calls[fact], len(keys) - len(set(keys))
+            lines.append((f"{hits}/{len(keys)} reused, unbounded {unbounded}",
+                          f"tally {group} pass {fact}"))
+    return lines
+
+
+def _counting(calls: dict, fact: str, derive):
+    def counted(*args):
+        calls[fact] += 1
+        return derive(*args)
+    return counted
 
 
 def _hex(value) -> str:
