@@ -10,7 +10,7 @@ of the unmatched compensation path are provided:
   lie in the open left half plane and a relative degree of at most 2.  The
   zero dynamics and their zeros are derived when an ``original`` loop is
   first compiled for a plant, and kept per distinct (A, B1, C) as the plant
-  keeps B2 and k_ff (``plant.FactCache``).
+  keeps B2 and k_ff (``plant._fact_cache``).
 * ``modified``  - replaces the dynamic inverse by the constant inverse DC
   gain, ``C2(s) H1(0)^-1 H2(s)``: a copy (A, B2, C) of the plant scaled by
   the feedforward gain k_ff = H1(0)^-1, which every plant that loads has.
@@ -37,7 +37,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigError
-from .plant import FactCache, UncertainPlant, _read_only
+from .plant import UncertainPlant, _fact_cache
 from . import statespace
 from .statespace import (
     StateSpaceModel, _square, as_matrix, as_scalar, filter_step, full_rank, zoh_maps,
@@ -138,19 +138,19 @@ def low_pass_model(bandwidth: float) -> StateSpaceModel:
                                np.zeros((1, 1)))
 
 
-def _zero_dynamics(plant: UncertainPlant):
+def _zero_dynamics(a: np.ndarray, b1: np.ndarray, c: np.ndarray):
     """Rows C, CA, ..., C A^r of the matched path (A, B1, C) to its relative
     degree r, gamma = C A^(r-1) B1, an orthonormal basis V of the kernel of
     C ... C A^(r-1), and the zero-dynamics matrix V^T P A V, with
     P = I - B1 C A^(r-1) / gamma.  The input that holds the output at 0 keeps
     x = V xi, moving by that matrix, whose eigenvalues are the transmission
-    zeros (Silverman, IEEE TAC 14(3), 1969), and those zeros, all read-only
-    for sharing.  C A^k B1 counts as 0 below 1e-12 |C A^k| |B1|, which no
-    rescaling of input or output moves."""
-    a, b1 = plant.A, plant.B1[:, 0]
-    rows = [plant.C[0]]
+    zeros (Silverman, IEEE TAC 14(3), 1969), and those zeros.  C A^k B1
+    counts as 0 below 1e-12 |C A^k| |B1|, which no rescaling of input or
+    output moves."""
+    b1 = b1[:, 0]
+    rows = [c[0]]
     while abs(gamma := rows[-1] @ b1) <= 1e-12 * np.linalg.norm(rows[-1]) * np.linalg.norm(b1):
-        if len(rows) == plant.n:
+        if len(rows) == len(a):
             raise ConfigError("the matched path is zero to rounding; it has no inverse")
         rows.append(rows[-1] @ a)
     r = len(rows)
@@ -158,11 +158,11 @@ def _zero_dynamics(plant: UncertainPlant):
     basis = np.linalg.svd(rows[:r])[2][r:].T
     zero_dynamics = basis.T @ (a - np.outer(b1, rows[r] / gamma)) @ basis
     zeros = np.linalg.eigvals(zero_dynamics)
-    _read_only(rows, basis, zero_dynamics, zeros)
     return rows, gamma, basis, zero_dynamics, zeros
 
 
-_ZERO_DYNAMICS = FactCache()
+# looked up at each miss, so a wrapped _zero_dynamics is the one run
+_zero_dynamics_of = _fact_cache(lambda a, b1, c: _zero_dynamics(a, b1, c))
 
 
 def _low_pass_path(a, b, c, d, g, w: float) -> StateSpaceModel:
@@ -193,8 +193,8 @@ def unmatched_path_model(plant: UncertainPlant, cfg: AugmentationConfig) -> Stat
     w, k = cfg.bandwidth_unmatched, plant.n_unmatched
     if cfg.law == "modified":
         return _low_pass_path(plant.A, plant.B2, w * plant.k_ff * plant.C[0], 0.0, np.zeros(k), w)
-    rows, gamma, basis, zero_dynamics, zeros = _ZERO_DYNAMICS.get(
-        (plant.A, plant.B1, plant.C), _zero_dynamics, plant)  # zeros: the path's poles but -w
+    # zeros: the path's poles but -w
+    rows, gamma, basis, zero_dynamics, zeros = _zero_dynamics_of(plant.A, plant.B1, plant.C)
     unstable = zeros[zeros.real >= 0.0]
     if unstable.size:
         raise ConfigError(

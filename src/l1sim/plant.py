@@ -6,17 +6,18 @@ control input and an unmatched term entering through the orthogonal
 complement of the input directions.
 
 What a plant derives from its matrices alone, B2 from B1 and k_ff from
-(A, B1, C), is kept per distinct value of those matrices in a ``FactCache``
-of the ``FACT_CACHE_SIZE`` plants used last, so building one plant under
-several tunings, commands or disturbances derives them once.  Nothing that
-reads a tuning or a disturbance is kept, nor is a rejection: a rejected plant
-is checked afresh, in the same order, on every build.
+(A, B1, C), is kept per distinct value of those matrices in a
+``functools.lru_cache`` of the ``FACT_CACHE_SIZE`` plants used last, so
+building one plant under several tunings, commands or disturbances derives
+them once.  Nothing that reads a tuning or a disturbance is kept, nor is a
+rejection: a rejected plant is checked afresh, in the same order, on every
+build.
 """
 
 from __future__ import annotations
 
+import functools
 import math
-import threading
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -76,8 +77,8 @@ class UncertainPlant:
     f2 and of the unmatched estimate.  k_ff = H1(0)^-1, the feedforward gain
     that gives the reference model unit DC gain, is derived from (A, B1, C),
     so a matched path with zero DC gain is rejected here, under every law.
-    Both are kept per distinct B1 and (A, B1, C) (``FactCache``); B2 is
-    read-only, shared by the plants that have its B1.
+    Both are kept per distinct value of B1 and of (A, B1, C)
+    (``_fact_cache``); B2 is read-only, shared by the plants that have its B1.
     """
 
     A: np.ndarray
@@ -94,7 +95,7 @@ class UncertainPlant:
         A = _square(self.A, "plant.A")
         n = A.shape[0]
         B1 = as_matrix(self.B1, "plant.B1", (n, 1), "plant.A and one control input", column=True)
-        B2 = _B2_CACHE.get((B1,), _unmatched_basis, B1)
+        B2 = _b2_of(B1)
         C = as_matrix(self.C, "plant.C", (1, n), "plant.A")
         x0 = np.zeros(n) if self.x0 is None else as_vector(self.x0, "plant.x0", n, "plant.A")
         f1, f2 = [np.zeros(k) if f is None else as_vector(f, f"uncertainty.{key}", k, match)
@@ -102,7 +103,7 @@ class UncertainPlant:
                                            (self.f2, "unmatched", n - 1, "plant.A"))]
         vars(self).update(A=A, B1=B1, B2=B2, C=C, x0=x0, f1=f1, f2=f2,
                           onset=as_scalar(self.onset, "uncertainty.onset", ">= 0"),
-                          k_ff=_K_FF_CACHE.get((A, B1, C), _feedforward_gain, A, B1, C))
+                          k_ff=_k_ff_of(A, B1, C))
 
     @classmethod
     def from_matrices(cls, A, B1, C, **optional) -> "UncertainPlant":
@@ -123,64 +124,40 @@ class UncertainPlant:
 # far more distinct plants than this, so only a plant built again soon is a hit.
 FACT_CACHE_SIZE = 16
 
-_FACT_CACHES: list["FactCache"] = []
+_FACT_CACHES = []  # the lru_cache of each fact
 
 
-class FactCache:
-    """A fact derived from plant matrices, kept for the ``FACT_CACHE_SIZE``
-    keys used last.  The key is the bytes and strides of the checked matrices
-    the fact reads (equal values in another layout can round otherwise), so a
-    hit returns what a miss derived.  A derivation that raises stores nothing.
-    Arrays in a fact are shared, so the derivation makes them read-only.  The
-    lock guards the order of the keys; it is not held while a fact is derived."""
-
-    def __init__(self):
-        self._facts: dict[tuple, object] = {}  # least recently used first
-        self._lock = threading.Lock()
-        _FACT_CACHES.append(self)
-
-    def get(self, matrices: tuple[np.ndarray, ...], derive, *args):
-        """The fact kept for ``matrices``, else ``derive(*args)``, kept."""
-        key = tuple((m.strides, m.tobytes()) for m in matrices)
-        with self._lock:
-            fact = self._facts.pop(key, None)
-            if fact is not None:
-                self._facts[key] = fact
-                return fact
-        fact = derive(*args)
-        with self._lock:
-            self._facts[key] = fact
-            if len(self._facts) > FACT_CACHE_SIZE:
-                del self._facts[next(iter(self._facts))]
+def _fact_cache(derive):
+    """``derive`` of checked matrices, kept for the ``FACT_CACHE_SIZE`` keys used
+    last.  The key is each matrix's shape and bytes: checked matrices are
+    C-ordered, so their values fix every bit of a fact, and ``derive`` runs on
+    the matrices rebuilt from the key.  A derivation that raises keeps nothing.
+    Arrays in a fact are shared, so they are made read-only."""
+    @functools.lru_cache(maxsize=FACT_CACHE_SIZE)
+    def keyed(*key):
+        fact = derive(*(np.frombuffer(data).reshape(shape) for shape, data in key))
+        for part in fact if isinstance(fact, tuple) else (fact,):
+            if isinstance(part, np.ndarray):
+                part.flags.writeable = False
         return fact
 
-    def clear(self) -> None:
-        with self._lock:
-            self._facts.clear()
+    _FACT_CACHES.append(keyed)
+    return lambda *matrices: keyed(*((m.shape, m.tobytes()) for m in matrices))
 
 
 def clear_fact_caches() -> None:
     """Forget every kept plant fact, so the next builds derive them afresh."""
     for cache in _FACT_CACHES:
-        cache.clear()
-
-
-def _read_only(*arrays: np.ndarray) -> None:
-    for a in arrays:
-        a.flags.writeable = False
+        cache.cache_clear()
 
 
 def _unmatched_basis(B1: np.ndarray) -> np.ndarray:
-    """B2 of a checked n x 1 B1, read-only, where [B1 B2] spans the state space."""
+    """B2 of a checked n x 1 B1, where [B1 B2] spans the state space."""
     B2, sv = _complement(B1)
     if not full_rank(sv, B1.shape[0]):  # |B1| against the unit columns of B2
         raise ConfigError("plant.B1 is zero or out of scale: with its unit-norm "
                           "complement B2, [B1 B2] does not span the state space")
-    _read_only(B2)
     return B2
-
-
-_B2_CACHE, _K_FF_CACHE = FactCache(), FactCache()
 
 
 def _feedforward_gain(A: np.ndarray, B1: np.ndarray, C: np.ndarray) -> float:
@@ -198,6 +175,11 @@ def _feedforward_gain(A: np.ndarray, B1: np.ndarray, C: np.ndarray) -> float:
         raise ConfigError("zero DC path from input to output (plant.B1 to plant.C); "
                           "feedforward gain undefined")
     return -1.0 / val
+
+
+_b2_of = _fact_cache(_unmatched_basis)
+# looked up at each miss, so a wrapped _feedforward_gain is the one run
+_k_ff_of = _fact_cache(lambda A, B1, C: _feedforward_gain(A, B1, C))
 
 
 def plant_deriv(p: UncertainPlant, x: np.ndarray, u_a: np.ndarray, r: float, t: float) -> np.ndarray:

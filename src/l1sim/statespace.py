@@ -8,6 +8,8 @@ and SciPy is a test dependency only, the reference the tests hold it to.
 Invalid arguments raise ``ConfigError`` naming the quantity.  ``as_scalar``,
 ``as_vector`` and ``as_matrix`` hold every rule that turns a document value
 into numbers: each owner calls one once per value, with its bound or shape.
+``as_vector`` and ``as_matrix`` return C-ordered arrays, so equal values in
+any layout give the same bits downstream.
 """
 
 from __future__ import annotations
@@ -34,8 +36,11 @@ def _converted(convert, value, name: str, failure: str, *args):
 
 
 def _finite_array(value, name: str, kind: str) -> np.ndarray:
-    """``value`` as a float array of finite entries; ``kind`` names it in messages."""
-    out = _converted(np.asarray, value, name, "{name} is not a numeric " + kind + ": {exc}", float)
+    """``value`` as a C-ordered float array of finite entries (a copy of another
+    layout, so the values alone fix what is computed from it); ``kind`` names
+    it in messages."""
+    out = _converted(np.asarray, value, name, "{name} is not a numeric " + kind + ": {exc}",
+                     float, "C")
     # a finite sum proves every entry finite, for less than numpy's test costs on
     # these small arrays; only a sum that overflows needs numpy's test
     if not (math.isfinite(sum(out.ravel().tolist())) or np.isfinite(out).all()):

@@ -467,11 +467,38 @@ class TestLiftedLoopStructure:
             self.check(loop, deadbeat_eps=4.0)
             assert spectral_radius(loop.transition) < 1.0
 
+    def test_modified_stable_on_random_hurwitz_plants(self):
+        """``modified`` compiles a stable sampled loop on Hurwitz plants with
+        zeros of either sign, at random T and bandwidths; ``original`` is
+        rejected exactly on the plants with a zero in the closed right half plane."""
+        rng = np.random.default_rng(30)
+        unstable_zeros = 0
+        for order in (2, 3, 4, 5):
+            for _ in range(50):
+                poles = -rng.uniform(1.0, 20.0, order)
+                zeros = rng.choice([-1.0, 1.0], order - 1) * rng.uniform(0.5, 15.0, order - 1)
+                plant = canonical_plant(poles, zeros, rng.uniform(0.5, 5.0))
+                period = round(rng.integers(5, 51) * 1e-4, 4)
+                w_matched, w_unmatched = rng.uniform(5.0, 200.0, 2)
+                cfg = {"sample_period": period, "bandwidth_matched": w_matched,
+                       "bandwidth_unmatched": w_unmatched}
+                loop = compile_loop(plant, AugmentationConfig(law="modified", **cfg))
+                self.check(loop, deadbeat_eps=4.0)
+                assert spectral_radius(loop.transition) < 1.0
+                if (zeros >= 0.0).any():
+                    unstable_zeros += 1
+                    with pytest.raises(ConfigError, match="open left half plane"):
+                        compile_loop(plant, AugmentationConfig(law="original", **cfg))
+                else:
+                    loop = compile_loop(plant, AugmentationConfig(law="original", **cfg))
+                    assert loop.unmatched is not None
+        assert unstable_zeros == 154  # of the 200 plants; the largest rho is 0.99924
+
 
 class TestNonMinimumPhaseGate:
     def test_zero_location_oracle(self):
         p = make_nmp_plant()
-        zeros = np.linalg.eigvals(_zero_dynamics(p)[3])
+        zeros = np.linalg.eigvals(_zero_dynamics(p.A, p.B1, p.C)[3])
         # independent root check on the constructed numerator (s - 1)
         np.testing.assert_allclose(np.sort(zeros.real), [1.0], atol=1e-9)
         assert np.roots([1.0, -1.0])[0] == pytest.approx(1.0)
@@ -513,7 +540,7 @@ class TestNonMinimumPhaseGate:
         p = UncertainPlant.from_matrices(np.diag([-1.0, -1e-6]), [[1.0], [1e-13]], [[0.0, 1.0]])
         message = "^the matched path is zero to rounding; it has no inverse$"
         with pytest.raises(ConfigError, match=message):
-            np.linalg.eigvals(_zero_dynamics(p)[3])
+            np.linalg.eigvals(_zero_dynamics(p.A, p.B1, p.C)[3])
         with pytest.raises(ConfigError, match=message):
             compile_loop(p, AugmentationConfig(law="original"))
         assert compile_loop(p, AugmentationConfig(law="modified")).unmatched is not None

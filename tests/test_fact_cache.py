@@ -14,7 +14,7 @@ from conftest import canonical_plant, make_nmp_plant
 from l1sim import PRESETS, AugmentationConfig, ConfigError, build_scenario, compile_loop
 from l1sim import augmentation
 from l1sim import plant as plant_module
-from l1sim.augmentation import LAWS, _zero_dynamics
+from l1sim.augmentation import LAWS, _zero_dynamics_of
 from l1sim.plant import FACT_CACHE_SIZE, UncertainPlant, clear_fact_caches
 
 SWEEPGEN = Path(__file__).resolve().parents[1] / "perfbench" / "sweepgen.py"
@@ -96,7 +96,7 @@ def test_shared_arrays_are_read_only(cold):
     with pytest.raises(ValueError, match="read-only"):
         p.B2[0, 0] = 1.0
     assert UncertainPlant.from_matrices(PAPER_A, PAPER_B1, PAPER_C).B2 is p.B2
-    for part in _zero_dynamics(p):
+    for part in _zero_dynamics_of(p.A, p.B1, p.C):
         if isinstance(part, np.ndarray):
             assert not part.flags.writeable
 
@@ -178,22 +178,34 @@ def test_one_plant_under_other_uncertainty_and_tuning_equals_an_uncached_build(c
             assert_identical(warm, fresh)
 
 
-def test_other_layouts_are_other_keys(cold):
-    """A product over a Fortran-ordered or strided A or C can round otherwise
-    than over a C-ordered one, so equal values in another layout miss."""
+def test_layouts_give_the_c_ordered_build(cold):
+    """Checked matrices are C-ordered, so a Fortran-ordered or strided A and C,
+    warm or cold, and a Fortran-ordered L_p compile to the bits of the
+    C-ordered build."""
+    builds = 0
     for doc in sweep_documents():
         if "A" not in doc["plant"]:
             continue
         a, b1, c = (np.array(doc["plant"][key], dtype=float) for key in ("A", "B1", "C"))
         cfg = AugmentationConfig(law=doc["controller"]["law"])
+        clear_fact_caches()
+        want = compile_loop(UncertainPlant.from_matrices(a, b1, c), cfg)
         wide_a, wide_c = np.zeros((2 * a.shape[0], 2 * a.shape[1])), np.zeros((1, 2 * c.shape[1]))
         wide_a[::2, ::2], wide_c[:, ::2] = a, c
         for layout_a, layout_c in ((np.asfortranarray(a), c), (wide_a[::2, ::2], wide_c[:, ::2])):
-            compile_loop(UncertainPlant.from_matrices(a, b1, c), cfg)
-            warm = compile_loop(UncertainPlant.from_matrices(layout_a, b1, layout_c), cfg)
-            clear_fact_caches()
-            assert_identical(warm, compile_loop(UncertainPlant.from_matrices(layout_a, b1, layout_c),
-                                                cfg))
+            for warm in (True, False):
+                if not warm:
+                    clear_fact_caches()
+                got = compile_loop(UncertainPlant.from_matrices(layout_a, b1, layout_c), cfg)
+                assert_identical(got, want)
+                builds += 1
+    assert builds == 768  # 192 plants, two layouts, warm and cold
+    lp = np.array([[-1.0, 0.25], [0.5, -3.0]])
+    p = UncertainPlant.from_matrices(PAPER_A, PAPER_B1, PAPER_C, f1=[0.05], f2=[0.001])
+    for law in LAWS:
+        want = compile_loop(p, AugmentationConfig(law=law, predictor_gain=lp))
+        got = compile_loop(p, AugmentationConfig(law=law, predictor_gain=np.asfortranarray(lp)))
+        assert_identical(got, want)
 
 
 def distinct_plant(i: int) -> UncertainPlant:
@@ -284,4 +296,4 @@ def test_builds_on_threads_share_the_caches(cold):
     assert not any(thread.is_alive() for thread in threads)
     assert failures == []
     for cache in plant_module._FACT_CACHES:
-        assert len(cache._facts) <= FACT_CACHE_SIZE
+        assert cache.cache_info().currsize <= FACT_CACHE_SIZE

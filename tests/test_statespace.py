@@ -482,6 +482,20 @@ class TestCoercers:
         with pytest.raises(ConfigError, match="^key has non-finite entries$"):
             statespace.as_vector([1e308, math.nan], "key")
 
+    def test_checked_arrays_are_c_ordered(self):
+        """A Fortran-ordered or strided value is copied to C order, so equal
+        values give equal bits downstream; a C-ordered float array is kept."""
+        a = np.arange(12.0).reshape(3, 4)
+        wide = np.zeros((6, 8))
+        wide[::2, ::2] = a
+        for layout in (np.asfortranarray(a), wide[::2, ::2]):
+            m = statespace.as_matrix(layout, "key")
+            assert m.flags.c_contiguous and np.array_equal(m, a)
+        v = statespace.as_vector(wide[0, ::2], "key")
+        assert v.flags.c_contiguous and v.tolist() == [0.0, 1.0, 2.0, 3.0]
+        assert statespace.as_matrix(a, "key") is a
+        assert statespace.as_scalar(np.float64(2.0), "key") == 2.0
+
 
 class TestStateSpaceModel:
     def test_dimension_validation(self):

@@ -30,7 +30,9 @@ result in place of the digest):
 * six tallies: for each fact, the builds of one campaign pass (the eight
   preset runs) and of one seed-0 sweep pass, from cold, that reused it, out
   of the builds that read it, and the reuse a cache that forgot nothing
-  would give (builds less distinct plants).
+  would give (builds less distinct plants);
+* a flag of whether the seed-0 sweep plants built from a Fortran-ordered A,
+  and from a strided A and C, compile to the bits of their C-ordered builds.
 
 A model, trace or metrics digest covers every field: arrays by dtype, shape
 and bytes, nested dataclasses field by field, other values by ``repr``.  So
@@ -122,6 +124,7 @@ def main(argv: list[str]) -> int:
     lines += _divergence_lines(l1sim)
     lines += _rule_breaking_lines(l1sim)
     lines += _fact_reuse_lines(l1sim, docs)
+    lines += _layout_lines(l1sim, docs)
 
     for sha, name in lines:
         print(f"{sha}  {name}")
@@ -239,6 +242,33 @@ def _fact_reuse_lines(l1sim, docs: list[dict]) -> list[tuple[str, str]]:
             lines.append((f"{hits}/{len(keys)} reused, unbounded {unbounded}",
                           f"tally {group} pass {fact}"))
     return lines
+
+
+def _layout_lines(l1sim, docs: list[dict]) -> list[tuple[str, str]]:
+    """Whether each sweep plant built from a Fortran-ordered A, and from a
+    strided A and C, after a build of its C-ordered matrices and from cold,
+    digests as the C-ordered build."""
+    clear = getattr(l1sim.plant, "clear_fact_caches", lambda: None)
+    equal = True
+    for doc in docs:
+        if "A" not in doc["plant"]:
+            continue
+        a, b1, c = (np.array(doc["plant"][key], dtype=float) for key in ("A", "B1", "C"))
+        cfg = l1sim.AugmentationConfig(law=doc["controller"]["law"])
+
+        def build(a, c):
+            return digest(l1sim.compile_loop(l1sim.UncertainPlant.from_matrices(a, b1, c), cfg))
+
+        clear()
+        want = build(a, c)
+        wide_a, wide_c = np.zeros((2 * a.shape[0], 2 * a.shape[1])), np.zeros((1, 2 * c.shape[1]))
+        wide_a[::2, ::2], wide_c[:, ::2] = a, c
+        for layout_a, layout_c in ((np.asfortranarray(a), c), (wide_a[::2, ::2], wide_c[:, ::2])):
+            equal &= build(layout_a, layout_c) == want  # warm: after the C-ordered build
+            clear()
+            equal &= build(layout_a, layout_c) == want
+    clear()
+    return [(digest(equal), "sweep layouts give the C-ordered build")]
 
 
 def _counting(calls: dict, fact: str, derive):
