@@ -28,6 +28,11 @@ and slope ``command_maps``, the per-sample ``disturbance_map`` and the
 ``input_map`` of the adaptive input.  They all come from one preallocated
 step matrix of one integrator step, whose top rows are one matrix
 exponential written in place over the generator blocks it was taken of.
+All but the disturbance map read only the plant's matrices and the tuning,
+so they are kept per distinct (A, B1, C, tuning, substeps) as the plant
+keeps its facts: a rebuild of one plant and tuning under another x0, f1,
+f2, onset, command or horizon compiles nothing, and forms its disturbance
+map from its own f1 and f2.
 """
 
 from __future__ import annotations
@@ -86,6 +91,15 @@ class AugmentationConfig:
         if self.predictor_gain is not None:
             lp = as_matrix(self.predictor_gain, "controller.L_p")
             object.__setattr__(self, "predictor_gain", lp)
+
+    @classmethod
+    def _of(cls, law, sample_period, bandwidth_matched, bandwidth_unmatched,
+            predictor_gain) -> "AugmentationConfig":
+        """Tuning of values a tuning has already checked, unvalidated."""
+        cfg = object.__new__(cls)
+        vars(cfg).update(law=law, sample_period=sample_period, bandwidth_matched=bandwidth_matched,
+                         bandwidth_unmatched=bandwidth_unmatched, predictor_gain=predictor_gain)
+        return cfg
 
 
 def error_dynamics_matrix(plant: UncertainPlant, cfg: AugmentationConfig) -> np.ndarray:
@@ -253,6 +267,11 @@ class LoopModel:
     value, and ``command_maps`` folds them into the level map of r(kT) and
     the slope map of a ramp's rise within the sample.  The adaptive input
     held over sample k is ``input_map @ s[k]``.
+
+    ``plant`` and ``config`` are the caller's, and ``disturbance_map`` is
+    formed from that plant's f1 and f2.  Every other array is shared by the
+    models of one (A, B1, C, tuning, substeps) (``compile_loop``), so it is
+    read-only.
     """
 
     plant: UncertainPlant
@@ -298,21 +317,62 @@ def compile_loop(
     error dynamics, a singular update gain, the transmission-zero gate of the
     dynamics-inverting law (also its path's stability check), an improper path
     and an overflowing loop all raise ``ConfigError`` here, overflow by key.
-    The command is held over S = ``substeps_per_sample`` steps of h = T / S,
-    the engine's.  The loop's generator and drive are written into the top
-    rows of one preallocated step matrix over [z, u, j] (below), which the
-    top rows of their one exponential then overwrite, and the S steps fold
-    into the sample's maps by one matrix power.
+    Everything but the disturbance map reads only the plant's matrices and
+    the tuning, so it is kept per distinct value of (A, B1, C, L_p, law,
+    sample period, bandwidths, substeps) as the plant keeps its facts
+    (``_loop_kernel``); the disturbance map is formed from this plant's f1
+    and f2 on every call, and the model holds this plant and this tuning.
     """
-    T = cfg.sample_period
+    (gain, predictor_gain, matched, unmatched, transition, command_maps, input_map,
+     plant_input, err_input) = _loop_kernel_of(
+        plant.A, plant.B1, plant.C, cfg.predictor_gain, cfg.law, cfg.sample_period,
+        cfg.bandwidth_matched, cfg.bandwidth_unmatched, substeps_per_sample)
+    n = plant.n
+    f = np.concatenate([plant.f1, plant.f2])
+    disturbance_map = np.zeros(transition.shape[0])
+    with np.errstate(over="ignore", invalid="ignore"):  # rejected by key below
+        disturbance_map[:n], disturbance_map[2 * n : 3 * n] = plant_input @ f, -(err_input @ f)
+    if not np.isfinite(disturbance_map).all():
+        raise ConfigError("uncertainty.matched or uncertainty.unmatched overflows the sampled loop")
+    return LoopModel(
+        plant=plant,
+        config=cfg,
+        gain=gain,
+        predictor_gain=predictor_gain,
+        matched=matched,
+        unmatched=unmatched,
+        substeps=substeps_per_sample,
+        transition=transition,
+        command_maps=command_maps,
+        disturbance_map=disturbance_map,
+        input_map=input_map,
+    )
+
+
+def _loop_kernel(A, B1, C, predictor_gain, law, sample_period, bandwidth_matched,
+                 bandwidth_unmatched, substeps):
+    """What ``compile_loop`` derives from a plant's matrices and a tuning: the
+    gain, the error feedback, the discrete law filters, the ``transition``,
+    ``command_maps`` and ``input_map``, and the held-input maps of the plant
+    and the prediction error that the disturbance map reads.
+
+    The command is held over S = ``substeps`` steps of h = T / S, the
+    engine's.  The loop's generator and drive are written into the top rows
+    of one preallocated step matrix over [z, u, j] (below), which the top rows
+    of their one exponential then overwrite, and the S steps fold into the
+    sample's maps by one matrix power.
+    """
+    plant = UncertainPlant._of(A, B1, C)
+    cfg = AugmentationConfig._of(law, sample_period, bandwidth_matched, bandwidth_unmatched,
+                                 predictor_gain)
     a_err = error_dynamics_matrix(plant, cfg)
     n = plant.n
     x, x_m, x_t = slice(0, n), slice(n, 2 * n), slice(2 * n, 3 * n)
     with np.errstate(over="ignore", invalid="ignore"):  # what overflows is rejected by key
         # each continuous law filter, the estimate channels it reads and its block
         filters, width = [], 2 * n
-        if cfg.law != "off":
-            for filt, chans in ((low_pass_model(cfg.bandwidth_matched), slice(0, 1)),
+        if law != "off":
+            for filt, chans in ((low_pass_model(bandwidth_matched), slice(0, 1)),
                                 (unmatched_path_model(plant, cfg), slice(1, n))):
                 if filt is not None:
                     filters.append((filt, chans, slice(width, width + filt.order)))
@@ -325,32 +385,26 @@ def compile_loop(
         # ZOH maps (a_h, b_h) of one step.
         size = width + 2 * n
         step, u = np.zeros((size + 1, size + 1)), slice(width + n, size)
-        step[:n, :n], step[n : 2 * n, n : 2 * n] = plant.A, a_err
-        step[:n, u] = step[n : 2 * n, u] = np.hstack([plant.B1, plant.B2])
+        step[:n, :n], step[n : 2 * n, n : 2 * n] = A, a_err
+        step[:n, u] = step[n : 2 * n, u] = np.hstack([B1, plant.B2])
         for filt, chans, block in filters:
             step[block, block] = filt.A
             step[block, width + chans.start : width + chans.stop] = filt.B
-        h = T / substeps_per_sample
+        h = sample_period / substeps
         flow = statespace._expm(step[:size, :size] * h)
         if not np.isfinite(flow).all():
             raise ConfigError(f"discretization overflowed; one of {_RATE_KEYS} is too large")
         step[:width, :size] = flow[:width]
         step.ravel()[width * (size + 2) :: size + 2] = 1.0  # [u, j] held
         step[width + n, size] = 1.0
-        power = np.linalg.matrix_power(step, substeps_per_sample)
+        power = np.linalg.matrix_power(step, substeps)
         prop, held, staircase = power[:width, :width], power[:width, width:-1], power[:n, -1]
         plant_prop, plant_input = prop[:n, :n], held[:n, n:]
         err_prop, err_input = prop[n : 2 * n, n : 2 * n], held[n : 2 * n, n:]
         gain = _estimator_gain(err_prop, err_input)
-        # the lifted state is the generator's with x_m after x (LoopModel.blocks)
-        d = n + width
-        f = np.concatenate([plant.f1, plant.f2])
-        disturbance_map = np.zeros(d)
-        disturbance_map[x], disturbance_map[x_t] = plant_input @ f, -(err_input @ f)
-        if not np.isfinite(disturbance_map).all():
-            raise ConfigError(
-                "uncertainty.matched or uncertainty.unmatched overflows the sampled loop")
 
+    # the lifted state is the generator's with x_m after x (LoopModel.blocks)
+    d = n + width
     transition, input_map = np.zeros((d, d)), np.zeros((1, d))
     discrete = []
     for filt, chans, block in filters:
@@ -374,19 +428,12 @@ def compile_loop(
     command_maps[0, x] = held[:n, n] * plant.k_ff
     command_maps[1, x] = staircase * (plant.k_ff * h)
     command_maps[:, x_m] = command_maps[:, x]
-    return LoopModel(
-        plant=plant,
-        config=cfg,
-        gain=gain,
-        predictor_gain=a_err - plant.A,
-        matched=matched,
-        unmatched=unmatched,
-        substeps=substeps_per_sample,
-        transition=transition,
-        command_maps=command_maps,
-        disturbance_map=disturbance_map,
-        input_map=input_map,
-    )
+    return (gain, a_err - A, matched, unmatched, transition, command_maps, input_map,
+            plant_input, err_input)
+
+
+# looked up at each miss, so a wrapped _loop_kernel is the one run
+_loop_kernel_of = _fact_cache(lambda *key: _loop_kernel(*key))
 
 
 def predictor_deriv(

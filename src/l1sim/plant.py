@@ -9,9 +9,10 @@ What a plant derives from its matrices alone, B2 from B1 and k_ff from
 (A, B1, C), is kept per distinct value of those matrices in a
 ``functools.lru_cache`` of the ``FACT_CACHE_SIZE`` plants used last, so
 building one plant under several tunings, commands or disturbances derives
-them once.  Nothing that reads a tuning or a disturbance is kept, nor is a
-rejection: a rejected plant is checked afresh, in the same order, on every
-build.
+them once.  ``augmentation`` keeps the compiled loop the same way, per
+distinct (plant matrices, tuning).  Nothing that reads x0, a disturbance or
+an onset is kept, nor is a rejection: a rejected plant or tuning is checked
+afresh, in the same order, on every build.
 """
 
 from __future__ import annotations
@@ -23,7 +24,9 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import ConfigError
-from .statespace import _complement, _square, as_matrix, as_scalar, as_vector, full_rank
+from .statespace import (
+    StateSpaceModel, _complement, _square, as_matrix, as_scalar, as_vector, full_rank,
+)
 
 
 @dataclass(frozen=True)
@@ -111,6 +114,14 @@ class UncertainPlant:
         and k_ff are derived."""
         return cls(A=A, B1=B1, C=C, **optional)
 
+    @classmethod
+    def _of(cls, A, B1, C) -> "UncertainPlant":
+        """Undisturbed plant of matrices a plant has already checked, unvalidated;
+        B2 and k_ff are read from their caches.  x0, f1 and f2 are ``None``."""
+        plant = object.__new__(cls)
+        vars(plant).update(A=A, B1=B1, B2=_b2_of(B1), C=C, k_ff=_k_ff_of(A, B1, C))
+        return plant
+
     @property
     def n(self) -> int:
         return self.A.shape[0]
@@ -120,33 +131,40 @@ class UncertainPlant:
         return self.B2.shape[1]
 
 
-# Distinct plants whose derived facts each cache keeps.  A seeded sweep visits
-# far more distinct plants than this, so only a plant built again soon is a hit.
+# Distinct keys (plants, or plant and tuning for a compiled loop) each cache
+# keeps.  A seeded sweep visits far more distinct keys than this, so only a key
+# built again soon is a hit.
 FACT_CACHE_SIZE = 16
 
 _FACT_CACHES = []  # the lru_cache of each fact
 
 
 def _fact_cache(derive):
-    """``derive`` of checked matrices, kept for the ``FACT_CACHE_SIZE`` keys used
-    last.  The key is each matrix's shape and bytes: checked matrices are
-    C-ordered, so their values fix every bit of a fact, and ``derive`` runs on
-    the matrices rebuilt from the key.  A derivation that raises keeps nothing.
-    Arrays in a fact are shared, so they are made read-only."""
+    """``derive`` of checked matrices and plain values, kept for the
+    ``FACT_CACHE_SIZE`` keys used last.  A matrix's key is its shape and bytes:
+    checked matrices are C-ordered, so their values fix every bit of a fact,
+    and ``derive`` runs on the matrices rebuilt from the key.  Any other
+    argument (a law, a period, ``None``; never a tuple) is its own key.  A
+    derivation that raises keeps nothing.  Arrays in a fact, and those of a
+    ``StateSpaceModel`` in it, are shared, so they are made read-only."""
     @functools.lru_cache(maxsize=FACT_CACHE_SIZE)
     def keyed(*key):
-        fact = derive(*(np.frombuffer(data).reshape(shape) for shape, data in key))
+        fact = derive(*[np.frombuffer(part[1]).reshape(part[0]) if isinstance(part, tuple)
+                        else part for part in key])
         for part in fact if isinstance(fact, tuple) else (fact,):
-            if isinstance(part, np.ndarray):
-                part.flags.writeable = False
+            for array in vars(part).values() if isinstance(part, StateSpaceModel) else (part,):
+                if isinstance(array, np.ndarray):
+                    array.setflags(write=False)
         return fact
 
     _FACT_CACHES.append(keyed)
-    return lambda *matrices: keyed(*((m.shape, m.tobytes()) for m in matrices))
+    return lambda *args: keyed(*[(a.shape, a.tobytes()) if isinstance(a, np.ndarray) else a
+                                 for a in args])
 
 
 def clear_fact_caches() -> None:
-    """Forget every kept plant fact, so the next builds derive them afresh."""
+    """Forget every kept plant fact and compiled loop, so the next builds
+    derive them afresh."""
     for cache in _FACT_CACHES:
         cache.cache_clear()
 

@@ -3,6 +3,7 @@ import pytest
 from hypothesis import settings
 
 from l1sim import PRESETS, UncertainPlant, run_preset
+from l1sim.plant import clear_fact_caches
 
 # Property tests draw the same examples on every run and stay time-bounded;
 # no example database is written.
@@ -31,6 +32,14 @@ BENCH_B1 = np.array([[2000.0], [0.0]])
 BENCH_C = np.array([[0.0, 1.0]])
 BENCH_F1 = 0.05
 BENCH_F2 = 0.001
+
+
+@pytest.fixture(autouse=True)
+def cold_caches():
+    """Every test starts with no kept plant fact or compiled loop, so what a
+    test counts (exponentials, derivations) does not depend on the tests run
+    before it."""
+    clear_fact_caches()
 
 
 @pytest.fixture(scope="session")

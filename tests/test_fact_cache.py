@@ -1,10 +1,13 @@
 """A plant's law-independent facts (B2, k_ff, the zero dynamics) are kept per
-distinct (A, B1, C): a build that reuses them equals one that derives them."""
+distinct (A, B1, C), and its compiled loop per distinct (A, B1, C, tuning,
+substeps): a build that reuses them equals one that derives them."""
 
 import dataclasses
+import gc
 import importlib.util
 import sys
 import threading
+import weakref
 from pathlib import Path
 
 import numpy as np
@@ -14,7 +17,7 @@ from conftest import canonical_plant, make_nmp_plant
 from l1sim import PRESETS, AugmentationConfig, ConfigError, build_scenario, compile_loop
 from l1sim import augmentation
 from l1sim import plant as plant_module
-from l1sim.augmentation import LAWS, _zero_dynamics_of
+from l1sim.augmentation import LAWS, LoopModel, _zero_dynamics_of
 from l1sim.plant import FACT_CACHE_SIZE, UncertainPlant, clear_fact_caches
 
 SWEEPGEN = Path(__file__).resolve().parents[1] / "perfbench" / "sweepgen.py"
@@ -264,13 +267,16 @@ def test_one_campaign_pass_derives_its_plant_once(derivations):
 
 def test_builds_on_threads_share_the_caches(cold):
     """Four threads build more distinct plants than the caches keep, twenty
-    times over, switching often: no build fails, each plant gets its own facts
-    and no cache outgrows its bound."""
+    times over, switching often, and compile every fourth under a law of its
+    own: no build fails, each plant gets its own facts and loop, and no cache
+    outgrows its bound."""
     plants = range(3 * FACT_CACHE_SIZE)
-    want = {}
+    want, want_loop = {}, {}
     for i in plants:
         clear_fact_caches()
         want[i] = distinct_plant(i).k_ff
+        if i % 4 == 0:
+            want_loop[i] = compile_loop(distinct_plant(i), AugmentationConfig(law=LAWS[i // 4 % 4]))
     clear_fact_caches()
     failures = []
 
@@ -280,6 +286,9 @@ def test_builds_on_threads_share_the_caches(cold):
                 j = (i + offset) % len(plants)
                 if distinct_plant(j).k_ff != want[j]:
                     failures.append(("k_ff", j))
+                if j in want_loop:
+                    loop = compile_loop(distinct_plant(j), AugmentationConfig(law=LAWS[j // 4 % 4]))
+                    assert_identical(loop, want_loop[j])
         except Exception as exc:  # reported below, with the others
             failures.append(exc)
 
@@ -297,3 +306,163 @@ def test_builds_on_threads_share_the_caches(cold):
     assert failures == []
     for cache in plant_module._FACT_CACHES:
         assert cache.cache_info().currsize <= FACT_CACHE_SIZE
+
+
+def other_uncertainty_and_command(document: dict) -> dict:
+    """A sweep document with its plant and tuning, and other f1, f2, onsets,
+    command size and horizon, all on its sample grid."""
+    period = document["controller"]["sample_period"]
+    unc, ref = document["uncertainty"], dict(document["reference"])
+    size = "amplitude" if ref["kind"] == "step" else "gradient"
+    ref.update({"onset": 3 * period, size: -2.5 * ref[size]})
+    return {**document, "reference": ref,
+            "uncertainty": {"matched": [-3.0 * unc["matched"][0] - 0.25],
+                            "unmatched": [2.0 * v + 1e-3 for v in unc["unmatched"]],
+                            "onset": 2 * period},
+            "engine": {**document["engine"], "t_end": 2 * document["engine"]["t_end"] + period}}
+
+
+def shared_arrays(loop: LoopModel):
+    """(path, array) of every array a loop shares with the loops of its key:
+    all but the plant's, the tuning's and the disturbance map."""
+    for path, value in leaves(loop, "loop"):
+        if isinstance(value, np.ndarray) and not path.startswith(
+                ("loop.plant.", "loop.config.", "loop.disturbance_map")):
+            yield path, value
+
+
+@pytest.fixture
+def kernels(cold, monkeypatch):
+    """The law of each loop compiled, in order: a hit compiles none."""
+    laws = []
+
+    def counted(*key, _compile=augmentation._loop_kernel):
+        laws.append(key[4])
+        return _compile(*key)
+
+    monkeypatch.setattr(augmentation, "_loop_kernel", counted)
+    return laws
+
+
+def test_warm_preset_builds_reuse_the_compiled_loop(kernels):
+    for name in sorted(PRESETS):
+        for law in LAWS:
+            clear_fact_caches()
+            first = build_scenario(PRESETS[name]["doc"], name=name, law_override=law)
+            again = build_scenario(PRESETS[name]["doc"], name=name, law_override=law)
+            assert kernels[-1] == law and len(kernels) == 1
+            kernels.clear()
+            assert_identical(again.loop, first.loop)
+            assert again.loop.transition is first.loop.transition
+            assert again.loop.plant is again.plant and again.loop.config is again.augmentation
+            assert again.loop.disturbance_map is not first.loop.disturbance_map
+
+
+def test_sweep_rebuilds_under_other_uncertainty_and_command_identical(kernels):
+    """Each sweep document rebuilt with other f1, f2, onsets, command size and
+    horizon reuses the loop of the document, and equals that rebuild from cold."""
+    for document in sweep_documents():
+        other = other_uncertainty_and_command(document)
+        clear_fact_caches()
+        want = build_scenario(other)
+        clear_fact_caches()
+        first = build_scenario(document)
+        compiled = len(kernels)
+        got = build_scenario(other)
+        assert len(kernels) == compiled  # a hit
+        assert got.loop.transition is first.loop.transition
+        assert not np.array_equal(got.loop.disturbance_map, first.loop.disturbance_map)
+        assert_identical(got.loop, want.loop)
+        assert_identical(got.plant, want.plant)
+
+
+def test_one_campaign_pass_compiles_four_loops(kernels):
+    """The eight preset runs share paper-siso and one tuning, so from cold a
+    pass compiles one loop per law, and a second pass compiles none."""
+    builds = [(name, law) for name in sorted(PRESETS) for law in PRESETS[name]["laws"]]
+    for name, law in builds:
+        build_scenario(PRESETS[name]["doc"], name=name, law_override=law)
+    assert sorted(kernels) == sorted(LAWS)
+    for name, law in builds:
+        build_scenario(PRESETS[name]["doc"], name=name, law_override=law)
+    assert len(kernels) == 4
+
+
+UNSTABLE_LP = [[20.0, 0.0], [0.0, 0.0]]  # A + L_p has trace 10
+LOOP_REJECTED = {
+    "unstable L_p": (
+        lambda law: compile_loop(UncertainPlant.from_matrices(PAPER_A, PAPER_B1, PAPER_C),
+                                 AugmentationConfig(law=law, predictor_gain=UNSTABLE_LP)),
+        lambda law: compile_loop(UncertainPlant.from_matrices(PAPER_A, PAPER_B1, PAPER_C),
+                                 AugmentationConfig(law=law)),
+        "controller.L_p makes the prediction-error dynamics unstable",
+    ),
+    "non-minimum phase under original": (
+        lambda law: compile_loop(make_nmp_plant(), AugmentationConfig(law="original")),
+        lambda law: compile_loop(make_nmp_plant(), AugmentationConfig(law=law)),
+        "the matched path has transmission zeros not in the open left half plane",
+    ),
+}
+
+
+@pytest.mark.parametrize("case", sorted(LOOP_REJECTED))
+def test_loop_rejections_are_never_kept(kernels, case):
+    """A rejected tuning raises its message on every build: twice in a row, and
+    again after builds of its plant under other tunings were kept."""
+    reject, succeed, message = LOOP_REJECTED[case]
+    messages = []
+    for law in ("original", "original") + LAWS:
+        with pytest.raises(ConfigError) as info:
+            reject(law)
+        messages.append(str(info.value))
+        if law in ("off", "matched_only", "modified"):
+            succeed(law)
+    assert messages[0].startswith(message) and set(messages) == {messages[0]}
+    assert len(kernels) == len(messages) + 3  # every rejection compiled afresh
+
+
+def test_overflowing_disturbance_rejected_on_a_warm_loop(cold):
+    """The disturbance map is formed per build, so a warm loop checks it too."""
+    base = PRESETS["uncertain-step-compare"]["doc"]
+    document = {**base, "uncertainty": {"matched": [1e308], "unmatched": [0.0], "onset": 0.0}}
+    for law in LAWS:
+        for warm in (False, True):
+            clear_fact_caches()
+            if warm:
+                build_scenario(base, law_override=law)
+            with pytest.raises(ConfigError) as info:
+                build_scenario(document, law_override=law)
+            assert str(info.value) == ("uncertainty.matched or uncertainty.unmatched "
+                                       "overflows the sampled loop")
+
+
+def test_shared_loop_arrays_are_read_only(cold):
+    p = UncertainPlant.from_matrices(PAPER_A, PAPER_B1, PAPER_C, f1=[0.05], f2=[0.001])
+    for law in LAWS:
+        loop = compile_loop(p, AugmentationConfig(law=law))
+        arrays = dict(shared_arrays(loop))
+        assert {"loop.gain", "loop.transition", "loop.command_maps", "loop.input_map"} <= set(arrays)
+        if law != "off":
+            assert {"loop.matched.A", "loop.matched.D"} <= set(arrays)
+        for path, array in arrays.items():
+            with pytest.raises(ValueError, match="read-only"):
+                array[...] = 0.0
+        loop.disturbance_map[...] = loop.disturbance_map  # this build's own
+        again = compile_loop(p, AugmentationConfig(law=law))
+        assert_identical(again, loop)
+
+
+def test_no_plant_or_tuning_outlives_its_builds(kernels):
+    """The kept loop holds values, not the first caller's plant, tuning or arrays."""
+    def build():
+        a, lp = np.array(PAPER_A), np.array([[-1.0, 0.25], [0.5, -3.0]])
+        p = UncertainPlant.from_matrices(a, PAPER_B1, PAPER_C, f1=[0.05])
+        cfg = AugmentationConfig(law="original", predictor_gain=lp)
+        assert p.A is a and cfg.predictor_gain is lp  # the caller's arrays, not copies
+        return [weakref.ref(value) for value in (p, cfg, a, lp, compile_loop(p, cfg))]
+
+    for _ in range(2):
+        refs = build()
+        gc.collect()
+        assert [ref() for ref in refs] == [None] * 5
+    assert kernels == ["original"]  # the second build read the kept loop

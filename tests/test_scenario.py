@@ -26,6 +26,7 @@ from l1sim import (
 from l1sim import engine as engine_module
 from l1sim import scenario as scenario_module
 from l1sim import statespace
+from l1sim.plant import clear_fact_caches
 
 BASE_DOC = {
     "name": "case",
@@ -172,8 +173,6 @@ class TestBuildScenario:
         assert sc.plant.onset == 0.0
 
     def test_loop_compiled_once_at_build(self, monkeypatch):
-        sc = build_scenario(doc(controller={"law": "original"}, reference={"onset": 0.5}))
-        assert sc.loop.plant is sc.plant and sc.loop.config is sc.augmentation
         calls = []
         expm = statespace._expm
 
@@ -182,10 +181,16 @@ class TestBuildScenario:
             return expm(*args, **kwargs)
 
         monkeypatch.setattr(statespace, "_expm", counting_expm)
+        clear_fact_caches()
+        sc = build_scenario(doc(controller={"law": "original"}, reference={"onset": 0.5}))
+        assert sc.loop.plant is sc.plant and sc.loop.config is sc.augmentation
+        assert calls  # the counter sees the exponentials of a cold build
+        calls.clear()
         run_scenario(sc)
+        # the same plant and tuning under another command reuse the compiled loop
+        again = build_scenario(doc(controller={"law": "original"}))
         assert calls == []
-        build_scenario(doc(controller={"law": "original"}))
-        assert calls  # the counter sees the exponentials of a build
+        assert again.loop.plant is again.plant and again.loop.config is again.augmentation
 
     def test_run_integrates_nothing(self, monkeypatch):
         sc = build_scenario(

@@ -25,12 +25,17 @@ result in place of the digest):
   by ``float.hex``) or the exception it raises;
 * two flags, for every preset under every law and for the 240 sweep
   documents, of whether each build whose plant facts (B2, k_ff, the zero
-  dynamics) the package reused digests as the build that derived them
-  afresh; a checkout that keeps no facts derives them on every build;
-* six tallies: for each fact, the builds of one campaign pass (the eight
-  preset runs) and of one seed-0 sweep pass, from cold, that reused it, out
-  of the builds that read it, and the reuse a cache that forgot nothing
-  would give (builds less distinct plants);
+  dynamics) and compiled loop the package reused digests as the build that
+  derived them afresh; a checkout that keeps nothing derives them on every
+  build;
+* one flag of whether each sweep document, rebuilt with other f1, f2,
+  onsets, command size and horizon after a build of the document itself,
+  digests as that rebuild from cold;
+* eight tallies: for each fact and for the compiled loop (counted by its
+  one exponential, ``statespace._expm``), the builds of one campaign pass
+  (the eight preset runs) and of one seed-0 sweep pass, from cold, that
+  reused it, out of the builds that read it, and the reuse a cache that
+  forgot nothing would give (builds less distinct keys);
 * a flag of whether the seed-0 sweep plants built from a Fortran-ordered A,
   and from a strided A and C, compile to the bits of their C-ordered builds.
 
@@ -191,7 +196,7 @@ def _rule_breaking_lines(l1sim) -> list[tuple[str, str]]:
 def _fact_reuse_lines(l1sim, docs: list[dict]) -> list[tuple[str, str]]:
     """Cold and warm builds compared, and the reuse of each plant fact counted
     as the builds that read it less the calls of its derivation."""
-    from l1sim import augmentation, plant
+    from l1sim import augmentation, plant, statespace
 
     clear = getattr(plant, "clear_fact_caches", lambda: None)  # absent: nothing is kept
     presets = [(l1sim.PRESETS[name]["doc"], name, law) for name in l1sim.preset_names()
@@ -213,9 +218,18 @@ def _fact_reuse_lines(l1sim, docs: list[dict]) -> list[tuple[str, str]]:
             build(*args)  # keeps its facts for the next build, which reads them back
             warm.append(digest(build(*args).loop))
         lines.append((digest(cold == warm), f"{group} cold and warm builds equal"))
+    equal = True
+    for doc, _, _ in sweep:
+        clear()
+        want = digest(build(_other_uncertainty_and_command(doc), None, None).loop)
+        clear()
+        build(doc, None, None)  # keeps the loop the rebuild reads back
+        equal &= digest(build(_other_uncertainty_and_command(doc), None, None).loop) == want
+    lines.append((digest(equal), "sweep rebuilds under other uncertainty and command equal"))
 
     derivations = {"B2": (plant, "_complement"), "k_ff": (plant, "_feedforward_gain"),
-                   "zero dynamics": (augmentation, "_zero_dynamics")}
+                   "zero dynamics": (augmentation, "_zero_dynamics"),
+                   "loop": (statespace, "_expm")}
     campaign = [(l1sim.PRESETS[name]["doc"], name, law) for name in l1sim.preset_names()
                 for law in l1sim.PRESETS[name]["laws"]]
     for group, builds in (("campaign", campaign), ("sweep", sweep)):
@@ -236,12 +250,31 @@ def _fact_reuse_lines(l1sim, docs: list[dict]) -> list[tuple[str, str]]:
             "k_ff": [(p.A.tobytes(), p.B1.tobytes(), p.C.tobytes()) for p, _ in plants],
             "zero dynamics": [(p.A.tobytes(), p.B1.tobytes(), p.C.tobytes())
                               for p, law in plants if law == "original" and p.n_unmatched],
+            "loop": [(sc.plant.A.tobytes(), sc.plant.B1.tobytes(), sc.plant.C.tobytes(),
+                      None if (lp := sc.augmentation.predictor_gain) is None else lp.tobytes(),
+                      sc.augmentation.law, sc.augmentation.sample_period,
+                      sc.augmentation.bandwidth_matched, sc.augmentation.bandwidth_unmatched,
+                      sc.engine.substeps_per_sample) for sc in built],
         }
         for fact, keys in reads.items():
             hits, unbounded = len(keys) - calls[fact], len(keys) - len(set(keys))
             lines.append((f"{hits}/{len(keys)} reused, unbounded {unbounded}",
                           f"tally {group} pass {fact}"))
     return lines
+
+
+def _other_uncertainty_and_command(doc: dict) -> dict:
+    """A sweep document with its plant and tuning, and other f1, f2, onsets,
+    command size and horizon, all on its sample grid."""
+    period = doc["controller"]["sample_period"]
+    unc, ref = doc["uncertainty"], dict(doc["reference"])
+    size = "amplitude" if ref["kind"] == "step" else "gradient"
+    ref.update({"onset": 3 * period, size: -2.5 * ref[size]})
+    return {**doc, "reference": ref,
+            "uncertainty": {"matched": [-3.0 * unc["matched"][0] - 0.25],
+                            "unmatched": [2.0 * v + 1e-3 for v in unc["unmatched"]],
+                            "onset": 2 * period},
+            "engine": {**doc["engine"], "t_end": 2 * doc["engine"]["t_end"] + period}}
 
 
 def _layout_lines(l1sim, docs: list[dict]) -> list[tuple[str, str]]:
