@@ -18,21 +18,14 @@ and an onset acts over whole samples from the first boundary k T at or after
 it, as ``reference_value`` and ``compute_metrics`` compare; no sample at or
 before an onset sees it.  Step traces are those of a per-step hold grid.
 
-A run splits its N samples into segments at the two switch samples.  Within
-a segment from sample a, f[k] = alpha + beta (k - a) (beta = 0 for a step
-command), so the state [s, 1, k - a] follows one autonomous matrix, and
-power doubling solves it: the rows [z, P z, ..., P^(n-1) z] go through P^n
-to the next n rows, and P^n is squared for the next stage.  A run costs
-about N d^2 multiply-adds and a few d x d squarings per segment, and a
-segment with zero state and zero forcing (x0 = 0 before the onsets) is
-written as zeros.  Every recorded signal is a projection of the stacked
-states; x is a view of their columns, x_hat and sigma transposed (n, N + 1)
-arrays.  If a state comes out non-finite, the run writes f[k] for every
-sample over the states it holds, after s[0], and steps the recurrence there
-again one sample at a time; that sequential pass names the first non-finite
-sample and block in ``SimulationDiverged``.  Identical inputs give
-bit-identical traces, whatever the number of BLAS threads.  Metrics and
-charts take only traces that keep the trace rule of ``check_series``.
+``lifted_states`` solves the recurrence by power doubling, about N d^2
+multiply-adds a run, and names the first non-finite sample and block in
+``SimulationDiverged``.  Every recorded signal is a projection of the
+stacked states, written into its row of the trace's one (3 n + 5, N + 1)
+array, which the run allocates with the solver's work array.  Identical
+inputs give bit-identical traces, whatever the number of BLAS threads.
+Metrics and charts take only traces that keep the trace rule of
+``check_series``.
 """
 
 from __future__ import annotations
@@ -76,24 +69,36 @@ class EngineConfig:
         object.__setattr__(self, "substeps_per_sample", int(subs))
 
 
+def _signal(rows) -> property:
+    """A named signal of ``SimTrace``: the ``values`` row ``rows(n)`` picks for
+    n states, or the rows of its slice as (samples, width); assigning writes there."""
+    def view(trace):  # a 1-D row is its own transpose
+        return trace.values[rows((trace.values.shape[0] - 5) // 3)].T
+    return property(view, lambda trace, value: np.copyto(view(trace), value))
+
+
 @dataclass
 class SimTrace:
-    """Time-indexed record of every closed-loop signal, one row per sample boundary."""
+    """Every closed-loop signal at each sample boundary: ``values`` is
+    (3 n + 5, samples), one row per ``traceio.csv_header`` column in that
+    order, and each named signal is a view of its rows."""
 
-    t: np.ndarray
-    r: np.ndarray
-    y: np.ndarray
-    y_m: np.ndarray
-    u_a: np.ndarray      # (samples, 1)
-    sigma1: np.ndarray   # (samples, 1)
-    sigma2: np.ndarray   # (samples, n - 1)
-    x: np.ndarray        # (samples, n)
-    x_hat: np.ndarray    # (samples, n)
+    values: np.ndarray
     label: str = ""
+
+    t = _signal(lambda n: 0)
+    r = _signal(lambda n: 1)
+    y = _signal(lambda n: 2)
+    y_m = _signal(lambda n: 3)
+    u_a = _signal(lambda n: slice(4, 5))              # (samples, 1)
+    sigma1 = _signal(lambda n: slice(5, 6))           # (samples, 1)
+    sigma2 = _signal(lambda n: slice(6, n + 5))       # (samples, n - 1)
+    x = _signal(lambda n: slice(n + 5, 2 * n + 5))    # (samples, n)
+    x_hat = _signal(lambda n: slice(2 * n + 5, None))  # (samples, n)
 
     @property
     def n_samples(self) -> int:
-        return self.t.shape[0]
+        return self.values.shape[1]
 
     @property
     def x_tilde(self) -> np.ndarray:
@@ -194,8 +199,11 @@ def _power_doubling(rows: np.ndarray, power: np.ndarray) -> None:
             step = np.dot(step, step)
 
 
-def lifted_states(model: LoopModel, sig: ReferenceSignal, n_samples: int) -> np.ndarray:
-    """Lifted state s[k] of ``model`` at sample boundaries k = 0..n_samples.
+def lifted_states(model: LoopModel, sig: ReferenceSignal, n_samples: int,
+                  out: np.ndarray | None = None) -> np.ndarray:
+    """Lifted state s[k] of ``model`` at sample boundaries k = 0..n_samples,
+    the first d columns of ``out``, the (n_samples + 1, d + 2) array it works
+    in, which is allocated when not given.
 
     The samples split where the command or the disturbances switch on
     (``_segment_starts``; ``ConfigError`` names an onset off the sample
@@ -210,19 +218,16 @@ def lifted_states(model: LoopModel, sig: ReferenceSignal, n_samples: int) -> np.
     finite.  The powers can overflow before the states do, and their
     rounding can move an overflow by a sample, so a non-finite result is
     stepped again one sample at a time, and that recurrence decides where,
-    and whether, the loop diverged.  It runs in place: f[k] is written over
-    row k + 1 of the doubling's states, s[0] stays in row 0, and each row
-    then adds M times the row before it, so no second array is allocated.
+    and whether, the loop diverged, in place in ``out``.
     """
     T, M = model.config.sample_period, model.transition
     d = M.shape[0]
     starts = _segment_starts(model, sig, n_samples)
     count = len(starts)
-    blocks = model.blocks
     # columns d and d + 1 carry the 1 and the k - a of a segment's forcing
-    work = np.empty((n_samples + 1, d + 2))
+    work = np.empty((n_samples + 1, d + 2)) if out is None else out
     work[0] = 0.0
-    work[0, blocks["plant"]] = work[0, blocks["reference model"]] = model.plant.x0
+    work[0, model.blocks["plant"]] = work[0, model.blocks["reference model"]] = model.plant.x0
     power = np.zeros((d + 2, d + 2))
     power[:d, :d] = M
     power[d:, d] = power[d + 1, d + 1] = 1.0
@@ -244,7 +249,8 @@ def lifted_states(model: LoopModel, sig: ReferenceSignal, n_samples: int) -> np.
         states = work[:, :d]
         if np.isfinite(work).all():
             return states
-        # s[0] is still in row 0: write f[k] over row k + 1 and step it there
+        # s[0] is still in row 0: write f[k] over row k + 1 and step it there,
+        # each row adding M times the row before it
         states[1:] = _forcing(model, sig, np.arange(n_samples) * T)
         rows = list(states)  # row views: adding to one writes into states
         for prev, row in zip(rows, rows[1:]):
@@ -253,7 +259,7 @@ def lifted_states(model: LoopModel, sig: ReferenceSignal, n_samples: int) -> np.
     if finite.all():
         return states
     k = int(np.argmin(finite))
-    block = next(name for name, cols in blocks.items()
+    block = next(name for name, cols in model.blocks.items()
                  if not np.isfinite(states[k, cols]).all())
     raise SimulationDiverged(k * T, k, block, float(np.abs(states[k - 1]).max()))
 
@@ -270,32 +276,29 @@ def run_closed_loop(
 
     ``model`` is ``compile_loop(plant, cfg, eng.substeps_per_sample)`` when
     the caller has already compiled it (``Scenario.loop``), else compiled
-    here.  x, x_hat and the sigmas are non-contiguous views (module docstring).
+    here.  One ``np.empty`` holds the work array of ``lifted_states`` and,
+    after it, the trace's ``values``, so the trace keeps both alive.
     """
     substeps = eng.substeps_per_sample
     if model is None:
         model = compile_loop(plant, cfg, substeps)
     elif model.plant is not plant or model.config is not cfg or model.substeps != substeps:
         raise ValueError("model was compiled from a different plant or configuration")
-    T = cfg.sample_period
-    n_steps = _sample_count(eng.t_end, T)
-    t = np.arange(n_steps + 1, dtype=float) * T
-    states = lifted_states(model, sig, n_steps)
-    blocks = model.blocks
+    n_steps = _sample_count(eng.t_end, cfg.sample_period)
+    n, blocks = plant.n, model.blocks
+    size = (n_steps + 1) * (model.transition.shape[0] + 2)
+    block = np.empty(size + (n_steps + 1) * (3 * n + 5))
+    values = block[size:].reshape(3 * n + 5, n_steps + 1)  # one row per csv_header column
+    states = lifted_states(model, sig, n_steps, out=block[:size].reshape(n_steps + 1, -1))
 
-    # sigma and x_hat are formed along the rows of the transposed column views,
-    # which is faster than row by row and gives the same bits, and kept transposed
+    # sigma and x_hat go along the rows of the transposed column views: faster, same bits
     x, x_tilde = states[:, blocks["plant"]], states[:, blocks["predictor"]]
-    sigma = (model.gain @ x_tilde.T).T
-    return SimTrace(
-        t=t,
-        r=reference_value(sig, t),
-        y=x @ plant.C[0],
-        y_m=states[:, blocks["reference model"]] @ plant.C[0],
-        u_a=states @ model.input_map.T + 0.0,  # + 0.0 normalizes -0.0
-        sigma1=sigma[:, :1],
-        sigma2=sigma[:, 1:],
-        x=x,
-        x_hat=np.add(x.T, x_tilde.T, out=np.empty(x.T.shape)).T,
-        label=label,
-    )
+    np.multiply(np.arange(n_steps + 1, dtype=float), cfg.sample_period, out=values[0])  # t
+    values[1] = reference_value(sig, values[0])  # r
+    np.matmul(x, plant.C[0], out=values[2])  # y
+    np.matmul(states[:, blocks["reference model"]], plant.C[0], out=values[3])  # y_m
+    np.add(states @ model.input_map.T, 0.0, out=values[4:5].T)  # u_a; + 0.0 normalizes -0.0
+    np.matmul(model.gain, x_tilde.T, out=values[5 : n + 5])  # sigma1, sigma2
+    values[n + 5 : 2 * n + 5] = x.T
+    np.add(x.T, x_tilde.T, out=values[2 * n + 5 :])  # x_hat
+    return SimTrace(values, label)

@@ -1,7 +1,8 @@
 """CSV serialization of simulation traces.
 
 A trace of an n-state plant has one layout, ``csv_header(n)``, of 3 n + 5
-columns, and ``load_csv`` reads only that layout.
+columns, the rows of its ``values``.  ``load_csv`` reads only that layout,
+and its trace's ``values`` is the parsed array transposed, with no copy.
 
 Values are written with 17 significant digits, which round-trips IEEE
 doubles exactly, so metrics recomputed from a re-parsed file match the
@@ -15,8 +16,8 @@ values are bit-identical down the block (the command, the piecewise-constant
 estimates, the states before the onset) has its text formatted once and
 written into the template, which is then applied to the other columns only;
 the text of a float never holds a ``%``.  Bits, not ``==``, decide, so a
-block of ``0.0`` with one ``-0.0`` is not constant.  Only one block's values
-and text are held at a time, so memory stays flat in the trace length.
+block of ``0.0`` with one ``-0.0`` is not constant.  Only one block's text
+is held at a time, so memory stays flat in the trace length.
 """
 
 from __future__ import annotations
@@ -43,13 +44,10 @@ def csv_header(n: int) -> str:
 def emit_csv(trace: SimTrace, path) -> Path:
     """Write one row per sample; returns the written path."""
     path = Path(path)
-    columns = [trace.t, trace.r, trace.y, trace.y_m, trace.u_a, trace.sigma1, trace.sigma2,
-               trace.x, trace.x_hat]
     with path.open("w", encoding="utf-8", newline="\n") as fh:
         fh.write(csv_header(trace.x.shape[1]) + "\n")
         for start in range(0, trace.n_samples, BLOCK_ROWS):
-            block = np.column_stack([col[start : start + BLOCK_ROWS] for col in columns])
-            block = block.astype(np.float64, copy=False)  # the bit view needs 8-byte values
+            block = trace.values[:, start : start + BLOCK_ROWS].T
             bits = block.view(np.uint64)
             constant = (bits == bits[0]).all(axis=0)
             row = ",".join(["%.17g" % v if c else "%.17g" for v, c in zip(block[0], constant)])
@@ -73,6 +71,4 @@ def load_csv(path, label: str = "") -> SimTrace:
     n = (width - 5) // 3
     if n < 1 or header != csv_header(n):
         raise ValueError(f"{path}: header does not match the trace schema: {header}")
-    return SimTrace(t=data[:, 0], r=data[:, 1], y=data[:, 2], y_m=data[:, 3], u_a=data[:, 4:5],
-                    sigma1=data[:, 5:6], sigma2=data[:, 6 : n + 5], x=data[:, n + 5 : 2 * n + 5],
-                    x_hat=data[:, 2 * n + 5 :], label=label or path.stem)
+    return SimTrace(data.T, label or path.stem)

@@ -51,6 +51,14 @@ from l1sim.plots import HEIGHT, MARGIN_B, MARGIN_L, MARGIN_R, MARGIN_T, WIDTH
 from l1sim.statespace import StateSpaceModel, zoh_maps
 
 TRACE_FIELDS = ("r", "y", "y_m", "u_a", "sigma1", "sigma2", "x", "x_hat", "x_tilde")
+# the named signals of a trace, in csv_header column order
+SIGNALS = ("t", "r", "y", "y_m", "u_a", "sigma1", "sigma2", "x", "x_hat")
+
+
+def trace_of(label: str = "", **signals) -> SimTrace:
+    """A trace built from every named signal, each (samples,) or (samples,
+    width), stacked as the rows of its ``values`` in ``SIGNALS`` order."""
+    return SimTrace(np.vstack([np.asarray(signals[name], float).T for name in SIGNALS]), label)
 
 
 def rk4_closed_loop(plant, cfg, sig, eng) -> SimTrace:
@@ -60,7 +68,7 @@ def rk4_closed_loop(plant, cfg, sig, eng) -> SimTrace:
     h = T / eng.substeps_per_sample
     n, k = plant.n, plant.n_unmatched
     rows = round(eng.t_end / T) + 1
-    out = SimTrace(
+    out = trace_of(
         t=np.arange(rows) * T,
         r=np.zeros(rows),
         y=np.zeros(rows),

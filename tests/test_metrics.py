@@ -3,8 +3,9 @@ import math
 import numpy as np
 import pytest
 
-from l1sim import ReferenceSignal, SimTrace, compute_metrics, line_chart_svg
+from l1sim import ReferenceSignal, compute_metrics, line_chart_svg
 from l1sim.metrics import steady_window
+from oracle import trace_of
 
 
 def make_trace(t, y, r, u_a=None):
@@ -14,7 +15,7 @@ def make_trace(t, y, r, u_a=None):
     r = np.asarray(r, float)
     u = np.zeros((n, 1)) if u_a is None else np.asarray(u_a, float).reshape(n, 1)
     z2 = np.zeros((n, 2))
-    return SimTrace(
+    return trace_of(
         t=t, r=r, y=y, y_m=y.copy(), u_a=u,
         sigma1=np.zeros((n, 1)), sigma2=np.zeros((n, 1)),
         x=z2, x_hat=z2.copy(),

@@ -12,7 +12,6 @@ from l1sim import (
     PresetResult,
     ReferenceSignal,
     RunResult,
-    SimTrace,
     adaptation_gain,
     build_scenario,
     compute_metrics,
@@ -27,6 +26,7 @@ from l1sim import engine as engine_module
 from l1sim import scenario as scenario_module
 from l1sim import statespace
 from l1sim.plant import clear_fact_caches
+from oracle import trace_of
 
 BASE_DOC = {
     "name": "case",
@@ -626,9 +626,8 @@ class TestPresets:
             sig = build_scenario(copy.deepcopy(PRESETS[name]["doc"])).signal
             noisy = []
             for run in result.runs:
-                trace = dataclasses.replace(
-                    run.trace, y=run.trace.y + rng.choice([-1e-14, 1e-14], run.trace.y.size)
-                )
+                trace = copy.deepcopy(run.trace)
+                trace.y = run.trace.y + rng.choice([-1e-14, 1e-14], run.trace.y.size)
                 metrics = compute_metrics(trace, sig)
                 noisy.append(dataclasses.replace(run, trace=trace, metrics=metrics))
             perturbed = dataclasses.replace(result, runs=noisy)
@@ -644,8 +643,8 @@ class TestPresets:
             y = np.zeros(n)
             y[first] = spike  # inside the metrics window, outside the last 10% of samples
             zeros = np.zeros((n, 1))
-            trace = SimTrace(t=t, r=np.zeros(n), y=y, y_m=np.zeros(n), u_a=zeros, sigma1=zeros,
-                             sigma2=zeros, x=zeros, x_hat=zeros, label=label)
+            trace = trace_of(t=t, r=np.zeros(n), y=y, y_m=np.zeros(n), u_a=zeros, sigma1=zeros,
+                             sigma2=np.zeros((n, 0)), x=zeros, x_hat=zeros, label=label)
             sig = ReferenceSignal(kind="step", onset=0.0, amplitude=1.0)
             runs.append(RunResult(label=label, trace=trace, metrics=compute_metrics(trace, sig)))
         text = format_report(PresetResult(name="window", runs=runs, shared_fingerprint=""))

@@ -8,14 +8,17 @@ from l1sim import (
     EngineConfig,
     ReferenceSignal,
     SimTrace,
+    build_scenario,
     compute_metrics,
     csv_header,
     emit_csv,
     load_csv,
     run_closed_loop,
+    run_scenario,
 )
 from l1sim.traceio import BLOCK_ROWS
-from oracle import TRACE_FIELDS, reference_csv_text
+from oracle import SIGNALS, TRACE_FIELDS, reference_csv_text, trace_of
+from test_fact_cache import sweep_documents
 from test_metrics import make_trace
 
 EDGE_VALUES = [0.0, -0.0, 5e-324, -5e-324, 1.797e308, -1.797e308, np.inf, -np.inf, 2.0**53, 1.0]
@@ -33,7 +36,7 @@ def random_trace(rows: int, n: int, seed: int, edge_share: float = 0.0) -> SimTr
         return values
 
     x, x_hat = draw(rows, n), draw(rows, n)
-    return SimTrace(
+    return trace_of(
         t=np.arange(rows) * 1e-3, r=draw(rows), y=draw(rows), y_m=draw(rows), u_a=draw(rows, 1),
         sigma1=draw(rows, 1), sigma2=draw(rows, n - 1), x=x, x_hat=x_hat,
     )
@@ -163,6 +166,36 @@ class TestRoundTrip:
             assert got.shape == want.shape and got.tobytes() == want.tobytes(), name
 
 
+class TestTraceArray:
+    """A trace is its CSV block: every named signal is a view of ``values``,
+    whose rows are the CSV's columns in ``csv_header`` order."""
+
+    @staticmethod
+    def check(trace, path):
+        for name in SIGNALS:
+            assert np.shares_memory(getattr(trace, name), trace.values), name
+        emit_csv(trace, path)
+        columns = np.loadtxt(path, delimiter=",", skiprows=1, ndmin=2).T
+        assert columns.shape == trace.values.shape
+        assert columns.tobytes() == trace.values.tobytes()
+
+    def test_preset_runs(self, tmp_path, preset_results):
+        for name, result in preset_results.items():
+            for run in result.runs:
+                self.check(run.trace, tmp_path / f"{name}__{run.label}.csv")
+
+    def test_sweep_documents(self, tmp_path):
+        for doc in sweep_documents()[:10]:
+            self.check(run_scenario(build_scenario(doc)).trace, tmp_path / f"{doc['name']}.csv")
+
+    def test_reload_is_a_transposed_view_with_the_same_bytes(self, tmp_path, short_run):
+        trace, _sig = short_run
+        path = emit_csv(trace, tmp_path / "run.csv")
+        back = load_csv(path)
+        assert back.values.base is not None and back.values.T.flags.c_contiguous
+        assert emit_csv(back, tmp_path / "back.csv").read_bytes() == path.read_bytes()
+
+
 class TestByteFormat:
     """The block formatter writes the bytes of the per-value reference writer."""
 
@@ -258,9 +291,8 @@ class TestConstantColumns:
     def test_all_constant_blocks_match_reference(self, tmp_path, rows):
         values = iter(EDGE_VALUES + [np.nan, 0.1, -3.0])
         trace = random_trace(rows, n=2, seed=rows)
-        for name, value in vars(trace).items():
-            if isinstance(value, np.ndarray):
-                value[...] = next(values)
+        for row in trace.values:
+            row[...] = next(values)
         path = emit_csv(trace, tmp_path / "constant.csv")
         assert path.read_bytes() == reference_csv_text(trace).encode()
 

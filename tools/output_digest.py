@@ -39,8 +39,10 @@ result in place of the digest):
 * a flag of whether the seed-0 sweep plants built from a Fortran-ordered A,
   and from a strided A and C, compile to the bits of their C-ordered builds.
 
-A model, trace or metrics digest covers every field: arrays by dtype, shape
-and bytes, nested dataclasses field by field, other values by ``repr``.  So
+A model or metrics digest covers every field: arrays by dtype, shape and
+bytes, nested dataclasses field by field, other values by ``repr``.  A trace
+digest covers its named signals and label the same way, whatever fields hold
+them, so it reads the same from either trace layout.  So
 two checkouts whose digests ``diff`` equal compile and write the same bits.
 The checkout's ``src/`` and ``perfbench/`` are imported without writing
 bytecode; nothing in the checkout is modified.
@@ -49,6 +51,7 @@ bytecode; nothing in the checkout is modified.
 from __future__ import annotations
 
 import contextlib
+import copy
 import dataclasses
 import hashlib
 import io
@@ -65,8 +68,18 @@ def digest(value) -> str:
     return h.hexdigest()
 
 
+# a trace is digested by its named signals and label, whatever fields hold them
+TRACE_SIGNALS = ("t", "r", "y", "y_m", "u_a", "sigma1", "sigma2", "x", "x_hat", "label")
+
+
 def _feed(h, value) -> None:
-    if isinstance(value, np.ndarray):
+    if type(value).__name__ == "SimTrace":
+        h.update(b"SimTrace(")
+        for name in TRACE_SIGNALS:
+            h.update(f"{name}=".encode())
+            _feed(h, getattr(value, name))
+        h.update(b")")
+    elif isinstance(value, np.ndarray):
         h.update(f"array {value.dtype.str} {value.shape}:".encode())
         h.update(np.ascontiguousarray(value).tobytes())
     elif dataclasses.is_dataclass(value):
@@ -175,13 +188,11 @@ def _rule_breaking_lines(l1sim) -> list[tuple[str, str]]:
     scenario = l1sim.build_scenario(l1sim.PRESETS["uncertain-step-compare"]["doc"],
                                     law_override="modified")
     trace = l1sim.run_scenario(scenario).trace
-    stepped_back = trace.t.copy()
-    stepped_back[trace.n_samples // 2 :] -= 0.3 * (trace.t[-1] - trace.t[0])
-    nan_y = trace.y.copy()
-    nan_y[3000] = np.nan
+    stepped_back, nan_y = copy.deepcopy(trace), copy.deepcopy(trace)
+    stepped_back.t[trace.n_samples // 2 :] -= 0.3 * (trace.t[-1] - trace.t[0])
+    nan_y.y[3000] = np.nan
     lines = []
-    for name, broken in (("t stepped back", dataclasses.replace(trace, t=stepped_back)),
-                         ("y[3000] nan", dataclasses.replace(trace, y=nan_y))):
+    for name, broken in (("t stepped back", stepped_back), ("y[3000] nan", nan_y)):
         try:
             metrics = l1sim.compute_metrics(broken, scenario.signal)
         except Exception as exc:  # the exception is the result
